@@ -331,7 +331,16 @@ class ParabolicGrid:
 
     def weighted_norm_sq(self, values: np.ndarray, center=None,
                          radius: float | None = None) -> float:
-        return self.integrate_thick(values ** 2, center, radius)
+        """int y^a v^2 dt dX over Q*_radius(center) (whole cylinder when no
+        center/radius given), exact in time on the interpolant of v."""
+        if center is None:
+            center = self.center
+        if radius is None:
+            radius = self.rho
+        _, wx, wy = self.thick_cylinder_weights(center, radius)
+        t0 = center[0]
+        sq = self.time_integral_sq(values, t0 - radius ** 2, t0 + radius ** 2)
+        return float(np.sum(np.multiply.outer(wx, wy) * sq))
 
     # -- interpolation and boundary trace --
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import gamma
 
 import numpy as np
-
-from .gammafn import gamma
 
 __all__ = [
     "FracParams",
@@ -145,9 +145,19 @@ def dtn_constant(s: float) -> float:
     return 2.0 ** (2.0 * s - 1.0) * gamma(s) / gamma(1.0 - s)
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per order and
+    shared read-only by every caller."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.setflags(write=False)
+    wg.setflags(write=False)
+    return xg, wg
+
+
 def _gauss_panels(lo: float, hi: float, n_panels: int, order: int):
     """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _leggauss(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -116,19 +116,23 @@ class RearrangedProfile:
                        self.plateaus[np.clip(idx, 0, len(self.plateaus) - 1)], 0.0)
         return float(out) if np.ndim(out) == 0 else out
 
-    def integral_g_star(self, rho: float) -> float:
-        """Exact int_0^rho g*(tau) dtau."""
-        if rho <= 0.0:
-            return 0.0
-        if rho >= self.total_measure:
-            return float(self._cum[-1])
-        k = int(np.searchsorted(self.breakpoints, rho, side="right") - 1)
-        return float(self._cum[k] + self.plateaus[k] * (rho - self.breakpoints[k]))
+    def integral_g_star(self, rho):
+        """Exact int_0^rho g*(tau) dtau, elementwise for an array rho."""
+        rho = np.asarray(rho, dtype=float)
+        k = np.clip(np.searchsorted(self.breakpoints, rho, side="right") - 1,
+                    0, len(self.plateaus) - 1)
+        out = self._cum[k] + self.plateaus[k] * (rho - self.breakpoints[k])
+        out = np.where(rho >= self.total_measure, self._cum[-1], out)
+        out = np.where(rho <= 0.0, 0.0, out)
+        return float(out) if out.ndim == 0 else out
 
-    def double_star(self, rho: float) -> float:
-        if rho <= 0.0:
+    def double_star(self, rho):
+        """g**(rho) = (1/rho) int_0^rho g*, elementwise for an array rho."""
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho <= 0.0):
             raise ValueError("double_star needs rho > 0")
-        return self.integral_g_star(rho) / rho
+        out = self.integral_g_star(rho) / rho
+        return float(out) if np.ndim(out) == 0 else out
 
     def measure_above(self, level: float) -> float:
         """mu({g* > level}), exact from the step structure."""
@@ -312,7 +316,7 @@ def profile_power_integral(profile: RearrangedProfile, alpha: float,
             break
         n_panels = max(1, int(math.ceil(math.log10(hi / lo) * 2)) + 1)
         u, wu = _gauss_panels(lo, hi, n_panels, 24)
-        gss = np.array([profile.double_star(x) for x in u])
+        gss = profile.double_star(u)
         total += float(np.sum(wu * u ** (alpha - 1.0) * np.sqrt(np.maximum(gss, 0.0))))
     if upper > profile.total_measure:
         # beyond the support g**(u) = mass / u

@@ -100,14 +100,13 @@ def _excess_term(grid: ParabolicGrid, center, radius: float, resid,
     """Normalized excess of a residual field U - l on the radius-r thin
     (or thick) cylinder, with its square integrated exactly in time; node
     weights would integrate the interpolant of the square instead."""
+    if thick:
+        return grid.weighted_norm_sq(resid, center, radius) \
+            * radius ** -(grid.n + 3.0 + grid.params.a)
     t0 = center[0]
     w = grid._x_overlap(np.asarray(center[1:1 + grid.n], dtype=float), radius)
-    power = grid.n + 2.0
-    if thick:
-        w = np.multiply.outer(w, grid.thick_cylinder_weights(center, radius)[2])
-        power += 1.0 + grid.params.a
     sq = grid.time_integral_sq(resid, t0 - radius ** 2, t0 + radius ** 2)
-    return float(np.sum(w * sq)) * radius ** -power
+    return float(np.sum(w * sq)) * radius ** -(grid.n + 2.0)
 
 
 def _linear_values(cols, coef):
@@ -251,11 +250,7 @@ def combined_norm(U: ScalarField) -> float:
     """sqrt of the trace L^2 plus weighted L^2 over the field's cylinder."""
     grid = U.grid
     tr = grid.trace_at_zero(U.values)
-    tw = grid.time_weights()
-    xm = grid.x_cell_measures()
-    thin = float(tw @ np.tensordot(tr ** 2, xm,
-                                   axes=(tuple(range(1, tr.ndim)),
-                                         tuple(range(xm.ndim)))))
+    thin = float(np.sum(grid.x_cell_measures() * grid.time_integral_sq(tr)))
     thick = grid.weighted_norm_sq(U.values)
     return math.sqrt(thin + thick)
 
@@ -349,6 +344,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     the interior regime (dist <= y1/4) and the boundary regime, plus the
     time-increment ratio |U(t1,X) - U(t2,X)| / (K(sqrt dt) sqrt dt).
 
+    K must accept an array of radii, as ModulusOfContinuity does: it is
+    called once, on the distinct radii min(dist, 1) of all sampled pairs.
     The boundary-regime geometry fact y2 <= 6 dist is asserted pairwise.
     """
     grid = U.grid
@@ -367,10 +364,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
         d /= 2.0
     n_dec = max(len(decades), 1)
 
-    dists, ratios, cases = [], [], []
+    dists, incs, cases = [], [], []
     geometry_ok = True
-    ci = cb = 0.0
-    n_i = n_b = 0
     attempts = 0
     while len(dists) < n_pairs and attempts < 40 * n_pairs:
         attempts += 1
@@ -396,24 +391,16 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
             continue
         g1 = np.array([gx[i1], gy[i1]])
         g2 = np.array([gx[i2], gy[i2]])
-        ratio = float(np.linalg.norm(g1 - g2)) / max(float(K(min(dist, 1.0))),
-                                                     1e-300)
         y1_, y2_ = min(p1[2], p2[2]), max(p1[2], p2[2])
         interior = dist <= y1_ / 4.0
-        if interior:
-            ci = max(ci, ratio)
-            n_i += 1
-        else:
+        if not interior:
             geometry_ok &= (y2_ <= 6.0 * dist + 1e-12)
-            cb = max(cb, ratio)
-            n_b += 1
         dists.append(dist)
-        ratios.append(ratio)
+        incs.append(float(np.linalg.norm(g1 - g2)))
         cases.append(0 if interior else 1)
 
     # time-increment pairs: same spatial cell, varying time separation
-    ct = 0.0
-    n_t = 0
+    rdts, dus = [], []
     for _ in range(n_pairs // 4):
         j1, j2 = rng.choice(ti, size=2, replace=False)
         ix = rng.choice(xi_)
@@ -421,13 +408,24 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
         dt_ = abs(t_nodes[j1] - t_nodes[j2])
         if dt_ <= 0:
             continue
-        rdt = math.sqrt(dt_)
-        du = abs(U.values[j1, ix, iy] - U.values[j2, ix, iy])
-        ct = max(ct, du / max(float(K(min(rdt, 1.0))) * rdt, 1e-300))
-        n_t += 1
-    return ModulusProbeReport(ci, cb, ct, n_i, n_b, n_t, bool(geometry_ok),
-                              seed, np.asarray(dists), np.asarray(ratios),
-                              np.asarray(cases, dtype=int))
+        rdts.append(math.sqrt(dt_))
+        dus.append(abs(U.values[j1, ix, iy] - U.values[j2, ix, iy]))
+
+    dists, rdts = np.asarray(dists), np.asarray(rdts)
+    cases = np.asarray(cases, dtype=int)
+    radii, inverse = np.unique(np.minimum(np.concatenate([dists, rdts]), 1.0),
+                               return_inverse=True)
+    k_vals = (np.atleast_1d(np.asarray(K(radii), dtype=float))[inverse]
+              if radii.size else radii)
+    ratios = np.asarray(incs) / np.maximum(k_vals[:dists.size], 1e-300)
+    t_ratios = np.asarray(dus) / np.maximum(k_vals[dists.size:] * rdts, 1e-300)
+    interior = cases == 0
+    return ModulusProbeReport(
+        float(ratios[interior].max(initial=0.0)),
+        float(ratios[~interior].max(initial=0.0)),
+        float(t_ratios.max(initial=0.0)),
+        int(np.sum(interior)), int(np.sum(~interior)), int(rdts.size),
+        bool(geometry_ok), seed, dists, ratios, cases)
 
 
 def interior_probe(U: ScalarField, center, side: float, lam: float,

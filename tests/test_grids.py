@@ -40,6 +40,16 @@ class TestParabolicGrid:
         assert got == pytest.approx(grid.weighted_measure() * 2 * grid.rho ** 2,
                                     rel=1e-12)
 
+    @pytest.mark.parametrize("r", [0.25, 0.5])
+    def test_weighted_norm_time_linear_field(self, grid, r):
+        # U = t: int y^a t^2 over Q*_r = (2 r^6 / 3) (2 r) r^(1+a)/(1+a);
+        # node weights applied to t^2 read +200% at r = 1/4, +12.5% at 1/2
+        a = grid.params.a
+        vals = sample_scalar(grid, lambda t, x, y: t + 0.0 * x).values
+        expect = (2 * r ** 6 / 3) * (2 * r) * r ** (1 + a) / (1 + a)
+        got = grid.weighted_norm_sq(vals, center=(0.0, 0.0), radius=r)
+        assert got == pytest.approx(expect, rel=1e-12)
+
     def test_cylinder_integral_subdomain_closed_form(self, grid):
         # int over Q*_r of y^a dt dX = 2 r^2 * (2r)^n * r^(1+a)/(1+a)
         r = 0.5

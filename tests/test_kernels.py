@@ -13,6 +13,7 @@ from fracheat.kernels import (
     frac_heat_apply,
     marchaud_normalization,
     check_master_bounds,
+    _leggauss,
 )
 
 
@@ -86,6 +87,17 @@ class TestConstants:
             subordination_constant(s)
         with pytest.raises(ValueError):
             dtn_constant(s)
+
+
+class TestGaussNodes:
+    def test_cached_and_read_only(self):
+        xg, wg = _leggauss(24)
+        assert _leggauss(24)[0] is xg
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(xg, ref_x) and np.array_equal(wg, ref_w)
+        for arr in (xg, wg):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestFracParams:

@@ -97,6 +97,39 @@ class TestDoubleStar:
         with pytest.raises(ValueError):
             double_star(g, 0.0)
 
+    @staticmethod
+    def scalar_integral(g, rho):
+        """The per-point branch logic the array path replaces, as reference."""
+        if rho <= 0.0:
+            return 0.0
+        if rho >= g.total_measure:
+            return float(g._cum[-1])
+        k = int(np.searchsorted(g.breakpoints, rho, side="right") - 1)
+        return float(g._cum[k] + g.plateaus[k] * (rho - g.breakpoints[k]))
+
+    def test_array_path_matches_scalar_path(self):
+        rng = np.random.default_rng(5)
+        g = decreasing_rearrangement(
+            SampledFunction(rng.uniform(0.1, 1.0, 12), rng.normal(size=12)))
+        bps = g.breakpoints
+        rhos = np.concatenate([0.5 * (bps[1:] + bps[:-1]),   # inside plateaus
+                               bps[1:],                      # on breakpoints
+                               bps[-1] * np.array([1.5, 4.0])])  # beyond support
+        ref = np.array([self.scalar_integral(g, r) for r in rhos])
+        assert np.array_equal(g.integral_g_star(rhos), ref)
+        assert np.array_equal(g.double_star(rhos), ref / rhos)
+        grid_rhos = rhos.reshape(2, -1)
+        assert np.array_equal(g.double_star(grid_rhos), (ref / rhos).reshape(2, -1))
+        assert g.integral_g_star(np.array([0.0, -1.0])).tolist() == [0.0, 0.0]
+        one = g.double_star(rhos[3])
+        assert isinstance(one, float) and one == ref[3] / rhos[3]
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_array_with_nonpositive_rho_raises(self, bad):
+        g = decreasing_rearrangement(SampledFunction([1.0, 2.0], [1.0, 3.0]))
+        with pytest.raises(ValueError):
+            g.double_star(np.array([0.5, bad, 2.0]))
+
 
 class TestLorentzNorm:
     def test_zero_function(self):

@@ -290,6 +290,52 @@ class TestBuildK:
         h = vals / np.sqrt(rs)
         assert np.all(np.diff(h) <= 1e-8 * h[:-1])
 
+    @staticmethod
+    def per_a_loop_K(omega1, prof, p, scan_points=21):
+        """K1 + K2 + K3 with one Gauss integral per shift a and a scalar g**
+        per node: the loop the batched a-scan replaced, kept as reference."""
+        from fracheat.lorentz import cylinder_measure_constant, profile_power_integral
+        C = cylinder_measure_constant(p.n)
+        alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
+        a_scan = np.geomspace(1e-6, 2.0, scan_points)
+        xg, wg = np.polynomial.legendre.leggauss(32)
+
+        def shifted(fn, a, h):
+            lo, hi = a, a + h
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            return half * float(np.dot(wg, fn(mid + half * xg)))
+
+        def K(r):
+            h1 = math.sqrt(r)
+            k1 = dini_integral(omega1, 0.0, min(h1, 1.0))
+            if h1 > 1.0:
+                k1 += math.log(h1) * float(omega1(1.0))
+            for a in a_scan:
+                k1 = max(k1, shifted(
+                    lambda t: np.asarray(omega1(np.minimum(t, 1.0))) / t, a, h1))
+            h3 = C * r
+            k3 = profile_power_integral(prof, alpha, h3)
+            for a in a_scan:
+                k3 = max(k3, shifted(
+                    lambda u: u ** (alpha - 1.0) * np.sqrt(np.maximum(
+                        [prof.double_star(float(x)) for x in u], 0.0)), a, h3))
+            return k1 + math.sqrt(r) + k3
+        return K
+
+    # omega1(t) = t^2 makes omega1(t)/t increase, so the K1 sup sits at a > 0
+    @pytest.mark.parametrize("om1", [
+        build_omega1(log_dini_mod(), CFG),
+        ModulusOfContinuity.from_callable(lambda r: np.asarray(r) ** 2)])
+    def test_batched_scan_matches_per_a_loop(self, om1):
+        from fracheat.lorentz import gridded_to_sampled
+        tg16 = ThinGrid(1, 1.0, 16, 16)
+        f = np.random.default_rng(3).normal(size=tg16.shape)
+        prof = decreasing_rearrangement(gridded_to_sampled(tg16, f ** 2))
+        K = build_K(om1, prof, self.P, CFG)
+        ref = self.per_a_loop_K(om1, prof, self.P)
+        rs = np.array([1e-5, 3e-3, 0.05, 0.3, 1.0, 2.5])
+        np.testing.assert_allclose(K(rs), [ref(r) for r in rs], rtol=1e-12, atol=0)
+
     def test_concave_majorant_within_factor_two(self):
         om1 = build_omega1(log_dini_mod(), CFG)
         K = build_K(om1, self.zero_profile(), self.P, CFG)

@@ -285,6 +285,93 @@ class TestGradientModulusProbe:
         assert vals[1] <= 3.0 * vals[0] + 0.2
 
 
+def scalar_call_probe(U, K, n_pairs, seed):
+    """The sampler with one scalar K call per pair, as the probe ran before
+    it batched K: reference for the batched probe."""
+    from fracheat.probe import _cells_in_half_cylinder
+    grid = U.grid
+    rng = np.random.default_rng(seed)
+    gx, gy = grid.gradient(U.values)
+    ti, xi_, yi = _cells_in_half_cylinder(grid)
+    t_nodes, x_c, y_c = grid.t_nodes, grid.x_centers[0], grid.y_centers
+    h_min = min(grid.dx, math.sqrt(grid.dt))
+    decades, d = [], 0.45
+    while d > h_min:
+        decades.append(d)
+        d /= 2.0
+    n_dec = max(len(decades), 1)
+    dists, ratios, cases = [], [], []
+    ci = cb = ct = 0.0
+    attempts = 0
+    while len(dists) < n_pairs and attempts < 40 * n_pairs:
+        attempts += 1
+        i1 = (rng.choice(ti), rng.choice(xi_), rng.choice(yi))
+        target = decades[rng.integers(0, n_dec)] * rng.uniform(0.5, 1.0)
+        dt_ = rng.uniform(-1.0, 1.0) * target ** 2
+        dx_ = rng.uniform(-1.0, 1.0) * target
+        dy_ = rng.uniform(-1.0, 1.0) * target
+        t2, x2, y2 = t_nodes[i1[0]] + dt_, x_c[i1[1]] + dx_, y_c[i1[2]] + dy_
+        if abs(t2 - grid.center[0]) > 0.25 or abs(x2 - grid.center[1]) > 0.5 \
+                or not 0.0 < y2 < 0.5:
+            continue
+        i2 = (int(np.argmin(np.abs(t_nodes - t2))),
+              int(np.argmin(np.abs(x_c - x2))),
+              int(np.argmin(np.abs(y_c - y2))))
+        p1 = (t_nodes[i1[0]], x_c[i1[1]], y_c[i1[2]])
+        p2 = (t_nodes[i2[0]], x_c[i2[1]], y_c[i2[2]])
+        dist = parabolic_distance(p1, p2)
+        if dist < h_min / 2.0 or dist > 0.45:
+            continue
+        inc = float(np.linalg.norm(np.array([gx[i1] - gx[i2], gy[i1] - gy[i2]])))
+        ratio = inc / max(float(K(min(dist, 1.0))), 1e-300)
+        interior = dist <= min(p1[2], p2[2]) / 4.0
+        if interior:
+            ci = max(ci, ratio)
+        else:
+            cb = max(cb, ratio)
+        dists.append(dist)
+        ratios.append(ratio)
+        cases.append(0 if interior else 1)
+    for _ in range(n_pairs // 4):
+        j1, j2 = rng.choice(ti, size=2, replace=False)
+        ix, iy = rng.choice(xi_), rng.choice(yi)
+        dt_ = abs(t_nodes[j1] - t_nodes[j2])
+        if dt_ <= 0:
+            continue
+        rdt = math.sqrt(dt_)
+        du = abs(U.values[j1, ix, iy] - U.values[j2, ix, iy])
+        ct = max(ct, du / max(float(K(min(rdt, 1.0))) * rdt, 1e-300))
+    return dists, ratios, cases, (ci, cb, ct)
+
+
+class TestBatchedK:
+    def field(self):
+        g = grid(nt=24, nx=24, ny=24)
+        return sample_scalar(g, lambda t, x, y: np.cos(2 * x) * (1 + y ** 1.5)
+                             + 0.3 * t * x)
+
+    def test_K_called_once_on_array(self):
+        calls = []
+
+        def K(r):
+            calls.append(np.shape(r))
+            return np.sqrt(r) + r
+        rep = gradient_modulus_probe(self.field(), K, n_pairs=300, seed=3)
+        assert len(calls) == 1 and len(calls[0]) == 1
+        assert 0 < calls[0][0] <= rep.pair_distances.size + rep.n_time
+
+    def test_matches_scalar_call_reference(self):
+        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r) + r)
+        U = self.field()
+        rep = gradient_modulus_probe(U, K, n_pairs=300, seed=11)
+        dists, ratios, cases, consts = scalar_call_probe(U, K, 300, 11)
+        assert np.array_equal(rep.pair_distances, dists)
+        assert np.array_equal(rep.pair_ratios, ratios)
+        assert np.array_equal(rep.pair_cases, cases)
+        assert (rep.C_emp_interior, rep.C_emp_boundary, rep.C_emp_time) == consts
+        assert min(consts) > 0.0
+
+
 class TestInteriorProbe:
     def test_linear_field_zero_excess(self):
         # the k = 0 cube of side 0.3 spans 4 x- and y-cells per radius here
@@ -343,3 +430,9 @@ class TestCombinedNorm:
         thick = 4.0 * 2.0 * 2.0 / (1.0 + a)
         assert combined_norm(U) == pytest.approx(math.sqrt(thin + thick),
                                                  rel=1e-10)
+
+    def test_time_linear_field_closed_form(self):
+        # U = t: thin int t^2 = (2/3) 2, thick (2/3) 2 / (1 + a); at s = 3/4
+        # the sum is 4 (node weights applied to t^2 read 4.031)
+        U = sample_scalar(grid(), lambda t, x, y: t + 0.0 * x)
+        assert combined_norm(U) ** 2 == pytest.approx(4.0, rel=1e-12)
