@@ -11,8 +11,19 @@ Discretization: cell-centered finite volumes with harmonic-mean face
 coefficients; the weight enters through exact cell measures int y^a dy and
 exact inter-center resistances int y^-a dy, so y^a is never evaluated at
 y = 0 and x-linear steady states are reproduced exactly.  Time stepping is
-the theta-method (implicit Euler by default, Crank-Nicolson optional) with
-one sparse factorization reused across steps.
+the theta-method (implicit Euler by default, Crank-Nicolson optional).
+
+The step operator is a sum of Kronecker products,
+theta (Kx (x) Wy + Mx (x) Ky) + (Mx (x) Wy) / dt, for any diagonal A(x).  It
+is solved by fast diagonalization: the x-stiffness Kx is diagonalized once
+against the x-cell measures Mx, which decouples each step into one
+tridiagonal y-problem per x-eigenmode; the stacked y-problems are factored
+once with a pivoted banded LU and applied each step.  The x-direction is
+the one diagonalized because its mesh is uniform, so its eigenbasis is well
+conditioned; the graded y-mesh's resistances span up to 16 decades, and a
+y-eigenbasis loses the componentwise backward-error budget there (see
+`_separable_solver`).  Every step's componentwise backward error on the
+assembled operator is checked against the budget.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -106,119 +118,99 @@ class CoefficientField:
         return ok
 
 
-def _spatial_index(grid: ParabolicGrid):
-    """Flattened index over spatial cells, x axes first, y last."""
-    return np.arange(int(np.prod(grid.spatial_shape))).reshape(grid.spatial_shape)
-
-
 def _lattice_points(grid, axis_arrays):
     mesh = np.meshgrid(*axis_arrays, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _assemble(grid: ParabolicGrid, coeff: CoefficientField,
-              bottom_dirichlet: bool = False):
-    """Stiffness matrix, Dirichlet coupling list, and mass diagonal.
+def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
+    """Tensor factors of the stiffness operator L = Kx (x) Wy + Mx (x) Ky,
+    and the Dirichlet coupling list.
 
-    Returns (L, mass, dirichlet) where dirichlet is a list of
-    (cell_index_array, transmissibility_array, face_point_array) triples,
-    one per Dirichlet boundary patch (lateral faces, top face, and the
-    bottom face when bottom_dirichlet is set).
+    Returns (Kx, x_area, ky, dirichlet): Kx the sparse x-stiffness per unit
+    y-weight (x faces and lateral Dirichlet terms), x_area the x-cell
+    measures (Mx's diagonal), ky = (main, off) the diagonals of the
+    tridiagonal y-stiffness per unit x-area (y faces and the top Dirichlet
+    term), Wy = diag(grid.w_y); dirichlet is a list of (cell_index_array,
+    transmissibility_array, face_point_array) triples, one per Dirichlet
+    boundary patch (lateral faces, then the top face).
     """
-    n = grid.n
-    idx = _spatial_index(grid)
-    nfull = idx.size
-    mass = grid.weighted_cell_measures().ravel()
-    dx = grid.dx
-    nx, ny = grid.nx, grid.ny
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(nfull)
-
-    def add_pair(c1, c2, T):
-        c1, c2, T = c1.ravel(), c2.ravel(), T.ravel()
-        rows.extend([c1, c2])
-        cols.extend([c2, c1])
-        vals.extend([-T, -T])
-        np.add.at(diag, c1, T)
-        np.add.at(diag, c2, T)
-
-    dirichlet = []
-
-    def add_dirichlet(cells, T, pts):
-        cells, T = cells.ravel(), T.ravel()
-        np.add.at(diag, cells, T)
-        dirichlet.append((cells, T, pts))
-
+    n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
+    xidx = np.arange(nx ** n).reshape((nx,) * n)
     xc = _lattice_points(grid, grid.x_centers)          # (nx^n, n)
     x_area = grid.x_cell_measures()                     # (nx,)*n
+    face = dx ** (n - 1)                                # x-face area
 
-    if n == 1:
-        X = grid.x_centers[0]
-        a_cell = coeff.axis_values(xc, 0)               # (nx,)
+    rows, cols, vals = [], [], []
+    dirichlet = []
+    for axis in range(n):
+        a_cell = np.moveaxis(coeff.axis_values(xc, axis).reshape((nx,) * n),
+                             axis, 0)
         harm = 2.0 * a_cell[:-1] * a_cell[1:] / (a_cell[:-1] + a_cell[1:])
-        T = np.multiply.outer(harm / dx, grid.w_y)      # (nx-1, ny)
-        add_pair(idx[:-1, :], idx[1:, :], T)
-        for side, fpos in ((0, grid.x_faces[0][0]), (-1, grid.x_faces[0][-1])):
-            aface = coeff.axis_values(np.array([[fpos]]), 0)[0]
-            Tb = np.broadcast_to(aface / (dx / 2.0) * grid.w_y, (grid.ny,))
-            pts = _lattice_points(grid, [np.array([fpos]), grid.y_centers])
-            add_dirichlet(idx[side, :], Tb.copy(), pts)
-    else:
-        X1, X2 = np.meshgrid(*grid.x_centers, indexing="ij")
-        for axis in range(2):
-            a_cell = coeff.axis_values(xc, axis).reshape(nx, nx)
-            am = np.moveaxis(a_cell, axis, 0)
-            harm = 2.0 * am[:-1] * am[1:] / (am[:-1] + am[1:])   # (nx-1, nx)
-            # cross-section dx * w_y over distance dx: the dx cancels
-            T = harm[..., None] * grid.w_y
-            c1 = np.moveaxis(idx, axis, 0)[:-1]
-            c2 = np.moveaxis(idx, axis, 0)[1:]
-            add_pair(c1, c2, T)
-            for side, fpos in ((0, grid.x_faces[axis][0]),
-                               (-1, grid.x_faces[axis][-1])):
-                other = grid.x_centers[1 - axis]
-                fpts = np.zeros((nx, 2))
-                fpts[:, axis] = fpos
-                fpts[:, 1 - axis] = other
-                aface = coeff.axis_values(fpts, axis)            # (nx,)
-                Tb = aface[:, None] * dx / (dx / 2.0) * grid.w_y  # (nx, ny)
-                cells = np.moveaxis(idx, axis, 0)[side]          # (nx, ny)
-                if axis == 0:
-                    pts = _lattice_points(grid, [np.array([fpos]), other,
-                                                 grid.y_centers])
-                else:
-                    pts = _lattice_points(grid, [grid.x_centers[0],
-                                                 np.array([fpos]),
-                                                 grid.y_centers])
-                add_dirichlet(cells, Tb, pts)
+        T = (harm * face / dx).ravel()
+        c = np.moveaxis(xidx, axis, 0)
+        c1, c2 = c[:-1].ravel(), c[1:].ravel()
+        rows += [c1, c2, c1, c2]
+        cols += [c2, c1, c1, c2]
+        vals += [-T, -T, T, T]
+        for side in (0, -1):
+            axes = list(grid.x_centers)
+            axes[axis] = np.array([grid.x_faces[axis][side]])
+            Tb = coeff.axis_values(_lattice_points(grid, axes), axis) \
+                * face / (dx / 2.0)
+            xcells = c[side].ravel()
+            rows.append(xcells)
+            cols.append(xcells)
+            vals.append(Tb)
+            dirichlet.append(((xcells[:, None] * ny + np.arange(ny)).ravel(),
+                              np.multiply.outer(Tb, grid.w_y).ravel(),
+                              _lattice_points(grid, axes + [grid.y_centers])))
+    Kx = sp.csr_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(nx ** n, nx ** n))
 
-    # y-direction interior faces: coefficient 1, exact resistances
-    Ty = np.multiply.outer(x_area, 1.0 / grid.res_y)
-    add_pair(idx[..., :-1], idx[..., 1:], Ty)
-
-    # top face (y = rho) Dirichlet
-    Ttop = x_area / grid.res_top
-    add_dirichlet(idx[..., -1],
-                  np.broadcast_to(Ttop, x_area.shape).copy(),
-                  _lattice_points(grid, list(grid.x_centers)
-                                  + [np.array([grid.rho])]))
-
-    if bottom_dirichlet:
-        Tbot = x_area / grid.res_bottom
-        add_dirichlet(idx[..., 0],
-                      np.broadcast_to(Tbot, x_area.shape).copy(),
+    # y faces: coefficient 1, exact resistances; top face (y = rho) Dirichlet
+    ky_main = np.zeros(ny)
+    ky_main[:-1] += 1.0 / grid.res_y
+    ky_main[1:] += 1.0 / grid.res_y
+    ky_main[-1] += 1.0 / grid.res_top
+    dirichlet.append((xidx.ravel() * ny + ny - 1,
+                      x_area.ravel() / grid.res_top,
                       _lattice_points(grid, list(grid.x_centers)
-                                      + [np.array([0.0])]))
+                                      + [np.array([grid.rho])])))
+    return Kx, x_area, (ky_main, -1.0 / grid.res_y), dirichlet
 
-    rows.append(np.arange(nfull))
-    cols.append(np.arange(nfull))
-    vals.append(diag)
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(nfull, nfull))
-    return L, mass, dirichlet
+
+def _separable_solver(Kx, x_area, ky, w_y, theta, dt):
+    """Solve (Mx (x) Wy / dt + theta L) u = b by fast diagonalization in x.
+
+    With V = Mx^-1/2 Q from the eigenpairs (mu, Q) of Mx^-1/2 Kx Mx^-1/2,
+    V^T Mx V = I and V^T Kx V = diag(mu), so each x-eigenmode i decouples
+    into the tridiagonal y-problem (theta Ky + (theta mu_i + 1/dt) Wy).
+    The stacked y-problems are one tridiagonal matrix, factored once with
+    pivoting (LAPACK dgttrf) and applied per step (dgttrs).
+
+    The uniform x-mesh keeps this eigenbasis well conditioned.  The same
+    construction in y fails on the graded mesh: at s = 3/4 a y-eigenbasis
+    solve measured a componentwise backward error of 3.5e-9 at ny = 100 and
+    1.5e-4 at 128^3, against at most 1e-12 for this one on the same grids.
+    """
+    scale = 1.0 / np.sqrt(x_area.ravel())
+    mu, Q = la.eigh(scale[:, None] * Kx.toarray() * scale[None, :])
+    V = scale[:, None] * Q
+    nmodes, ny = mu.size, w_y.size
+    main = (theta * ky[0]
+            + np.multiply.outer(theta * mu + 1.0 / dt, w_y)).ravel()
+    off = np.tile(np.append(theta * ky[1], 0.0), nmodes)[:-1]
+    dl, d, du, du2, ipiv, info = la.lapack.dgttrf(off, main, off.copy())
+    if info != 0:
+        raise RuntimeError(f"tridiagonal factorization failed (info={info})")
+
+    def solve(b):
+        bh = (V.T @ b.reshape(nmodes, ny)).ravel()
+        uh, _ = la.lapack.dgttrs(dl, d, du, du2, ipiv, bh)
+        return (V @ uh.reshape(nmodes, ny)).ravel()
+    return solve
 
 
 def _as_thin_array(grid, data):
@@ -301,41 +293,42 @@ def _wrap_boundary(lateral):
 def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
                     F=None, lateral_dirichlet=None, initial=None,
                     theta: float = 1.0, method: str = "auto",
-                    rtol: float = 1e-12, _bottom_dirichlet=None,
-                    _permute: np.ndarray | None = None) -> ScalarField:
+                    rtol: float = 1e-12) -> ScalarField:
     """March the degenerate problem over the grid's time window.
 
     f is the bottom Neumann flux datum (callable (t, x...) or array), F the
     divergence forcing (callable returning n components or array with a zero
     last component), lateral_dirichlet the Dirichlet datum g(t, x..., y) on
     the lateral and top boundary, initial the slice at the first time node.
-    theta = 1 is implicit Euler, theta = 0.5 Crank-Nicolson.
+    theta = 1 is implicit Euler, theta = 0.5 Crank-Nicolson.  method
+    "direct" is the separable solve, "cg" preconditioned conjugate
+    gradients, "auto" the separable solve up to 1M unknowns.
 
     The returned field's meta records the worst linear-solve residual, the
-    per-step mass balance, and solver choices; a residual above rtol raises.
+    per-step mass balance, and the solver path that ran ("separable" or
+    "cg"); a residual above rtol raises.
     """
     if coeff.n != grid.n:
         raise ValueError("coefficient dimension mismatch")
-    bottom_g = None
-    if _bottom_dirichlet is not None:
-        bottom_g = _wrap_boundary(_bottom_dirichlet)
-    L, mass, dirichlet = _assemble(grid, coeff,
-                                   bottom_dirichlet=bottom_g is not None)
+    if method not in ("auto", "direct", "cg"):
+        raise ValueError(f"unknown method {method!r}")
+    Kx, x_area, ky, dirichlet = _assemble(grid, coeff)
+    # unknowns x-major, y fastest
+    L = (sp.kron(Kx, sp.diags(grid.w_y))
+         + sp.kron(sp.diags(x_area.ravel()), sp.diags([ky[1], ky[0], ky[1]],
+                                                     [-1, 0, 1])))
+    mass = grid.weighted_cell_measures().ravel()
     nfull = mass.size
     dt = grid.dt
     A_step = sp.csr_matrix(sp.diags(mass / dt) + theta * L)
     B_step = sp.diags(mass / dt) - (1.0 - theta) * L
 
-    perm = _permute
-    if perm is not None:
-        iperm = np.argsort(perm)
-        A_solve = A_step[perm][:, perm].tocsc()
-    else:
-        A_solve = A_step.tocsc()
-
     direct = method == "direct" or (method == "auto" and nfull <= 1_000_000)
-    lu = spla.splu(A_solve) if direct else None
-    ilu_diag = A_solve.diagonal() if not direct else None
+    if direct:
+        solve = _separable_solver(Kx, x_area, ky, grid.w_y, theta, dt)
+    else:
+        precond = sp.diags(1.0 / A_step.diagonal())
+        solve = lambda b: _cg(A_step, b, precond, rtol)
     A_abs = sp.csr_matrix((np.abs(A_step.data), A_step.indices, A_step.indptr),
                           shape=A_step.shape)
 
@@ -346,10 +339,7 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     def rhs_at(level):
         t = grid.t_nodes[level]
         rhs = _forcing_rhs(grid, f_arr[level], F_arr[level]).ravel()
-        rhs += _dirichlet_rhs(grid, dirichlet[:len(dirichlet) - (1 if bottom_g else 0)], g, t)
-        if bottom_g is not None:
-            cells, T, pts = dirichlet[-1]
-            np.add.at(rhs, cells, T * bottom_g(t, pts))
+        rhs += _dirichlet_rhs(grid, dirichlet, g, t)
         return rhs
 
     if initial is None:
@@ -370,12 +360,7 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     for m in range(grid.nt):
         rhs_next = rhs_at(m + 1)
         b = B_step @ u + theta * rhs_next + (1.0 - theta) * rhs_prev
-        if perm is not None:
-            bp = b[perm]
-            up = lu.solve(bp) if direct else _cg(A_solve, bp, ilu_diag, rtol)
-            u_new = up[iperm]
-        else:
-            u_new = lu.solve(b) if direct else _cg(A_solve, b, ilu_diag, rtol)
+        u_new = solve(b)
         if not np.all(np.isfinite(u_new)):
             raise RuntimeError("linear solve produced non-finite values")
         # componentwise backward error: the right residual measure on the
@@ -393,14 +378,13 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     values = out.reshape((grid.nt + 1,) + grid.spatial_shape)
     return ScalarField(grid, values, meta={
         "residual": worst_res, "theta": theta,
-        "method": "direct" if direct else "cg",
+        "method": "separable" if direct else "cg",
         "mass_history": np.asarray(mass_hist),
     })
 
 
-def _cg(A, b, diag, rtol):
-    M = sp.diags(1.0 / diag)
-    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, M=M, maxiter=20000)
+def _cg(A, b, precond, rtol):
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, M=precond, maxiter=20000)
     if info != 0:
         raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
     return x
@@ -506,16 +490,12 @@ def trace_poincare_check(v: ScalarField):
         int y^a v^2       <= C_P  int y^a |grad v|^2
     """
     grid = v.grid
-    tw = grid.time_weights()
     wmeas = grid.weighted_cell_measures()
-    grads = grid.gradient(v.values)
-    grad_sq = sum(g ** 2 for g in grads)
-    spatial = lambda vals: _space_contract(vals, wmeas)
-    thick_v = float(tw @ spatial(v.values ** 2))
-    thick_g = float(tw @ spatial(grad_sq))
-    tr = grid.trace_at_zero(v.values)
-    xm = grid.x_cell_measures()
-    thin_v = float(tw @ _space_contract(tr ** 2, xm))
+    thick = lambda vals: float(np.sum(wmeas * grid.time_integral_sq(vals)))
+    thick_v = thick(v.values)
+    thick_g = sum(thick(g) for g in grid.gradient(v.values))
+    thin_v = float(np.sum(grid.x_cell_measures()
+                          * grid.time_integral_sq(grid.trace_at_zero(v.values))))
     C_T = thin_v / max(thick_v + thick_g, 1e-300)
     C_P = thick_v / max(thick_g, 1e-300)
     return (math.isfinite(C_T), math.isfinite(C_P), C_T, C_P)
@@ -569,23 +549,18 @@ def closeness_experiment(U: ScalarField, f=None, F=None,
     U_on_sub = g.interp(U.values, pts).reshape(sub.shape)
     diff = U_on_sub - V.values
     eps_thick_sq = sub.weighted_norm_sq(diff, center=g.center, radius=0.5)
-    tr = sub.trace_at_zero(diff)
-    tw = sub.time_weights(-0.25, 0.25)
-    xm = sub.x_cell_measures()
-    eps_thin_sq = float(tw @ _space_contract(tr ** 2, xm))
+    eps_thin_sq = float(np.sum(sub.x_cell_measures() * sub.time_integral_sq(
+        sub.trace_at_zero(diff), -0.25, 0.25)))
 
     report = {"eps_weighted_sq": eps_thick_sq, "eps_trace_sq": eps_thin_sq,
               "eps_weighted": math.sqrt(max(eps_thick_sq, 0.0)),
               "eps_trace": math.sqrt(max(eps_thin_sq, 0.0))}
     if delta is not None:
-        thin = g.thin()
         f_arr = _as_thin_array(g, f)
         F_arr = _as_vector_array(g, F)
-        tw_full = g.time_weights()
-        xm_full = g.x_cell_measures()
-        f_sq = float(tw_full @ _space_contract(f_arr ** 2, xm_full))
-        Fsq_thin = np.sum(F_arr ** 2, axis=-1)
-        F_sq = g.integrate_thick(Fsq_thin[..., None] * np.ones(g.shape))
+        f_sq = float(np.sum(g.x_cell_measures() * g.time_integral_sq(f_arr)))
+        F_sq = sum(g.weighted_norm_sq(F_arr[..., d, None] * np.ones(g.shape))
+                   for d in range(g.n))
         osc = float(coeff.modulus(1.0)) if (coeff is not None
                                             and coeff.modulus is not None) else 0.0
         report["smallness"] = {
@@ -657,19 +632,12 @@ def regularity_estimates_check(W: ScalarField, r: float = 0.5) -> RegularityRepo
 
 
 def uniqueness_check(grid: ParabolicGrid, coeff: CoefficientField, f=None,
-                     F=None, lateral_dirichlet=None, initial=None,
-                     seed: int = 0) -> float:
-    """Weighted space-time L^2 distance between solves that should agree:
-    direct factorization, preconditioned CG, and a random unknown
-    reordering.  Discretization uniqueness shows as a near-zero value."""
+                     F=None, lateral_dirichlet=None, initial=None) -> float:
+    """Weighted space-time L^2 distance between two solves that should
+    agree: the direct (separable) solve and preconditioned CG.
+    Discretization uniqueness shows as a near-zero value."""
     base = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
                            method="direct")
     cg = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
                          method="cg")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(int(np.prod(grid.spatial_shape)))
-    reordered = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
-                                method="direct", _permute=perm)
-    d1 = math.sqrt(grid.weighted_norm_sq(base.values - cg.values))
-    d2 = math.sqrt(grid.weighted_norm_sq(base.values - reordered.values))
-    return max(d1, d2)
+    return math.sqrt(grid.weighted_norm_sq(base.values - cg.values))

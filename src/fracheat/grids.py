@@ -194,18 +194,16 @@ class ParabolicGrid:
         if np.any(self.w_y <= 0):
             raise ValueError("degenerate y mesh")
         # resistances int y^-a dy between consecutive centers (and to the
-        # bottom/top boundary): the harmonic face treatment of the weight.
+        # top boundary): the harmonic face treatment of the weight.
         # Resistances are floored 16 decades below the largest one; cells
         # coupled more stiffly than that are numerically identical at
         # float64, and unfloored values overflow sparse factorizations.
         b = 1.0 - a
         yc = self.y_centers
         self.res_y = (yc[1:] ** b - yc[:-1] ** b) / b
-        self.res_bottom = yc[0] ** b / b
         self.res_top = (self.rho ** b - yc[-1] ** b) / b
         floor = float(np.max(self.res_y)) * 1e-16
         self.res_y = np.maximum(self.res_y, floor)
-        self.res_bottom = max(self.res_bottom, floor)
 
     @property
     def n(self) -> int:
