@@ -446,31 +446,30 @@ def energy_report(U: ScalarField, f=None, F=None, cutoff=None,
     mesh = grid.meshgrid()
     phi = np.asarray(cutoff(*mesh), dtype=float) * np.ones(grid.shape)
     wmeas = grid.weighted_cell_measures()
-    tw = grid.time_weights(t1, t2)
+    # exact in time on the piecewise-linear interpolants of both factors
+    prod = lambda u, v, w: float(np.sum(
+        w * grid.time_integral_product(u, v, t1, t2)))
 
-    grads_u = grid.gradient(U.values)
-    grad_u_sq = sum(gu ** 2 for gu in grads_u)
     grads_phi = grid.gradient(phi)
     grad_phi_sq = sum(gp ** 2 for gp in grads_phi)
     dphi2_dt = np.abs(grid.time_derivative(phi ** 2))
 
     f_arr = _as_thin_array(grid, f)
     F_arr = _as_vector_array(grid, F)
-    Fsq_thin = np.sum(F_arr ** 2, axis=-1)
-    Fsq = Fsq_thin[..., None] * np.ones(grid.shape)
 
     spatial = lambda vals: _space_contract(vals, wmeas)
     in_window = (grid.t_nodes >= t1 - 1e-14) & (grid.t_nodes <= t2 + 1e-14)
     lhs_sup = float(np.max(spatial(U.values ** 2 * phi ** 2)[in_window]))
-    lhs_grad = float(tw @ spatial(phi ** 2 * grad_u_sq))
-    rhs_data = float(tw @ spatial((dphi2_dt + grad_phi_sq) * U.values ** 2
-                                  + Fsq * phi ** 2))
+    lhs_grad = sum(prod(phi * gu, phi * gu, wmeas)
+                   for gu in grid.gradient(U.values))
+    rhs_data = prod((dphi2_dt + grad_phi_sq) * U.values, U.values, wmeas)
+    for d in range(F_arr.shape[-1]):
+        phiF = phi * F_arr[..., d][..., None]
+        rhs_data += prod(phiF, phiF, wmeas)
     # thin trace term
     tr_u = np.abs(grid.trace_at_zero(U.values))
     phi0 = grid.trace_at_zero(phi)
-    xm = grid.x_cell_measures()
-    thin_int = _space_contract(phi0 ** 2 * tr_u * np.abs(f_arr), xm)
-    rhs_trace = float(tw @ thin_int)
+    rhs_trace = prod(phi0 ** 2 * tr_u, np.abs(f_arr), grid.x_cell_measures())
     k1 = int(np.argmax(in_window))
     rhs_initial = float(spatial(U.values ** 2 * phi ** 2)[k1])
 

@@ -267,7 +267,7 @@ class ParabolicGrid:
 
         The weights are linear in the field.  Applied to a squared field
         they integrate the interpolant of the square, not the square of the
-        interpolant; use `time_integral_sq` for that."""
+        interpolant; use `time_integral_product` for squares and products."""
         h, u0, u1 = self._step_windows(t_lo, t_hi)
         # integrals of the hats 1 - u and u over [u0, u1] on each step
         w = np.zeros_like(self.t_nodes)
@@ -275,27 +275,38 @@ class ParabolicGrid:
         w[1:] += h * (u1 ** 2 - u0 ** 2) / 2.0
         return w
 
-    def time_integral_sq(self, values: np.ndarray, t_lo: float | None = None,
-                         t_hi: float | None = None) -> np.ndarray:
-        """int v(t)^2 dt over [t_lo, t_hi] for each spatial point of a
-        (nt + 1, *spatial) array, exact on the piecewise-linear interpolant.
+    def time_integral_product(self, u: np.ndarray, v: np.ndarray,
+                              t_lo: float | None = None,
+                              t_hi: float | None = None) -> np.ndarray:
+        """int u(t) v(t) dt over [t_lo, t_hi] for each spatial point of two
+        (nt + 1, *spatial) arrays, exact on their piecewise-linear
+        interpolants.
 
         The hat functions' Gram matrix int phi_k phi_j is tridiagonal with a
         closed form per step; only the steps the window meets are read."""
         h, u0, u1 = self._step_windows(t_lo, t_hi)
         steps = np.nonzero(u1 > u0)[0]
         if steps.size == 0:
-            return np.zeros(values.shape[1:])
+            return np.zeros(np.broadcast_shapes(u.shape, v.shape)[1:])
         k0, k1 = steps[0], steps[-1] + 1
         h, u0, u1 = h[k0:k1], u0[k0:k1], u1[k0:k1]
-        v = values[k0:k1 + 1]
+        a, b = u[k0:k1 + 1], v[k0:k1 + 1]
         cube = (u1 ** 3 - u0 ** 3) / 3.0
         diag = np.zeros(k1 - k0 + 1)
         diag[:-1] += h * ((1.0 - u0) ** 3 - (1.0 - u1) ** 3) / 3.0
         diag[1:] += h * cube
         off = h * ((u1 ** 2 - u0 ** 2) / 2.0 - cube)
-        return (np.tensordot(diag, v * v, axes=1)
-                + 2.0 * np.tensordot(off, v[:-1] * v[1:], axes=1))
+        cross = np.tensordot(off, a[:-1] * b[1:], axes=1)
+        if u is v:   # the Gram matrix is symmetric: both cross terms agree
+            cross = 2.0 * cross
+        else:
+            cross = cross + np.tensordot(off, a[1:] * b[:-1], axes=1)
+        return np.tensordot(diag, a * b, axes=1) + cross
+
+    def time_integral_sq(self, values: np.ndarray, t_lo: float | None = None,
+                         t_hi: float | None = None) -> np.ndarray:
+        """int v(t)^2 dt: the diagonal case of `time_integral_product`."""
+        return self.time_integral_product(values, values, t_lo, t_hi)
 
     # -- cylinder weights (separable: time x space-ball x y-interval) --
 

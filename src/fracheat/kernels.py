@@ -60,7 +60,9 @@ class QuadratureSpec:
 
     tau panels are Gauss-Legendre per decade on [tau_cutoff_low,
     tau_cutoff_high]; the z integral is truncated at |z| <= z_radius *
-    sqrt(tau) (Gaussian tail below 1e-14 for the default radius 8).
+    sqrt(tau).  The truncation drops Gaussian mass erfc(z_radius / 2) per
+    axis: erfc(4) = 1.54e-8 for the default radius 8, so the zeta weights
+    sum to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
     """
 
     tau_cutoff_low: float = 1e-6
@@ -188,10 +190,12 @@ def zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
         int G(tau, z) h(z) dz = sum_i w_i h(sqrt(tau) * zeta_i)
 
     Weights absorb the Gaussian factor; the rule is a tensor Gauss grid on
-    [-z_radius, z_radius]^n.  `order_factor` multiplies the base order; the
-    subordination loop raises it with tau because a fixed rule in the
-    self-similar variable under-resolves fixed physical frequencies of u
-    once sqrt(tau) is large.
+    [-z_radius, z_radius]^n.  `order_factor` multiplies the base order.  A
+    physical frequency xi of u is the frequency xi sqrt(tau) in zeta, so
+    the subordination loop picks the factor per tau from `_ZETA_ORDER`:
+    high where the heat kernel has not yet damped the data, lower in the
+    far field, where the rule only returns aliasing noise whatever its
+    order and the tau weight falls like tau^(-s).
     """
     order = max(24, 4 * spec.nodes_per_decade) * order_factor
     panels = max(1, order // 48)
@@ -268,14 +272,25 @@ def _heat_residual_fd(u, pts, n, h=1e-4):
     return ut - lap
 
 
+# (largest tau, zeta order factor).  At the default spec the order-f rule
+# integrates G(zeta) cos(omega zeta) to 1e-7 for omega up to 7.1, 17.8,
+# 25.9, 35.2, 53.2 and 71.2 (f = 1, 2, 3, 4, 6, 8).  Up to tau = 176 each
+# factor keeps 4 sqrt(tau) below its limit, so every |xi| <= 4 is resolved
+# until the Gaussian exp(-xi^2 tau) has damped it.  Beyond its limit a rule
+# returns aliasing noise of rms ~sqrt(sum w^2) (0.10 at f = 8, 0.13 at 4,
+# 0.17 at 2), weighted by tau^(-s).  Factor 8 up to tau = 1e5 puts the
+# first noisy node of every |xi| >= 0.25 at omega >= 71; the cheaper far
+# field starts at omega = 316 |xi|.  Factor 8 out to tau_cutoff_high
+# would double the zeta nodes at n = 2 and lower the floor only for
+# |xi| < 1 (about 2.5x for products of two modes at |xi| = 0.3).
+_ZETA_ORDER = ((3.0, 1), (19.0, 2), (41.0, 3), (77.0, 4), (176.0, 6),
+               (1e5, 8), (3e6, 4), (math.inf, 2))
+
+
 def _order_bucket(tau: float) -> int:
-    if tau <= 16.0:
-        return 1
-    if tau <= 64.0:
-        return 2
-    if tau <= 256.0:
-        return 4
-    return 8
+    for limit, factor in _ZETA_ORDER:
+        if tau <= limit:
+            return factor
 
 
 def _frac_heat_core(u, p, q, pts):
@@ -291,12 +306,14 @@ def _frac_heat_core(u, p, q, pts):
     eps = q.tau_cutoff_low
     acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
 
-    zgrids = {}
+    # hold only the current factor's grid: keeping all six n = 2 grids adds
+    # about a fifth to the peak memory of a call
+    fac = None
     for tau, wt in zip(taus, tw):
-        fac = _order_bucket(tau)
-        if fac not in zgrids:
-            zgrids[fac] = zeta_nodes(q, p.n, fac)
-        zeta, zw = zgrids[fac]
+        f = _order_bucket(tau)
+        if f != fac:
+            fac = f
+            zeta, zw = zeta_nodes(q, p.n, fac)
         srt = math.sqrt(tau)
         xs = x0[:, None, :] - srt * zeta[None, :, :]   # (m, k, n)
         ts = np.broadcast_to(t0[:, None] - tau, xs.shape[:2])

@@ -407,6 +407,17 @@ class TestEnergyReport:
         assert not rep.vacuous
         assert rep.C_emp <= 10.0
 
+    def test_time_linear_field_closed_form(self):
+        # U = t x, f = t, F = (t, 0) on [-1, 1] x [-1, 1] x [0, 1], phi = 1,
+        # s = 3/4 (int_0^1 y^a dy = 2): |grad U|^2 = t^2, |U| |f| = t^2 |x|
+        g = small_grid(nt=16, nx=16, ny=16)
+        U = sample_scalar(g, lambda t, x, y: t * x + 0.0 * y)
+        rep = energy_report(U, f=lambda t, x: t + 0.0 * x,
+                            F=lambda t, x: (t + 0.0 * x,))
+        assert rep.lhs_grad == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert rep.rhs_data == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert rep.rhs_trace == pytest.approx(2.0 / 3.0, rel=1e-12)
+
     def test_random_instances_bounded_and_stable(self):
         consts = []
         for nx in (12, 18):

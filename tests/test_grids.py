@@ -97,6 +97,20 @@ class TestParabolicGrid:
                for j in range(v.shape[1])]
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
+    def test_time_integral_product_exact_on_interpolants(self, grid):
+        from scipy.integrate import quad
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(grid.nt + 1, 3))
+        v = rng.normal(size=(grid.nt + 1, 3))
+        got = grid.time_integral_product(u, v, -0.3, 0.55)
+        ref = [quad(lambda t: np.interp(t, grid.t_nodes, u[:, j])
+                    * np.interp(t, grid.t_nodes, v[:, j]),
+                    -0.3, 0.55, points=grid.t_nodes, limit=200,
+                    epsabs=1e-14, epsrel=1e-13)[0] for j in range(3)]
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(grid.time_integral_product(u, u),
+                              grid.time_integral_sq(u))
+
     def test_time_integral_sq_empty_window(self, grid):
         v = np.ones((grid.nt + 1, 2))
         assert np.all(grid.time_integral_sq(v, 2.0, 3.0) == 0.0)

@@ -13,6 +13,8 @@ from fracheat.kernels import (
     frac_heat_apply,
     marchaud_normalization,
     check_master_bounds,
+    zeta_nodes,
+    _ZETA_ORDER,
     _leggauss,
 )
 
@@ -125,6 +127,11 @@ class TestFracHeatApply:
         vals = frac_heat_apply(lambda t, x: x, self.P, self.Q, self.PTS)
         assert np.allclose(vals, 0.0, atol=1e-10)
 
+    def test_constant_annihilated_n2_default_spec(self):
+        vals = frac_heat_apply(lambda t, x: 7.0 + 0.0 * t, FracParams(s=0.75, n=2),
+                               self.Q, [[0.0, 0.3, -0.2]])
+        assert np.allclose(vals, 0.0, atol=1e-12)
+
     def test_linear_annihilated_n2(self):
         p = FracParams(s=0.6, n=2)
         vals = frac_heat_apply(lambda t, x: x[:, 0] - 2.0 * x[:, 1], p,
@@ -174,6 +181,49 @@ class TestFracHeatApply:
     def test_bad_points_shape(self):
         with pytest.raises(ValueError):
             frac_heat_apply(lambda t, x: x, self.P, self.Q, [[0.0, 0.1, 0.2]])
+
+
+class TestZetaRule:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_truncated_gaussian_mass(self, n):
+        # |z| <= 8 sqrt(tau) drops erfc(4) of the heat kernel's mass per axis
+        tail = 1.0 - (1.0 - math.erfc(4.0)) ** n
+        for factor in sorted({f for _, f in _ZETA_ORDER}):
+            _, w = zeta_nodes(QuadratureSpec(), n, factor)
+            assert 1.0 - w.sum() == pytest.approx(tail, rel=1e-6)
+
+
+class TestErrorTable:
+    """Closed-form symbols with the default spec at t = 0, x = 0, where
+    u = 1 and the error is the symbol's amplitude error.  Each bound is the
+    worst case, on this table, of the schedule that used zeta factors
+    1/2/4/8 for tau <= 16/64/256/inf: 6.511e-4 (cosines, n = 1 and 2),
+    7.058e-6 (product of cosines) and 3.994e-7 (e^t cosine)."""
+    Q = QuadratureSpec()
+    # name: (n, u for a given xi, symbol lambda(xi) of (d_t - Lap), bound)
+    FAMILIES = {
+        "cos_n1": (1, lambda xi: lambda t, x: np.cos(xi * x) + 0.0 * t,
+                   lambda xi: xi ** 2, 6.52e-4),
+        "cos_n2": (2, lambda xi: lambda t, x: np.cos(xi * x[:, 0]) + 0.0 * t,
+                   lambda xi: xi ** 2, 6.52e-4),
+        "cos_cos_n2": (2, lambda xi: lambda t, x: (np.cos(xi * x[:, 0])
+                                                   * np.cos(0.7 * xi * x[:, 1])),
+                       lambda xi: 1.49 * xi ** 2, 7.06e-6),
+        "exp_cos_n1": (1, lambda xi: lambda t, x: np.exp(t) * np.cos(xi * x),
+                       lambda xi: 1.0 + xi ** 2, 4.0e-7),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_worst_relative_error(self, family):
+        n, make_u, lam, bound = self.FAMILIES[family]
+        errs = []
+        for s in (0.6, 0.9):
+            for xi in (1.0, 3.0):
+                val = frac_heat_apply(make_u(xi), FracParams(s=s, n=n), self.Q,
+                                      [[0.0] * (1 + n)])[0]
+                exact = lam(xi) ** s
+                errs.append(abs(val - exact) / exact)
+        assert max(errs) <= bound
 
 
 class TestMarchaudNormalization:
