@@ -460,10 +460,12 @@ def energy_report(U: ScalarField, f=None, F=None, cutoff=None,
     spatial = lambda vals: _space_contract(vals, wmeas)
     in_window = (grid.t_nodes >= t1 - 1e-14) & (grid.t_nodes <= t2 + 1e-14)
     lhs_sup = float(np.max(spatial(U.values ** 2 * phi ** 2)[in_window]))
-    lhs_grad = sum(prod(phi * gu, phi * gu, wmeas)
-                   for gu in grid.gradient(U.values))
+    lhs_grad = 0.0
+    for gu in grid.gradient(U.values):
+        pg = phi * gu
+        lhs_grad += prod(pg, pg, wmeas)
     rhs_data = prod((dphi2_dt + grad_phi_sq) * U.values, U.values, wmeas)
-    for d in range(F_arr.shape[-1]):
+    for d in range(grid.n):   # the normal component of F vanishes
         phiF = phi * F_arr[..., d][..., None]
         rhs_data += prod(phiF, phiF, wmeas)
     # thin trace term

@@ -296,12 +296,9 @@ class ParabolicGrid:
         diag[:-1] += h * ((1.0 - u0) ** 3 - (1.0 - u1) ** 3) / 3.0
         diag[1:] += h * cube
         off = h * ((u1 ** 2 - u0 ** 2) / 2.0 - cube)
-        cross = np.tensordot(off, a[:-1] * b[1:], axes=1)
-        if u is v:   # the Gram matrix is symmetric: both cross terms agree
-            cross = 2.0 * cross
-        else:
-            cross = cross + np.tensordot(off, a[1:] * b[:-1], axes=1)
-        return np.tensordot(diag, a * b, axes=1) + cross
+        return (np.tensordot(diag, a * b, axes=1)
+                + np.tensordot(off, a[:-1] * b[1:], axes=1)
+                + np.tensordot(off, a[1:] * b[:-1], axes=1))
 
     def time_integral_sq(self, values: np.ndarray, t_lo: float | None = None,
                          t_hi: float | None = None) -> np.ndarray:

@@ -193,9 +193,10 @@ def zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
     [-z_radius, z_radius]^n.  `order_factor` multiplies the base order.  A
     physical frequency xi of u is the frequency xi sqrt(tau) in zeta, so
     the subordination loop picks the factor per tau from `_ZETA_ORDER`:
-    high where the heat kernel has not yet damped the data, lower in the
-    far field, where the rule only returns aliasing noise whatever its
-    order and the tau weight falls like tau^(-s).
+    low while the rule still resolves every frequency the heat kernel has
+    not damped, highest where the damped frequencies start to alias, and
+    lower again in the far field, where the tau weight falls like
+    tau^(-s).
     """
     order = max(24, 4 * spec.nodes_per_decade) * order_factor
     panels = max(1, order // 48)
@@ -272,25 +273,34 @@ def _heat_residual_fd(u, pts, n, h=1e-4):
     return ut - lap
 
 
-# (largest tau, zeta order factor).  At the default spec the order-f rule
-# integrates G(zeta) cos(omega zeta) to 1e-7 for omega up to 7.1, 17.8,
-# 25.9, 35.2, 53.2 and 71.2 (f = 1, 2, 3, 4, 6, 8).  Up to tau = 176 each
-# factor keeps 4 sqrt(tau) below its limit, so every |xi| <= 4 is resolved
-# until the Gaussian exp(-xi^2 tau) has damped it.  Beyond its limit a rule
+# (largest tau, zeta order factor).  A frequency xi of u is the frequency
+# omega = xi sqrt(tau) of the zeta rule, and at the default spec the order-f
+# rule integrates G(zeta) cos(omega zeta) to 1e-7 only up to omega = 7.1,
+# 17.9, 25.9, 35.2, 53.2 and 71.2 (f = 1, 2, 3, 4, 6, 8).  Up to tau = 314
+# each factor keeps 3 sqrt(tau) below its limit, so every |xi| <= 3 is
+# resolved until exp(-xi^2 tau) has damped it.  Past its limit a rule
 # returns aliasing noise of rms ~sqrt(sum w^2) (0.10 at f = 8, 0.13 at 4,
-# 0.17 at 2), weighted by tau^(-s).  Factor 8 up to tau = 1e5 puts the
-# first noisy node of every |xi| >= 0.25 at omega >= 71; the cheaper far
-# field starts at omega = 316 |xi|.  Factor 8 out to tau_cutoff_high
-# would double the zeta nodes at n = 2 and lower the floor only for
-# |xi| < 1 (about 2.5x for products of two modes at |xi| = 0.3).
-_ZETA_ORDER = ((3.0, 1), (19.0, 2), (41.0, 3), (77.0, 4), (176.0, 6),
-               (1e5, 8), (3e6, 4), (math.inf, 2))
+# 0.17 at 2) weighted by tau^(-s), and that noise is the error floor for
+# |xi| < 2.  Factor 8 up to tau = 1e6 holds the floor where it sets in,
+# tau = (71 / xi)^2 (or (71 / 0.7 xi)^2 for a product of two modes), for
+# every 0.25 <= |xi| <= 3; a lower factor anywhere before 1e6 raises it.
+_ZETA_ORDER = ((5.6, 1), (35.0, 2), (74.0, 3), (137.0, 4), (314.0, 6),
+               (1e6, 8), (1e7, 4), (math.inf, 2))
 
 
 def _order_bucket(tau: float) -> int:
     for limit, factor in _ZETA_ORDER:
         if tau <= limit:
             return factor
+
+
+# u is evaluated in batches of about this many points.  A whole factor-8
+# zeta grid at n = 2 times four evaluation points makes temporaries of
+# 10 MB each; batches of 32768 points keep them in cache, which cuts the
+# CPU time of such a call by about 15% and its peak memory by half.
+# Each batch is reduced with np.sum, not a BLAS product: a threaded gemv
+# of this size ran several times slower on a shared CPU.
+_BATCH = 32768
 
 
 def _frac_heat_core(u, p, q, pts):
@@ -306,8 +316,8 @@ def _frac_heat_core(u, p, q, pts):
     eps = q.tau_cutoff_low
     acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
 
-    # hold only the current factor's grid: keeping all six n = 2 grids adds
-    # about a fifth to the peak memory of a call
+    # hold only the current factor's grid: keeping every factor's n = 2 grid
+    # adds to the peak memory of a call
     fac = None
     for tau, wt in zip(taus, tw):
         f = _order_bucket(tau)
@@ -315,11 +325,14 @@ def _frac_heat_core(u, p, q, pts):
             fac = f
             zeta, zw = zeta_nodes(q, p.n, fac)
         srt = math.sqrt(tau)
-        xs = x0[:, None, :] - srt * zeta[None, :, :]   # (m, k, n)
-        ts = np.broadcast_to(t0[:, None] - tau, xs.shape[:2])
-        flat_u = _eval_u(u, ts.ravel(), xs.reshape(-1, p.n), p.n)
-        shifted = flat_u.reshape(m, -1)
-        inner = np.sum(zw[None, :] * (u_here[:, None] - shifted), axis=1)
+        inner = np.zeros(m)
+        step = max(1, _BATCH // m)
+        for lo in range(0, zw.size, step):
+            z, w = zeta[lo:lo + step], zw[lo:lo + step]
+            xs = x0[:, None, :] - srt * z[None, :, :]   # (m, k, n)
+            ts = np.repeat(t0 - tau, w.size)
+            shifted = _eval_u(u, ts, xs.reshape(-1, p.n), p.n).reshape(m, -1)
+            inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
         acc += wt * tau ** (-p.s - 1.0) * inner
     return subordination_constant(p.s) * acc
 
