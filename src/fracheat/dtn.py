@@ -47,9 +47,6 @@ class DtnExtract:
     etas: np.ndarray
     fluxes: np.ndarray
 
-    def interior_values(self):
-        return self.values[~self.flagged], self.flagged
-
 
 def extract_dtn(U: ScalarField, p: FracParams, layers: int = 4,
                 residual_threshold: float = 0.05,

@@ -34,21 +34,41 @@ __all__ = [
 _MAGIC = b"FHF1"
 
 
-def _interval_overlap(faces: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Per-cell overlap length of cells given by `faces` with [lo, hi]."""
+def _interval_overlap(faces: np.ndarray, lo: float, hi: float,
+                      a: float = 0.0) -> np.ndarray:
+    """Per-cell integral of y^a over the overlap of the cells given by
+    `faces` with [lo, hi], exact by the closed-form antiderivative; with
+    a = 0 it is the overlap length."""
     left = np.maximum(faces[:-1], lo)
-    right = np.minimum(faces[1:], hi)
-    return np.maximum(right - left, 0.0)
-
-
-def _weighted_interval_overlap(faces: np.ndarray, lo: float, hi: float,
-                               a: float) -> np.ndarray:
-    """Per-cell y^a-weighted overlap with [lo, hi]: integral of y^a over the
-    intersection, exact by the closed-form antiderivative."""
-    left = np.maximum(faces[:-1], lo)
-    right = np.minimum(faces[1:], hi)
-    right = np.maximum(right, left)
+    right = np.maximum(np.minimum(faces[1:], hi), left)
     return (right ** (1.0 + a) - left ** (1.0 + a)) / (1.0 + a)
+
+
+def _ball_overlap(x_faces, x0, radius: float) -> np.ndarray:
+    """Per-cell overlap measure of the x-cells given by their per-axis
+    faces with the ball B_radius(x0): exact for n = 1; for n = 2 the cells
+    the circle cuts are subsampled."""
+    if len(x_faces) == 1:
+        return _interval_overlap(x_faces[0], x0[0] - radius, x0[0] + radius)
+    fx, fy = x_faces
+    dx, dy = np.diff(fx), np.diff(fy)
+    X, Y = np.meshgrid(0.5 * (fx[1:] + fx[:-1]), 0.5 * (fy[1:] + fy[:-1]),
+                       indexing="ij")
+    hx, hy = np.meshgrid(dx / 2, dy / 2, indexing="ij")
+    cdist = np.hypot(X - x0[0], Y - x0[1])
+    corner = np.hypot(hx, hy)
+    area = np.multiply.outer(dx, dy)
+    out = np.where(cdist + corner <= radius, area, 0.0)
+    boundary = (cdist - corner < radius) & (cdist + corner > radius)
+    sub = 24
+    off = (np.arange(sub) + 0.5) / sub - 0.5
+    for i, j in zip(*np.nonzero(boundary)):
+        xs = X[i, j] + off * dx[i]
+        ys = Y[i, j] + off * dy[j]
+        XX, YY = np.meshgrid(xs, ys, indexing="ij")
+        frac = np.mean(np.hypot(XX - x0[0], YY - x0[1]) < radius)
+        out[i, j] = area[i, j] * frac
+    return out
 
 
 @dataclass
@@ -101,36 +121,11 @@ class ThinGrid:
         axes = [self.t_centers] + self.x_centers
         return np.meshgrid(*axes, indexing="ij")
 
-    def _ball_overlap(self, x0, radius) -> np.ndarray:
-        """Per-cell overlap measure of x-cells with the ball B_radius(x0)."""
-        if self.n == 1:
-            return _interval_overlap(self.x_faces[0], x0[0] - radius, x0[0] + radius)
-        # n = 2: classify cells against the disk, subsample boundary cells
-        fx, fy = self.x_faces
-        cx, cy = self.x_centers
-        dx, dy = np.diff(fx), np.diff(fy)
-        X, Y = np.meshgrid(cx, cy, indexing="ij")
-        hx, hy = np.meshgrid(dx / 2, dy / 2, indexing="ij")
-        cdist = np.hypot(X - x0[0], Y - x0[1])
-        corner = np.hypot(hx, hy)
-        area = np.multiply.outer(dx, dy)
-        out = np.where(cdist + corner <= radius, area, 0.0)
-        boundary = (cdist - corner < radius) & (cdist + corner > radius)
-        sub = 24
-        off = (np.arange(sub) + 0.5) / sub - 0.5
-        for i, j in zip(*np.nonzero(boundary)):
-            xs = X[i, j] + off * dx[i]
-            ys = Y[i, j] + off * dy[j]
-            XX, YY = np.meshgrid(xs, ys, indexing="ij")
-            frac = np.mean(np.hypot(XX - x0[0], YY - x0[1]) < radius)
-            out[i, j] = area[i, j] * frac
-        return out
-
     def cylinder_weights(self, center, radius: float) -> np.ndarray:
         """Per-cell overlap measures with Q_radius(center); exact for n = 1."""
         t0, x0 = center[0], np.asarray(center[1:], dtype=float)
         wt = _interval_overlap(self.t_faces, t0 - radius ** 2, t0 + radius ** 2)
-        wx = self._ball_overlap(x0, radius)
+        wx = _ball_overlap(self.x_faces, x0, radius)
         return np.multiply.outer(wt, wx)
 
     def cylinder_mean(self, values: np.ndarray, center, radius: float) -> float:
@@ -237,11 +232,6 @@ class ParabolicGrid:
         return float((2.0 * self.rho) ** self.n
                      * self.rho ** (1.0 + a) / (1.0 + a))
 
-    def thin(self) -> ThinGrid:
-        """Cell-based thin grid sharing this grid's time faces and x cells."""
-        return ThinGrid(self.n, self.rho, self.nt, self.nx, self.center,
-                        t_range=self.t_range)
-
     def meshgrid(self):
         """Node-time, cell-space coordinate arrays broadcastable to shape."""
         axes = [self.t_nodes] + self.x_centers + [self.y_centers]
@@ -307,21 +297,16 @@ class ParabolicGrid:
 
     # -- cylinder weights (separable: time x space-ball x y-interval) --
 
-    def _x_overlap(self, x0, radius: float) -> np.ndarray:
-        if self.n == 1:
-            return _interval_overlap(self.x_faces[0], x0[0] - radius, x0[0] + radius)
-        thin = self.thin()
-        return thin._ball_overlap(np.asarray(x0, dtype=float), radius)
-
-    def thick_cylinder_weights(self, center, radius: float):
-        """(time node weights, x overlaps, weighted y overlaps) whose outer
-        product integrates fields against y^a dt dX over Q*_radius(center)."""
+    def cylinder_weights(self, center, radius: float):
+        """Separable factors of Q*_radius(center): the time window
+        (t0 - radius^2, t0 + radius^2), the x-cell overlaps with the ball
+        B_radius(x0) and the per-cell integrals of y^a over (0, radius).
+        Window and x overlaps alone describe the thin cylinder Q_radius."""
         t0 = center[0]
         x0 = np.asarray(center[1:1 + self.n], dtype=float)
-        wt = self.time_weights(t0 - radius ** 2, t0 + radius ** 2)
-        wx = self._x_overlap(x0, radius)
-        wy = _weighted_interval_overlap(self.y_faces, 0.0, radius, self.params.a)
-        return wt, wx, wy
+        wx = _ball_overlap(self.x_faces, x0, radius)
+        wy = _interval_overlap(self.y_faces, 0.0, radius, self.params.a)
+        return (t0 - radius ** 2, t0 + radius ** 2), wx, wy
 
     def integrate_thick(self, values: np.ndarray, center=None,
                         radius: float | None = None) -> float:
@@ -331,8 +316,9 @@ class ParabolicGrid:
             center = self.center
         if radius is None:
             radius = self.rho
-        wt, wx, wy = self.thick_cylinder_weights(center, radius)
-        w = np.multiply.outer(np.multiply.outer(wt, wx), wy)
+        window, wx, wy = self.cylinder_weights(center, radius)
+        w = np.multiply.outer(np.multiply.outer(self.time_weights(*window),
+                                                wx), wy)
         return float(np.sum(w * values))
 
     def weighted_norm_sq(self, values: np.ndarray, center=None,
@@ -343,9 +329,8 @@ class ParabolicGrid:
             center = self.center
         if radius is None:
             radius = self.rho
-        _, wx, wy = self.thick_cylinder_weights(center, radius)
-        t0 = center[0]
-        sq = self.time_integral_sq(values, t0 - radius ** 2, t0 + radius ** 2)
+        window, wx, wy = self.cylinder_weights(center, radius)
+        sq = self.time_integral_sq(values, *window)
         return float(np.sum(np.multiply.outer(wx, wy) * sq))
 
     # -- interpolation and boundary trace --

@@ -258,8 +258,6 @@ def build_omega1(omega_coeff: ModulusOfContinuity,
     The sqrt substitution makes the result 1/2-decreasing; the recorded
     scale_factor is the normalization divisor.
     """
-    if cfg.gamma >= cfg.delta_tilde:
-        raise ValueError("need gamma < delta_tilde")
     rs = np.unique(np.concatenate([
         [0.0], np.geomspace(1e-14, 1.0, n_samples), np.linspace(0.0, 1.0, 257)]))
     raw = np.maximum(np.asarray(omega_coeff(cfg.gamma * rs)) / cfg.delta_tilde, rs)
@@ -503,11 +501,3 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
     out.components = {"K1": K1, "K2": math.sqrt, "K3": K3}
     return out
 
-
-def export_modulus_csv(omega: ModulusOfContinuity, path, rs=None):
-    """Write an (r, omega(r)) table."""
-    if rs is None:
-        rs = np.geomspace(1e-6, 1.0, 121)
-    rs = np.asarray(rs, dtype=float)
-    np.savetxt(path, np.column_stack([rs, omega(rs)]), delimiter=",",
-               header="r,omega", comments="")

@@ -14,16 +14,25 @@ Both integrals are exact in time on the piecewise-linear interpolant of U,
 so a window shorter than one time step needs no floor.  In space the
 cell-centered samples are integrated cell by cell, which resolves a radius
 only when it spans CELLS_PER_RADIUS cells.
+
+Every probe excess is one separable weighted least-squares fit (`_fit`)
+over "pieces": a field, a time window, normalized per-cell space weights
+W and regressor columns C held on the space lattice only.  Because C is
+constant in time, the normal equations are (sum of time weights) C^T W C
+against C^T W (time weights . V), and the excess of a piece is
+sum W int (V - coef . C)^2 dt.  The combined fit uses the trace and the
+thick-cylinder pieces; the interior probe uses one unweighted-cube piece
+with columns (1, x - x0, y - y0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ParabolicGrid, ScalarField
+from .grids import ParabolicGrid, ScalarField, _interval_overlap
 
 __all__ = [
     "LinearFit",
@@ -81,49 +90,53 @@ class LinearFit:
         return self.a + (x - c) @ self.b
 
 
-def _fit_weights(grid: ParabolicGrid, center, radius: float):
-    """Thin and thick weight stacks plus centered x-coordinate columns."""
-    t0 = center[0]
-    x0 = np.asarray(center[1:1 + grid.n], dtype=float)
-    tw = grid.time_weights(t0 - radius ** 2, t0 + radius ** 2)
-    wx = grid._x_overlap(x0, radius)
-    wy = grid.thick_cylinder_weights(center, radius)[2]
-    thin_w = np.multiply.outer(tw, wx) * radius ** -(grid.n + 2.0)
-    thick_w = np.multiply.outer(np.multiply.outer(tw, wx), wy) \
-        * radius ** -(grid.n + 3.0 + grid.params.a)
-    Xc = [X - x0[d] for d, X in enumerate(grid.x_centers)]
-    return thin_w, thick_w, Xc
+def _columns(axes) -> np.ndarray:
+    """Regressors (1, axes[0], ..., axes[-1]) stacked on the tensor lattice
+    of the 1-d coordinate arrays `axes`."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([np.ones(mesh[0].shape), *mesh])
 
 
-def _excess_term(grid: ParabolicGrid, center, radius: float, resid,
-                 thick: bool) -> float:
-    """Normalized excess of a residual field U - l on the radius-r thin
-    (or thick) cylinder, with its square integrated exactly in time; node
-    weights would integrate the interpolant of the square instead."""
-    if thick:
-        return grid.weighted_norm_sq(resid, center, radius) \
-            * radius ** -(grid.n + 3.0 + grid.params.a)
-    t0 = center[0]
-    w = grid._x_overlap(np.asarray(center[1:1 + grid.n], dtype=float), radius)
-    sq = grid.time_integral_sq(resid, t0 - radius ** 2, t0 + radius ** 2)
-    return float(np.sum(w * sq)) * radius ** -(grid.n + 2.0)
+def _pieces(U: ScalarField, center, radius: float):
+    """The trace and thick-cylinder pieces of the excess at radius r, each
+    a tuple (field, time window, normalized space weights, columns
+    (1, x - x0) on the space lattice)."""
+    grid = U.grid
+    window, wx, wy = grid.cylinder_weights(center, radius)
+    C = _columns([x - c for x, c in zip(grid.x_centers, center[1:1 + grid.n])])
+    thin = (grid.trace_at_zero(U.values), window,
+            wx * radius ** -(grid.n + 2.0), C)
+    thick = (U.values, window, np.multiply.outer(wx, wy)
+             * radius ** -(grid.n + 3.0 + grid.params.a), C[..., None])
+    return thin, thick
 
 
-def _linear_values(cols, coef):
-    """coef[0] cols[0] + sum_d coef[1 + d] cols[1 + d] on a sample lattice."""
-    return sum(c * col for c, col in zip(coef, cols))
-
-
-def _design_columns(grid: ParabolicGrid, Xc, thick: bool):
-    """Regressor fields (1, x_1 - c_1, ..., x_n - c_n) over the thin or
-    thick sample lattice."""
-    shape = (grid.nt + 1,) + (grid.nx,) * grid.n + ((grid.ny,) if thick else ())
-    cols = [np.ones(shape)]
-    for d in range(grid.n):
-        col = Xc[d].reshape((1,) + (1,) * d + (-1,) + (1,) * (grid.n - 1 - d)
-                            + ((1,) if thick else ()))
-        cols.append(np.broadcast_to(col, shape).copy())
-    return cols
+def _fit(grid: ParabolicGrid, pieces, coef=None):
+    """The separable least-squares fit over all pieces (see the module
+    docstring) and each piece's excess; with `coef` given only the
+    excesses are evaluated.  Returns (coef, excesses, relative normal
+    residual)."""
+    nres = 0.0
+    if coef is None:
+        M = rhs = 0.0
+        for V, window, W, C in pieces:
+            tw = grid.time_weights(*window)
+            WC = (W * C).reshape(len(C), -1)
+            Cf = np.broadcast_to(C, (len(C),) + W.shape).reshape(len(C), -1)
+            M = M + tw.sum() * (WC @ Cf.T)
+            rhs = rhs + WC @ np.einsum("t,t...->...", tw, V).ravel()
+        if M[0, 0] <= 0.0:
+            raise ValueError("fit cylinder does not intersect the grid")
+        try:
+            coef = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError("degenerate moment matrix in linear fit") from exc
+        nres = float(np.linalg.norm(M @ coef - rhs)
+                     / max(np.linalg.norm(rhs), 1e-300))
+    excesses = [float(np.sum(W * grid.time_integral_sq(
+        V - np.tensordot(coef, C, axes=1), *window)))
+        for V, window, W, C in pieces]
+    return coef, excesses, nres
 
 
 def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
@@ -132,34 +145,7 @@ def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
     grid = U.grid
     if center is None:
         center = (grid.center[0],) + tuple(grid.center[1:]) + (0.0,)
-    thin_w, thick_w, Xc = _fit_weights(grid, center, radius)
-    if float(np.sum(thin_w)) + float(np.sum(thick_w)) <= 0.0:
-        raise ValueError("fit cylinder does not intersect the grid")
-    tr = grid.trace_at_zero(U.values)
-    cols_thin = _design_columns(grid, Xc, thick=False)
-    cols_thick = _design_columns(grid, Xc, thick=True)
-
-    m = grid.n + 1
-    M = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for i in range(m):
-        rhs[i] = float(np.sum(thin_w * cols_thin[i] * tr)) \
-            + float(np.sum(thick_w * cols_thick[i] * U.values))
-        for j in range(i, m):
-            M[i, j] = M[j, i] = \
-                float(np.sum(thin_w * cols_thin[i] * cols_thin[j])) \
-                + float(np.sum(thick_w * cols_thick[i] * cols_thick[j]))
-    try:
-        coef = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("degenerate moment matrix in linear fit") from exc
-    nres = float(np.linalg.norm(M @ coef - rhs)
-                 / max(np.linalg.norm(rhs), 1e-300))
-
-    e_thin = _excess_term(grid, center, radius,
-                          tr - _linear_values(cols_thin, coef), False)
-    e_thick = _excess_term(grid, center, radius,
-                           U.values - _linear_values(cols_thick, coef), True)
+    coef, (e_thin, e_thick), nres = _fit(grid, _pieces(U, center, radius))
     return LinearFit(float(coef[0]), coef[1:].copy(), e_thin + e_thick,
                      e_thin, e_thick, tuple(center), radius, nres)
 
@@ -171,17 +157,10 @@ def excess_with_fit(U: ScalarField, radius: float, fit: LinearFit,
     grid = U.grid
     if center is None:
         center = fit.center
-    Xc = _fit_weights(grid, center, radius)[2]
-    tr = grid.trace_at_zero(U.values)
     shift = np.asarray(center[1:1 + grid.n]) - np.asarray(fit.center[1:1 + grid.n])
     base = fit.a + float(np.dot(fit.b, shift)) if np.any(shift) else fit.a
     coef = np.concatenate([[base], fit.b])
-    cols_thin = _design_columns(grid, Xc, thick=False)
-    cols_thick = _design_columns(grid, Xc, thick=True)
-    return (_excess_term(grid, center, radius,
-                         tr - _linear_values(cols_thin, coef), False)
-            + _excess_term(grid, center, radius,
-                           U.values - _linear_values(cols_thick, coef), True))
+    return sum(_fit(grid, _pieces(U, center, radius), coef)[1])
 
 
 @dataclass
@@ -247,12 +226,13 @@ def excess_sequence(U: ScalarField, lam: float, kmax: int, omega,
 
 
 def combined_norm(U: ScalarField) -> float:
-    """sqrt of the trace L^2 plus weighted L^2 over the field's cylinder."""
+    """sqrt of the trace L^2 over Q_rho plus the weighted L^2 over Q*_rho,
+    the field's cylinder; at n = 2 both integrate over the ball B_rho."""
     grid = U.grid
+    window, wx, _ = grid.cylinder_weights(grid.center, grid.rho)
     tr = grid.trace_at_zero(U.values)
-    thin = float(np.sum(grid.x_cell_measures() * grid.time_integral_sq(tr)))
-    thick = grid.weighted_norm_sq(U.values)
-    return math.sqrt(thin + thick)
+    thin = float(np.sum(wx * grid.time_integral_sq(tr, *window)))
+    return math.sqrt(thin + grid.weighted_norm_sq(U.values))
 
 
 def one_step_improvement(U: ScalarField, lams=None, center=None):
@@ -285,16 +265,13 @@ def campanato_excess_profile(U: ScalarField, center, radii, K=None) -> dict:
 
     The drift-tail column bounds the gap to the true limiting fit by the
     last observed inter-scale coefficient drifts."""
-    grid = U.grid
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
     fits = [best_linear_fit(U, r, center) for r in radii]
     limit_fit = fits[-1]
     limit_coef = np.concatenate([[limit_fit.a], limit_fit.b])
     rows = []
-    for r, f in zip(radii, fits):
-        cols = _design_columns(grid, _fit_weights(grid, center, r)[2], True)
-        exc = _excess_term(grid, center, r,
-                           U.values - _linear_values(cols, limit_coef), True)
+    for r in radii:
+        exc = _fit(U.grid, _pieces(U, center, r)[1:], limit_coef)[1][0]
         row = {"r": float(r), "excess": exc}
         if K is not None:
             row["ratio"] = exc / max(r ** 2 * float(K(r)) ** 2, 1e-300)
@@ -362,7 +339,10 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     while d > h_min:
         decades.append(d)
         d /= 2.0
-    n_dec = max(len(decades), 1)
+    if not decades:
+        raise ValueError(f"no pair scale is resolvable: min(dx, sqrt(dt)) = "
+                         f"{h_min:.3g} >= 0.45, the largest pair distance")
+    n_dec = len(decades)
 
     dists, incs, cases = [], [], []
     geometry_ok = True
@@ -434,43 +414,23 @@ def interior_probe(U: ScalarField, center, side: float, lam: float,
     fits are linear in all n+1 spatial coordinates, the normalization is
     r^-(N+2) with N = n+1, and the bound is lam^(2k) psi(lam^k)^2."""
     grid = U.grid
-    t0 = center[0]
-    x0 = np.asarray(center[1:1 + grid.n], dtype=float)
     y0 = center[-1]
-    if y0 - side < 0.0 + side * 1e-9 or y0 < side:
+    if y0 - side < side * 1e-9:
         raise ValueError("cube touches the boundary layer")
-    N = grid.n + 1
+    C = _columns([x - c for x, c in zip(grid.x_centers, center[1:1 + grid.n])]
+                 + [grid.y_centers - y0])
     rows = []
-    mesh = grid.meshgrid()
-    cols = [np.ones(grid.shape)] + \
-        [np.broadcast_to(mesh[1 + d], grid.shape) - x0[d]
-         for d in range(grid.n)] + \
-        [np.broadcast_to(mesh[-1], grid.shape) - y0]
-    dy = np.diff(grid.y_faces)
     for k in range(kmax + 1):
         r = side * lam ** k
-        # plain (unweighted) y overlap on the interior slab
-        yl, yh = y0 - r, y0 + r
-        wy = np.maximum(np.minimum(grid.y_faces[1:], yh)
-                        - np.maximum(grid.y_faces[:-1], yl), 0.0)
-        if not (_resolved(r, grid.dx) and _resolved(r, dy[wy > 0.0])):
+        window, wx, _ = grid.cylinder_weights(center, r)
+        wy = _interval_overlap(grid.y_faces, y0 - r, y0 + r)
+        if not (_resolved(r, grid.dx)
+                and _resolved(r, np.diff(grid.y_faces)[wy > 0.0])):
             break
-        lo, hi = t0 - r ** 2, t0 + r ** 2
-        wx = grid._x_overlap(x0, r)
-        w_space = np.multiply.outer(wx, wy) * r ** -(N + 2.0)
-        w = np.multiply.outer(grid.time_weights(lo, hi), w_space)
-        mdim = N + 1
-        M = np.zeros((mdim, mdim))
-        rhs = np.zeros(mdim)
-        for i in range(mdim):
-            rhs[i] = float(np.sum(w * cols[i] * U.values))
-            for j in range(i, mdim):
-                M[i, j] = M[j, i] = float(np.sum(w * cols[i] * cols[j]))
-        coef = np.linalg.solve(M, rhs)
-        resid = U.values - _linear_values(cols, coef)
-        exc = float(np.sum(w_space * grid.time_integral_sq(resid, lo, hi)))
+        W = np.multiply.outer(wx, wy) * r ** -(grid.n + 3.0)
+        coef, (exc,), _ = _fit(grid, [(U.values, window, W, C)])
         bound = lam ** (2.0 * k) * float(psi(lam ** k)) ** 2
         rows.append({"k": k, "r": r, "excess": exc, "bound": bound,
                      "ratio": exc / max(bound, 1e-300),
-                     "coef": coef.copy()})
+                     "coef": coef})
     return {"rows": rows, "lam": lam, "side": side, "center": tuple(center)}

@@ -13,6 +13,8 @@ from fracheat.grids import (
     sample_thin,
     save_field,
     load_field,
+    _ball_overlap,
+    _interval_overlap,
 )
 
 
@@ -138,6 +140,39 @@ class TestParabolicGrid:
             ParabolicGrid(FracParams(s=0.75), q=0.5)
 
 
+class TestIntervalOverlap:
+    def windows(self):
+        rng = np.random.default_rng(4)
+        faces = np.sort(rng.uniform(0.0, 1.0, 17))
+        faces[0], faces[-1] = 0.0, 1.0
+        return faces, [(0.0, 1.0), (0.13, 0.61), (0.4, 0.4 + 1e-9),
+                       (0.7, 0.2), (-1.0, 2.0), (1.5, 3.0)]
+
+    def test_plain_overlap_bit_for_bit(self):
+        faces, windows = self.windows()
+        for lo, hi in windows:
+            plain = np.maximum(np.minimum(faces[1:], hi)
+                               - np.maximum(faces[:-1], lo), 0.0)
+            assert np.array_equal(_interval_overlap(faces, lo, hi), plain)
+
+    @pytest.mark.parametrize("a", [-0.8, -0.5, -0.1])
+    def test_weighted_overlap_closed_form(self, a):
+        faces, windows = self.windows()
+        for lo, hi in windows:
+            lo_, hi_ = max(lo, 0.0), hi
+            expect = []
+            for left, right in zip(faces[:-1], faces[1:]):
+                l, r = max(left, lo_), min(right, hi_)
+                expect.append((r ** (1 + a) - l ** (1 + a)) / (1 + a)
+                              if r > l else 0.0)
+            got = _interval_overlap(faces, lo_, hi_, a)
+            assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
+            whole = (min(hi_, 1.0) ** (1 + a) - min(lo_, 1.0) ** (1 + a)) \
+                / (1 + a)
+            assert float(np.sum(got)) == pytest.approx(max(whole, 0.0),
+                                                       rel=1e-13, abs=1e-300)
+
+
 class TestThinGrid:
     def test_cylinder_weights_exact_1d(self):
         tg = ThinGrid(1, 1.0, 16, 16)
@@ -157,7 +192,7 @@ class TestThinGrid:
 
     def test_ball_overlap_2d_disk_area(self):
         tg = ThinGrid(2, 1.0, 4, 40)
-        w = tg._ball_overlap(np.array([0.0, 0.0]), 0.7)
+        w = _ball_overlap(tg.x_faces, np.array([0.0, 0.0]), 0.7)
         assert float(np.sum(w)) == pytest.approx(math.pi * 0.49, rel=2e-3)
 
     def test_contains_cylinder(self):

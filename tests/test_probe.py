@@ -48,28 +48,97 @@ class TestParabolicDistance:
             assert parabolic_distance(p1, p2) == pytest.approx(brute, rel=1e-14)
 
 
+def full_grid_terms(U, radius, center):
+    """Thin and thick weights of the combined excess and its regressors
+    (1, x - x0) as full sample-lattice arrays, from the public grid API."""
+    g = U.grid
+    window, wx, wy = g.cylinder_weights(center, radius)
+    tw = g.time_weights(*window)
+    thin_w = np.multiply.outer(tw, wx) * radius ** -(g.n + 2.0)
+    thick_w = np.multiply.outer(np.multiply.outer(tw, wx), wy) \
+        * radius ** -(g.n + 3.0 + g.params.a)
+    mesh = g.meshgrid()
+    cols = [np.ones(g.shape)] + [mesh[1 + d] - center[1 + d]
+                                 for d in range(g.n)]
+    return (g.trace_at_zero(U.values), window, thin_w, thick_w,
+            [c[..., 0] for c in cols], cols)
+
+
 def brute_force_fit(U, radius, center=None):
     """Dense weighted-lstsq oracle for the combined fit."""
-    from fracheat.probe import _fit_weights, _design_columns
     g = U.grid
     if center is None:
         center = (g.center[0],) + tuple(g.center[1:]) + (0.0,)
-    thin_w, thick_w, Xc = _fit_weights(g, center, radius)
-    tr = g.trace_at_zero(U.values)
-    ct = _design_columns(g, Xc, thick=False)
-    ck = _design_columns(g, Xc, thick=True)
-    rows = []
-    targets = []
+    tr, _, thin_w, thick_w, ct, ck = full_grid_terms(U, radius, center)
     sw_thin = np.sqrt(thin_w).ravel()
     sw_thick = np.sqrt(thick_w).ravel()
-    for i in range(g.n + 1):
-        rows.append(np.concatenate([sw_thin * ct[i].ravel(),
-                                    sw_thick * ck[i].ravel()]))
-    A = np.stack(rows, axis=1)
+    A = np.stack([np.concatenate([sw_thin * ct[i].ravel(),
+                                  sw_thick * ck[i].ravel()])
+                  for i in range(g.n + 1)], axis=1)
     bvec = np.concatenate([sw_thin * tr.ravel(),
                            sw_thick * U.values.ravel()])
     coef, *_ = np.linalg.lstsq(A, bvec, rcond=None)
     return coef
+
+
+def loop_excess(U, radius, center, coef):
+    """Thin and thick excess of coef . (1, x - x0) from full-lattice
+    residual fields: the evaluation the separable fit replaced."""
+    g = U.grid
+    tr, window, _, _, ct, ck = full_grid_terms(U, radius, center)
+    wx = g.cylinder_weights(center, radius)[1]
+    lin_thin = sum(c * col for c, col in zip(coef, ct))
+    lin_thick = sum(c * col for c, col in zip(coef, ck))
+    e_thin = float(np.sum(wx * g.time_integral_sq(tr - lin_thin, *window))) \
+        * radius ** -(g.n + 2.0)
+    e_thick = g.weighted_norm_sq(U.values - lin_thick, center, radius) \
+        * radius ** -(g.n + 3.0 + g.params.a)
+    return e_thin, e_thick
+
+
+def loop_fit(U, radius, center):
+    """The moment loop over full-lattice weight and regressor arrays that
+    assembled the combined fit before the separable form: reference for
+    it.  Returns (coef, e_thin, e_thick)."""
+    tr, _, thin_w, thick_w, ct, ck = full_grid_terms(U, radius, center)
+    m = U.grid.n + 1
+    M = np.zeros((m, m))
+    rhs = np.zeros(m)
+    for i in range(m):
+        rhs[i] = float(np.sum(thin_w * ct[i] * tr)) \
+            + float(np.sum(thick_w * ck[i] * U.values))
+        for j in range(i, m):
+            M[i, j] = M[j, i] = float(np.sum(thin_w * ct[i] * ct[j])) \
+                + float(np.sum(thick_w * ck[i] * ck[j]))
+    coef = np.linalg.solve(M, rhs)
+    return (coef, *loop_excess(U, radius, center, coef))
+
+
+def loop_interior(U, center, side, lam, kmax):
+    """The interior probe's moment loop on full-lattice arrays: reference
+    for the separable fit.  Returns [(excess, coef)] per resolved cube."""
+    g = U.grid
+    y0 = center[-1]
+    mesh = g.meshgrid()
+    cols = [np.ones(g.shape)] + [mesh[1 + d] - center[1 + d]
+                                 for d in range(g.n)] + [mesh[-1] - y0]
+    rows = []
+    for k in range(kmax + 1):
+        r = side * lam ** k
+        wy = np.maximum(np.minimum(g.y_faces[1:], y0 + r)
+                        - np.maximum(g.y_faces[:-1], y0 - r), 0.0)
+        if r < 4.0 * g.dx or r < 4.0 * np.max(np.diff(g.y_faces)[wy > 0.0]):
+            break
+        window, wx, _ = g.cylinder_weights(center, r)
+        w_space = np.multiply.outer(wx, wy) * r ** -(g.n + 3.0)
+        w = np.multiply.outer(g.time_weights(*window), w_space)
+        M = np.array([[np.sum(w * ci * cj) for cj in cols] for ci in cols])
+        rhs = np.array([np.sum(w * ci * U.values) for ci in cols])
+        coef = np.linalg.solve(M, rhs)
+        resid = U.values - sum(c * col for c, col in zip(coef, cols))
+        rows.append((float(np.sum(w_space * g.time_integral_sq(resid, *window))),
+                     coef))
+    return rows
 
 
 class TestBestLinearFit:
@@ -127,6 +196,84 @@ class TestBestLinearFit:
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
         with pytest.raises(ValueError):
             best_linear_fit(U, 0.5, center=(0.0, 5.0, 0.0))
+
+
+def random_field(n, seed, nt, nx, ny):
+    g = ParabolicGrid(FracParams(s=0.7, n=n), nt=nt, nx=nx, ny=ny)
+    return ScalarField(g, np.random.default_rng(seed).normal(size=g.shape))
+
+
+def assert_rel(got, ref):
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+class TestSeparableFitMatchesLoop:
+    """The separable fit reproduces the full-lattice moment loop to 1e-12
+    relative at n = 1 and n = 2 on fixed seeds."""
+
+    @pytest.fixture(params=[(1, 0), (1, 1), (2, 0), (2, 1)],
+                    ids=["n1-seed0", "n1-seed1", "n2-seed0", "n2-seed1"])
+    def U(self, request):
+        n, seed = request.param
+        return random_field(n, seed, *((16, 20, 16) if n == 1 else (8, 14, 12)))
+
+    @staticmethod
+    def center(U):
+        return (0.05,) + (0.1,) * U.grid.n + (0.0,)
+
+    def test_best_linear_fit(self, U):
+        c = self.center(U)
+        for r in (0.9, 0.5, 0.3):
+            fit = best_linear_fit(U, r, c)
+            coef, e_thin, e_thick = loop_fit(U, r, c)
+            assert_rel([fit.a, *fit.b], coef)
+            assert_rel([fit.excess_thin, fit.excess_thick], [e_thin, e_thick])
+
+    def test_excess_with_fit(self, U):
+        c = self.center(U)
+        fit = best_linear_fit(U, 0.35, c)
+        coef = np.concatenate([[fit.a], fit.b])
+        assert_rel(excess_with_fit(U, 0.5, fit),
+                   sum(loop_excess(U, 0.5, c, coef)))
+        c2 = (0.0,) + (-0.1,) * U.grid.n + (0.0,)
+        shifted = np.concatenate([[fit.a - 0.2 * float(np.sum(fit.b))], fit.b])
+        assert_rel(excess_with_fit(U, 0.5, fit, c2),
+                   sum(loop_excess(U, 0.5, c2, shifted)))
+
+    def test_campanato_profile(self, U):
+        c = self.center(U)[:-1]
+        radii = [0.8, 0.5, 0.3]
+        rep = campanato_excess_profile(U, c, radii)
+        limit = loop_fit(U, radii[-1], c)[0]
+        assert_rel([row["excess"] for row in rep["rows"]],
+                   [loop_excess(U, r, c, limit)[1] for r in radii])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_interior_probe(self, n):
+        U = random_field(n, 3, *((8, 24, 96) if n == 1 else (6, 24, 64)))
+        center = (0.0,) * (n + 1) + (0.55,)
+        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        rows = interior_probe(U, center, 0.45, 0.5, 3, psi)["rows"]
+        ref = loop_interior(U, center, 0.45, 0.5, 3)
+        assert len(rows) == len(ref) >= 1
+        for row, (exc, coef) in zip(rows, ref):
+            assert_rel(row["excess"], exc)
+            assert_rel(row["coef"], coef)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_symmetric_slopes_vanish(self, n):
+        # slopes zero by symmetry come out at rounding level, so they are
+        # held to an absolute 1e-14 max|U| instead
+        g = ParabolicGrid(FracParams(s=0.7, n=n), nt=8, nx=16, ny=12)
+        U = sample_scalar(g, lambda t, *xy: sum(x ** 2 for x in xy[:-1]) + t)
+        c = (0.0,) * (n + 1) + (0.0,)
+        fit = best_linear_fit(U, 0.5, c)
+        coef, e_thin, e_thick = loop_fit(U, 0.5, c)
+        umax = float(np.max(np.abs(U.values)))
+        assert_rel(fit.a, coef[0])
+        assert np.all(np.abs(fit.b - coef[1:]) <= 1e-14 * umax)
+        assert np.all(np.abs(fit.b) <= 1e-14 * umax)
+        assert_rel([fit.excess_thin, fit.excess_thick], [e_thin, e_thick])
 
 
 class TestExcessSequence:
@@ -284,6 +431,13 @@ class TestGradientModulusProbe:
         assert all(np.isfinite(v) and v >= 0 for v in vals)
         assert vals[1] <= 3.0 * vals[0] + 0.2
 
+    def test_no_resolvable_scale_rejected(self):
+        # min(dx, sqrt(dt)) = 0.5 leaves no pair scale below 0.45
+        U = sample_scalar(grid(nt=8, nx=4, ny=8), lambda t, x, y: x + 0.0 * t)
+        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        with pytest.raises(ValueError, match="no pair scale"):
+            gradient_modulus_probe(U, K, n_pairs=10)
+
 
 def scalar_call_probe(U, K, n_pairs, seed):
     """The sampler with one scalar K call per pair, as the probe ran before
@@ -436,3 +590,11 @@ class TestCombinedNorm:
         # the sum is 4 (node weights applied to t^2 read 4.031)
         U = sample_scalar(grid(), lambda t, x, y: t + 0.0 * x)
         assert combined_norm(U) ** 2 == pytest.approx(4.0, rel=1e-12)
+
+    def test_constant_field_closed_form_2d(self):
+        # thin and thick parts both integrate over Q_1 = (-1, 1) x B_1:
+        # 2 pi (1 + 1/(1 + a)); the ball overlap is subsampled at n = 2
+        g = ParabolicGrid(FracParams(s=0.75, n=2), nt=4, nx=16, ny=8)
+        U = sample_scalar(g, lambda t, x1, x2, y: 1.0 + 0.0 * t)
+        expect = 2.0 * math.pi * (1.0 + 1.0 / (1.0 + g.params.a))
+        assert combined_norm(U) ** 2 == pytest.approx(expect, rel=1e-3)
