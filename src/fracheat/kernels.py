@@ -157,14 +157,18 @@ def _leggauss(order: int):
     return xg, wg
 
 
-def _gauss_panels(lo: float, hi: float, n_panels: int, order: int):
-    """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi]."""
+def _gauss_panels(lo, hi, n_panels: int, order: int):
+    """Gauss-Legendre nodes/weights on n_panels equal panels of [lo, hi].
+
+    lo and hi may be arrays of one shape; the nodes and weights then get
+    that shape plus one last axis, the nodes of each [lo, hi] in turn."""
     xg, wg = _leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
+    edges = np.linspace(lo, hi, n_panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = np.shape(lo) + (-1,)
+    nodes = (mid[..., None] + half[..., None] * xg).reshape(shape)
+    wts = (half[..., None] * wg).reshape(shape)
     return nodes, wts
 
 
@@ -301,6 +305,17 @@ def _order_bucket(tau: float) -> int:
 # Each batch is reduced with np.sum, not a BLAS product: a threaded gemv
 # of this size ran several times slower on a shared CPU.
 _BATCH = 32768
+
+
+def _chunked(fn, rows: np.ndarray, width: int) -> np.ndarray:
+    """fn applied to consecutive chunks of the 1-d array `rows` and the
+    results concatenated; fn maps a chunk to one value per row and makes
+    temporaries of `width` floats per row.  A chunk holds at most
+    _BATCH // width rows, so each temporary stays within _BATCH floats
+    (256 KB) however many rows a call brings."""
+    step = max(1, _BATCH // width)
+    parts = [fn(rows[i:i + step]) for i in range(0, rows.size, step)]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _frac_heat_core(u, p, q, pts):

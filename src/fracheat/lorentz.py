@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _chunked, _gauss_panels
+
 __all__ = [
     "SampledFunction",
     "RearrangedProfile",
@@ -236,7 +238,6 @@ def riesz_potential_I2(thin_grid, f_values: np.ndarray, spec: PotentialSpec,
         decades = math.log10(spec.r / rho_min)
         order = 8
         n_panels = max(1, int(math.ceil(decades * nodes_per_decade / order)))
-        from .kernels import _gauss_panels
         u, wu = _gauss_panels(math.log(rho_min), math.log(spec.r), n_panels, order)
         rhos = np.exp(u)
         vals = np.array([_sqrt_mean_sq(thin_grid, f_values, spec.center, r)
@@ -293,38 +294,75 @@ def estimate1_check(thin_grid, f_values: np.ndarray,
     return Estimate1Report(lhs, rhs, c, lhs <= rhs * (1.0 + 1e-9), count)
 
 
+def _plateau_integrals(profile: RearrangedProfile, alpha: float,
+                       k: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int_(rho_k)^hi u^(alpha-1) (g**(u))^(1/2) du for each plateau index
+    k >= 1 (an integer array) and upper limit hi in (rho_k, rho_(k+1)], on
+    max(1, ceil(2 log10(hi / rho_k)) + 1) equal panels of 24 Gauss nodes.
+
+    Rows with the same panel count are evaluated together, and each row is
+    summed on its own, so its value does not depend on the other rows.
+    """
+    lo = profile.breakpoints[k]
+    # math.log10 rounds apart from np.log10 next to powers of ten, where a
+    # different rounding would change the panel count
+    n_panels = np.array([max(1, math.ceil(math.log10(q) * 2) + 1)
+                         for q in hi / lo], dtype=int)
+    out = np.empty(lo.size)
+    for n in np.unique(n_panels):
+        def sums(rows, n=int(n)):
+            u, wu = _gauss_panels(lo[rows], hi[rows], n, 24)
+            gss = profile.double_star(u)
+            return np.sum(wu * u ** (alpha - 1.0) * np.sqrt(np.maximum(gss, 0.0)),
+                          axis=-1)
+        sel = np.nonzero(n_panels == n)[0]
+        out[sel] = _chunked(sums, sel, int(n) * 24)
+    return out
+
+
 def profile_power_integral(profile: RearrangedProfile, alpha: float,
                            upper: float) -> float:
-    """int_0^upper u^(alpha-1) (g**(u))^(1/2) du, exact on the first plateau
-    and beyond the support, Gauss panels on the interior segments."""
-    if upper <= 0.0:
-        return 0.0
+    """int_0^upper u^(alpha-1) (g**(u))^(1/2) du (see _power_integral_table,
+    of which this is the case of one upper limit)."""
+    return float(_power_integral_table(profile, alpha)(upper))
+
+
+def _power_integral_table(profile: RearrangedProfile, alpha: float):
+    """The map upper -> int_0^upper u^(alpha-1) (g**(u))^(1/2) du for an
+    array of upper limits: exact on the first plateau and beyond the
+    support, Gauss panels on the interior segments.
+
+    The per-plateau table is built once: the closed form on the first
+    plateau, the cumulated integrals of the complete plateaus (24-node
+    Gauss panels, see _plateau_integrals) and the closed form beyond the
+    support, where g**(u) = mass / u.  Each upper limit then adds only the
+    panels of its partial plateau.
+    """
     if alpha <= 0.0 or alpha >= 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
     bps = profile.breakpoints
-    total = 0.0
-    # first plateau: g** is constant there
-    first_hi = min(upper, bps[1])
-    total += math.sqrt(max(profile.plateaus[0], 0.0)) * first_hi ** alpha / alpha
-    if upper <= bps[1]:
-        return total
-    from .kernels import _gauss_panels
-    for k in range(1, len(profile.plateaus)):
-        lo = bps[k]
-        hi = min(upper, bps[k + 1])
-        if hi <= lo:
-            break
-        n_panels = max(1, int(math.ceil(math.log10(hi / lo) * 2)) + 1)
-        u, wu = _gauss_panels(lo, hi, n_panels, 24)
-        gss = profile.double_star(u)
-        total += float(np.sum(wu * u ** (alpha - 1.0) * np.sqrt(np.maximum(gss, 0.0))))
-    if upper > profile.total_measure:
-        # beyond the support g**(u) = mass / u
-        mass = profile.integral_g_star(profile.total_measure)
-        lo = profile.total_measure
-        e = alpha - 0.5
-        total += math.sqrt(mass) * (upper ** e - lo ** e) / e
-    return total
+    root0 = math.sqrt(max(profile.plateaus[0], 0.0))
+    k = np.arange(1, len(profile.plateaus))
+    cum = np.cumsum(np.concatenate([
+        [root0 * bps[1] ** alpha / alpha],
+        _plateau_integrals(profile, alpha, k, bps[k + 1])]))
+    end = profile.total_measure
+    root_mass = math.sqrt(profile.integral_g_star(end))
+    e = alpha - 0.5
+
+    def integral(upper):
+        upper = np.asarray(upper, dtype=float)
+        out = np.zeros(upper.shape)
+        first = (upper > 0.0) & (upper <= bps[1])
+        out[first] = root0 * upper[first] ** alpha / alpha
+        inner = (upper > bps[1]) & (upper <= end)
+        k = np.searchsorted(bps, upper[inner]) - 1
+        out[inner] = cum[k - 1] + _plateau_integrals(profile, alpha, k,
+                                                     upper[inner])
+        beyond = upper > end
+        out[beyond] = cum[-1] + root_mass * (upper[beyond] ** e - end ** e) / e
+        return out
+    return integral
 
 
 def estimate2_check(thin_grid, f_values: np.ndarray, center, r: float,

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import FracParams, _leggauss
+from .kernels import _BATCH, FracParams, _chunked, _leggauss
 from .lorentz import (
+    _power_integral_table,
     PotentialSpec,
     RearrangedProfile,
     cylinder_measure_constant,
     estimate1_constant,
-    profile_power_integral,
     riesz_potential_I2,
 )
 
@@ -135,72 +135,135 @@ class ModulusPipelineConfig:
                    lam=d["lambda"], kmax=int(d["kmax"]))
 
 
-def dini_integral(omega, a: float, b: float, tol: float = 1e-10,
-                  max_segments: int = 900) -> float:
+def dini_integral(omega, a: float, b, tol: float = 1e-10,
+                  max_segments: int = 900):
     """int_a^b omega(t)/t dt honoring the integrable singularity at 0.
 
-    For a = 0 the interval is split dyadically towards 0; the tail beyond
-    the deepest segment is extrapolated from the observed decay of the
-    segment sums.  If the segment sums do not decay summably the integral
-    is declared divergent (refuting the Dini property) and a
-    DiniDivergenceError carrying the partial sums is raised.
+    For a = 0 the interval is split dyadically towards 0, and b may be an
+    array of upper limits, each integrated on its own segments
+    [b 2^-(k+1), b 2^-k].  A b stops at the first segment below
+    tol * max(1, sum of its segments), with a geometric tail.  A b whose
+    segments never get that small is summed over every segment and its
+    tail extrapolated from the observed decay of the segment sums; if they
+    do not decay summably the integral is declared divergent (refuting the
+    Dini property) and a DiniDivergenceError carrying the partial sums is
+    raised.
+
+    The b go in chunks of _BATCH // max(max_segments, 16), and a chunk's
+    segments are evaluated for all its b together, in blocks of about
+    _BATCH nodes: max(max_segments, 16) / 16 segments per b at first (at
+    least one), more as b stop, and all of them at once for a lone b.  The
+    stop rule reads the sum of the segments evaluated so far; it differs
+    from the sum of all segments only by the segments past the block, far
+    below tol of it.
     """
-    if a < 0.0 or b <= a:
+    b_arr = np.asarray(b, dtype=float)
+    if a < 0.0 or np.any(b_arr <= a):
         raise ValueError("need 0 <= a < b")
-    if b > 1.0 + 1e-12:
+    if np.any(b_arr > 1.0 + 1e-12):
         raise ValueError("dini integral is restricted to (0, 1]")
-    xg, wg = _leggauss(16)
-
-    def segment(lo, hi):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid + half * xg
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.asarray(omega(t), dtype=float) / t
-        return half * np.dot(wg, np.nan_to_num(vals, nan=0.0, posinf=0.0))
-
     if a > 0.0:
+        if b_arr.ndim:
+            raise ValueError("an array of upper limits needs a = 0")
+        b = float(b_arr)
+        xg, wg = _leggauss(16)
+
+        def segment(lo, hi):
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            t = mid + half * xg
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                vals = np.asarray(omega(t), dtype=float) / t
+            return half * np.dot(wg, np.nan_to_num(vals, nan=0.0, posinf=0.0))
+
         n_panels = max(1, int(math.ceil(math.log(b / a) / math.log(2.0))))
         edges = np.geomspace(a, b, n_panels + 1)
         return float(sum(segment(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
 
-    # a = 0: dyadic segments [b 2^-(k+1), b 2^-k], all nodes in one batch;
-    # stop well above the subnormal range so underflow cannot fake decay
-    K = min(max_segments, int(math.floor(math.log2(b / 1e-280))))
-    ks = np.arange(K)
-    his = b * 0.5 ** ks
-    los = his * 0.5
-    mids = 0.5 * (his + los)
-    halfs = 0.5 * (his - los)
-    t = (mids[:, None] + halfs[:, None] * xg[None, :]).ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.asarray(omega(t), dtype=float) / t
-    vals = np.nan_to_num(vals.reshape(K, -1), nan=0.0, posinf=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        segs = halfs * (vals @ wg)
-        partial = np.cumsum(segs)
-    if not np.all(np.isfinite(partial)):
-        raise DiniDivergenceError(
-            "omega(t)/t integral overflows under dyadic refinement", partial)
+    out = _chunked(lambda bs: _dini_from_zero(omega, bs, tol, max_segments),
+                   b_arr.ravel(), max(max_segments, 16))
+    return float(out[0]) if b_arr.ndim == 0 else out.reshape(b_arr.shape)
 
-    small = np.nonzero(segs < tol * max(partial[-1], 1.0))[0]
-    if small.size and small[0] >= 2:
-        K_eff = int(small[0])
-        ratio = segs[K_eff] / max(segs[K_eff - 1], 1e-300)
-        tail = segs[K_eff] * ratio / (1.0 - ratio) if ratio < 0.9 else 0.0
-        return float(partial[K_eff] + tail)
-    if small.size:
-        return float(partial[-1])
-    # extrapolate: fit segment decay s_k ~ c k^-p on the last stretch
-    k1, k2 = K // 2, K - 1
-    with np.errstate(divide="ignore"):
-        p_exp = math.log(max(segs[k1], 1e-300) / max(segs[k2], 1e-300)) \
-            / math.log(k2 / k1)
-    if p_exp <= 1.05:
-        raise DiniDivergenceError(
-            f"omega(t)/t integral not Cauchy: segment decay exponent "
-            f"{p_exp:.3f} <= 1 after {K} dyadic refinements", partial)
-    tail = segs[k2] * k2 / (p_exp - 1.0)
-    return float(partial[-1] + tail)
+
+def _first_small(segs, total, tol, n_seg):
+    """Index of the first of a row's n_seg segments below
+    tol * max(total, 1), or -1."""
+    small = ((segs < tol * np.maximum(total, 1.0)[:, None])
+             & (np.arange(segs.shape[1]) < n_seg[:, None]))
+    return np.where(small.any(axis=1), np.argmax(small, axis=1), -1)
+
+
+def _dini_from_zero(omega, b, tol, max_segments):
+    """int_0^b omega(t)/t dt for the 1-d array b (see dini_integral)."""
+    xg, wg = _leggauss(16)
+    # stop well above the subnormal range so underflow cannot fake decay
+    n_seg = np.minimum(max_segments,
+                       np.floor(np.log2(b / 1e-280))).astype(int)
+    n_max = int(n_seg.max())
+    segs = np.zeros((b.size, n_max))
+    partial = np.zeros((b.size, n_max))
+    out = np.empty(b.size)
+    todo = np.arange(b.size)              # rows that have not stopped
+    k0 = 0
+    while k0 < n_max:
+        known = min(k0 + _BATCH // (xg.size * todo.size), n_max)
+        ks = np.arange(k0, known)
+        his = b[todo, None] * 0.5 ** ks
+        los = his * 0.5
+        mids, halfs = 0.5 * (his + los), 0.5 * (his - los)
+        t = (mids[..., None] + halfs[..., None] * xg).ravel()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.asarray(omega(t), dtype=float) / t
+        if not np.isfinite(vals).all():
+            vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = np.where(ks < n_seg[todo, None],
+                           halfs * (vals.reshape(-1, xg.size) @ wg)
+                           .reshape(halfs.shape), 0.0)
+            # continue each row's running sum in the order of one cumsum
+            part = np.cumsum(np.column_stack([partial[todo, k0 - 1] if k0
+                                              else np.zeros(todo.size), seg]),
+                             axis=1)[:, 1:]
+        segs[todo, k0:known] = seg
+        partial[todo, k0:known] = part
+        finite = np.isfinite(part).all(axis=1)
+        if not finite.all():
+            row = todo[np.argmin(finite)]
+            raise DiniDivergenceError(
+                "omega(t)/t integral overflows under dyadic refinement",
+                partial[row, :n_seg[row]])
+        first = _first_small(segs[todo, :known], part[:, -1], tol, n_seg[todo])
+        stop = first >= 2
+        rows, k = todo[stop], first[stop]
+        ratio = segs[rows, k] / np.maximum(segs[rows, k - 1], 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(ratio < 0.9, segs[rows, k] * ratio / (1.0 - ratio), 0.0)
+        out[rows] = partial[rows, k] + tail
+        todo, first = todo[~stop], first[~stop]
+        if not todo.size:
+            return out
+        k0 = known
+
+    # the rows left were summed over all their segments
+    last = partial[todo, n_seg[todo] - 1]
+    out[todo] = last                      # a small segment among the first two
+    rows = first < 0
+    if np.any(rows):
+        r, K = todo[rows], n_seg[todo[rows]]
+        # extrapolate: fit segment decay s_k ~ c k^-p on the last stretch
+        k1, k2 = K // 2, K - 1
+        p_exp = np.array([
+            math.log(max(segs[i, j1], 1e-300) / max(segs[i, j2], 1e-300))
+            / math.log(j2 / j1)
+            for i, j1, j2 in zip(r, k1.tolist(), k2.tolist())])
+        bad = np.nonzero(p_exp <= 1.05)[0]
+        if bad.size:
+            i = bad[0]
+            raise DiniDivergenceError(
+                f"omega(t)/t integral not Cauchy: segment decay exponent "
+                f"{p_exp[i]:.3f} <= 1 after {K[i]} dyadic refinements",
+                partial[r[i], :K[i]])
+        out[r] = last[rows] + segs[r, k2] * k2 / (p_exp - 1.0)
+    return out
 
 
 def verify_dini(omega: ModulusOfContinuity, b: float = 1.0) -> bool:
@@ -462,42 +525,54 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
 
     For the nonincreasing integrands at hand the sup sits at a = 0; the
     log-spaced a-scan certifies this numerically rather than assuming it.
-    Each scan is one Gauss contraction over all shifts a > 0 at once.
+
+    K and its components (.components["K1"], ["K2"], ["K3"]) are
+    array-native: one call evaluates all its radii together, on the nodes
+    a radius-by-radius evaluation uses, so a radius gets the same value
+    alone or in an array.
+      - K1 at a = 0 is one dini_integral call on the array of sqrt r.
+      - K3 at a = 0 reads a per-plateau table of g, built here once (see
+        lorentz._power_integral_table); each radius adds only the Gauss
+        panels of its partial plateau.
+      - Each a-scan is one (radii x scan_points x 32) Gauss contraction.
+    Radii go in chunks that keep every temporary within kernels._BATCH
+    floats (256 KB; kernels._chunked).
     """
     C = cylinder_measure_constant(p.n)
     alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
     a_scan = np.geomspace(1e-6, 2.0, scan_points)
     xg, wg = _leggauss(32)
+    omega1_at_1 = float(omega1(1.0))
+    power_integral = _power_integral_table(g_profile, alpha)
 
     def scan_max(fn_over_t, h):
-        """max over a in a_scan of int_a^(a+h) fn_over_t(t) dt."""
-        lo, hi = a_scan, a_scan + h
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        t = mid[:, None] + half[:, None] * xg
-        vals = np.asarray(fn_over_t(t.ravel()), dtype=float).reshape(t.shape)
-        return float(np.max(half * (vals @ wg)))
+        """max over a in a_scan of int_a^(a+h) fn_over_t(t) dt, per h."""
+        h = np.asarray(h, dtype=float)
+
+        def rows(h):
+            lo, hi = a_scan, a_scan + h[:, None]
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = mid[..., None] + half[..., None] * xg
+            vals = np.asarray(fn_over_t(t.ravel()), dtype=float)
+            return np.max(half * (vals.reshape(-1, xg.size) @ wg)
+                          .reshape(half.shape), axis=1)
+        return _chunked(rows, h.ravel(), a_scan.size * xg.size).reshape(h.shape)
 
     def K1(r):
-        h = math.sqrt(r)
-        best = dini_integral(omega1, 0.0, min(h, 1.0))
-        if h > 1.0:
-            best += math.log(h) * float(omega1(1.0))  # constant extension
-        return max(best, scan_max(lambda t: omega1(np.minimum(t, 1.0)) / t, h))
+        h = np.sqrt(r)
+        # past h = 1, omega1 is extended by its constant value omega1(1)
+        best = (dini_integral(omega1, 0.0, np.minimum(h, 1.0))
+                + np.log(np.maximum(h, 1.0)) * omega1_at_1)
+        return np.maximum(best, scan_max(
+            lambda t: np.asarray(omega1(np.minimum(t, 1.0))) / t, h))
 
     def K3(r):
         h = C * r
-        best = profile_power_integral(g_profile, alpha, h)
-        return max(best, scan_max(
+        return np.maximum(power_integral(h), scan_max(
             lambda u: u ** (alpha - 1.0)
             * np.sqrt(np.maximum(g_profile.double_star(u), 0.0)), h))
 
-    def fn(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([K1(ri) + math.sqrt(ri) + K3(ri) for ri in r])
-        return out if out.size > 1 else out.reshape(())
-
-    out = ModulusOfContinuity.from_callable(fn, name="K",
-                                            is_half_decreasing=None)
-    out.components = {"K1": K1, "K2": math.sqrt, "K3": K3}
+    out = ModulusOfContinuity.from_callable(
+        lambda r: K1(r) + np.sqrt(r) + K3(r), name="K", is_half_decreasing=None)
+    out.components = {"K1": K1, "K2": np.sqrt, "K3": K3}
     return out
-

@@ -424,6 +424,9 @@ def interior_probe(U: ScalarField, center, side: float, lam: float,
         r = side * lam ** k
         window, wx, _ = grid.cylinder_weights(center, r)
         wy = _interval_overlap(grid.y_faces, y0 - r, y0 + r)
+        if not np.any(wy > 0.0):
+            raise ValueError(f"cube [{y0 - r:.3g}, {y0 + r:.3g}] in y meets no "
+                             f"y-cell of the grid (y in [0, {grid.rho:.3g}])")
         if not (_resolved(r, grid.dx)
                 and _resolved(r, np.diff(grid.y_faces)[wy > 0.0])):
             break

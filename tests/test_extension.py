@@ -12,10 +12,9 @@ from fracheat.generators import coefficient_generator
 from fracheat.extension import (
     _as_thin_array,
     _as_vector_array,
-    _dirichlet_rhs,
-    _forcing_rhs,
+    _assemble,
     _lattice_points,
-    _wrap_boundary,
+    _step_rhs,
     CoefficientField,
     solve_extension,
     steklov_average,
@@ -139,6 +138,51 @@ def _reference_assemble(grid, coeff):
     vals = np.concatenate([np.asarray(v).ravel() for v in vals])
     L = sp.csr_matrix((vals, (rows, cols)), shape=(nfull, nfull))
     return L, mass, dirichlet
+
+
+def _forcing_rhs(grid, f_slice, F_slice):
+    """Per-cell contributions of the bottom flux and the divergence forcing
+    at one time level, as the solver built them step by step before it
+    evaluated the data once for all levels: reference for _step_rhs."""
+    n = grid.n
+    rhs = np.zeros(grid.spatial_shape)
+    x_area = grid.x_cell_measures()
+    # bottom Neumann flux: + int_face f
+    rhs[..., 0] += f_slice * x_area
+    # divergence forcing: - sum over x faces of [y^a-weighted face F]
+    for axis in range(n):
+        Fd = F_slice[..., axis]
+        Fm = np.moveaxis(Fd, axis, 0)
+        faces = np.empty((grid.nx + 1,) + Fm.shape[1:])
+        faces[1:-1] = 0.5 * (Fm[1:] + Fm[:-1])
+        faces[0] = Fm[0]
+        faces[-1] = Fm[-1]
+        cross = np.moveaxis(x_area, axis, 0) / \
+            (grid.x_faces[axis][1] - grid.x_faces[axis][0])
+        div = (faces[1:] - faces[:-1]) * cross
+        rhs -= np.moveaxis(div[..., None] * grid.w_y, 0, axis) \
+            if n > 1 else div[..., None] * grid.w_y
+    return rhs
+
+
+def _dirichlet_rhs(grid, dirichlet, g, t):
+    """The Dirichlet datum at one time level, patch by patch."""
+    rhs = np.zeros(int(np.prod(grid.spatial_shape)))
+    for cells, T, pts in dirichlet:
+        vals = g(t, pts)
+        np.add.at(rhs, cells, T * vals)
+    return rhs
+
+
+def _wrap_boundary(lateral):
+    """Normalize Dirichlet data to g(t, pts) with pts rows (x..., y)."""
+    if lateral is None:
+        return lambda t, pts: np.zeros(pts.shape[0])
+
+    def g(t, pts):
+        cols = [np.full(pts.shape[0], t)] + [pts[:, d] for d in range(pts.shape[1])]
+        return np.asarray(lateral(*cols), dtype=float) * np.ones(pts.shape[0])
+    return g
 
 
 def _reference_march(grid, coeff, f=None, F=None, lateral_dirichlet=None,
@@ -278,6 +322,36 @@ def _dini_bump():
 
 class TestSeparableSolve:
     """The separable solve against the SuperLU march it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_step_rhs_matches_per_level_reference(self, n):
+        # the data evaluated once for all levels against the per-level
+        # face-by-face and patch-by-patch right-hand side
+        if n == 1:
+            g = small_grid(nt=6, nx=10, ny=8)
+            data = dict(f=smooth_random_data(4),
+                        F=lambda t, x: (0.3 * np.sin(2.0 * x) * np.cos(t),),
+                        lateral=lambda t, x, y: np.cos(x + t) * (1.0 + y))
+        else:
+            g = ParabolicGrid(FracParams(s=0.6, n=2), nt=4, nx=6, ny=5)
+            data = dict(f=lambda t, x1, x2: np.cos(x1) * np.sin(x2 + t),
+                        F=lambda t, x1, x2: (np.sin(x1 + t) * x2,
+                                             np.cos(x2 - t) * x1),
+                        lateral=lambda t, x1, x2, y:
+                            np.cos(x1 - x2 + t) * (1.0 + y))
+        coeff = _dini_bump() if n == 1 else CoefficientField.identity(2)
+        _, x_area, _, coupling, pts = _assemble(g, coeff)
+        rhs_at = _step_rhs(g, x_area, coupling, pts, data["f"], data["F"],
+                           data["lateral"])
+        _, _, dirichlet = _reference_assemble(g, coeff)
+        f_arr = _as_thin_array(g, data["f"])
+        F_arr = _as_vector_array(g, data["F"])
+        bc = _wrap_boundary(data["lateral"])
+        for level in range(g.nt + 1):
+            ref = (_forcing_rhs(g, f_arr[level], F_arr[level]).ravel()
+                   + _dirichlet_rhs(g, dirichlet, bc, g.t_nodes[level]))
+            np.testing.assert_allclose(rhs_at(level), ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("coeff, theta", [
         (CoefficientField.identity(1), 1.0),

@@ -6,7 +6,13 @@ from scipy.integrate import quad
 
 from fracheat.kernels import FracParams
 from fracheat.grids import ThinGrid
-from fracheat.lorentz import SampledFunction, decreasing_rearrangement
+from fracheat.lorentz import (
+    RearrangedProfile,
+    SampledFunction,
+    _power_integral_table,
+    decreasing_rearrangement,
+    profile_power_integral,
+)
 from fracheat.moduli import (
     ModulusOfContinuity,
     ModulusPipelineConfig,
@@ -51,6 +57,74 @@ class TestDiniIntegral:
     def test_log_dini_quad_oracle(self):
         oracle, _ = quad(lambda t: math.log(math.e / t), 0.0, 0.3)
         assert dini_integral(log_dini_mod(), 0.0, 0.3) == pytest.approx(oracle, rel=1e-8)
+
+    @staticmethod
+    def reference_dini_from_zero(omega, b, tol=1e-10, max_segments=900):
+        """The a = 0 integral as it was computed before the blocked path:
+        every segment at once, the stop rule on the sum of all of them."""
+        xg, wg = np.polynomial.legendre.leggauss(16)
+        K = min(max_segments, int(math.floor(math.log2(b / 1e-280))))
+        his = b * 0.5 ** np.arange(K)
+        los = his * 0.5
+        mids, halfs = 0.5 * (his + los), 0.5 * (his - los)
+        t = (mids[:, None] + halfs[:, None] * xg[None, :]).ravel()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.asarray(omega(t), dtype=float) / t
+        vals = np.nan_to_num(vals.reshape(K, -1), nan=0.0, posinf=0.0)
+        segs = halfs * (vals @ wg)
+        partial = np.cumsum(segs)
+        small = np.nonzero(segs < tol * max(partial[-1], 1.0))[0]
+        if small.size and small[0] >= 2:
+            k = int(small[0])
+            ratio = segs[k] / max(segs[k - 1], 1e-300)
+            tail = segs[k] * ratio / (1.0 - ratio) if ratio < 0.9 else 0.0
+            return float(partial[k] + tail)
+        if small.size:
+            return float(partial[-1])
+        k1, k2 = K // 2, K - 1
+        p_exp = math.log(max(segs[k1], 1e-300) / max(segs[k2], 1e-300)) \
+            / math.log(k2 / k1)
+        return float(partial[-1] + segs[k2] * k2 / (p_exp - 1.0))
+
+    # identity and log_dini stop in the first block, the pipeline omega1
+    # after about 130 segments, in a later one; inv_log_sq never meets the
+    # stop rule and is extrapolated; b = 1e-9 has 899 segments, not 900
+    @pytest.mark.parametrize("make", [identity_mod, log_dini_mod,
+                                      inv_log_sq_mod,
+                                      lambda: build_omega1(inv_log_sq_mod(), CFG)],
+                             ids=["identity", "log_dini", "inv_log_sq", "omega1"])
+    def test_array_b_matches_full_reference(self, make):
+        # the sum in blocks stops at the same segment with the same value as
+        # the sum over all segments: a different stop segment would move
+        # the value by about the stop threshold, 1e-10
+        omega = make()
+        bs = np.concatenate([np.geomspace(1e-3, 1.0, 23), [0.37, 1e-9]])
+        got = dini_integral(omega, 0.0, bs)
+        ref = [self.reference_dini_from_zero(omega, b) for b in bs]
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+        assert [dini_integral(omega, 0.0, b) for b in bs] == list(got)
+        assert got.shape == bs.shape and isinstance(dini_integral(omega, 0.0, 0.5), float)
+
+    def test_array_b_with_few_segments(self):
+        # max_segments = 8 puts 2048 b in a chunk (kernels._BATCH // 16),
+        # one segment of each in a block; 5000 b make three chunks
+        omega = identity_mod()
+        bs = np.geomspace(1e-4, 1.0, 5000)
+        got = dini_integral(omega, 0.0, bs, max_segments=8)
+        ref = [self.reference_dini_from_zero(omega, b, max_segments=8)
+               for b in bs[::97]]
+        np.testing.assert_allclose(got[::97], ref, rtol=1e-15, atol=0)
+
+    def test_array_b_divergence_and_guards(self):
+        ones = ModulusOfContinuity.from_callable(
+            lambda r: np.ones_like(np.asarray(r, dtype=float)))
+        with pytest.raises(DiniDivergenceError) as exc:
+            dini_integral(ones, 0.0, np.array([0.5, 1.0]))
+        assert exc.value.partial_sums.size == 900
+        with pytest.raises(ValueError):
+            dini_integral(identity_mod(), 0.0, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            dini_integral(identity_mod(), 0.1, np.array([0.5, 0.9]))
 
     def test_verify_dini_flags(self):
         om = identity_mod()
@@ -335,6 +409,149 @@ class TestBuildK:
         ref = self.per_a_loop_K(om1, prof, self.P)
         rs = np.array([1e-5, 3e-3, 0.05, 0.3, 1.0, 2.5])
         np.testing.assert_allclose(K(rs), [ref(r) for r in rs], rtol=1e-12, atol=0)
+
+    @staticmethod
+    def reference_power_integral(prof, alpha, upper):
+        """profile_power_integral as it was computed plateau by plateau."""
+        from fracheat.kernels import _gauss_panels
+        bps = prof.breakpoints
+        total = math.sqrt(max(prof.plateaus[0], 0.0)) \
+            * min(upper, bps[1]) ** alpha / alpha
+        if upper <= bps[1]:
+            return total
+        for k in range(1, len(prof.plateaus)):
+            lo, hi = bps[k], min(upper, bps[k + 1])
+            if hi <= lo:
+                break
+            n_panels = max(1, int(math.ceil(math.log10(hi / lo) * 2)) + 1)
+            u, wu = _gauss_panels(lo, hi, n_panels, 24)
+            total += float(np.sum(wu * u ** (alpha - 1.0) * np.sqrt(
+                np.maximum(prof.double_star(u), 0.0))))
+        if upper > prof.total_measure:
+            mass = prof.integral_g_star(prof.total_measure)
+            e = alpha - 0.5
+            total += math.sqrt(mass) * (upper ** e - prof.total_measure ** e) / e
+        return total
+
+    def test_power_integral_panel_count_next_to_power_of_ten(self):
+        # hi / lo = 100.00000000000006: math.log10 gives 2.0 and np.log10
+        # 2.0000000000000004, so ceil(2 log10) and the panel count would
+        # differ with numpy's rounding
+        prof = RearrangedProfile(np.array([0.0, 1.0, 300.0]),
+                                 np.array([3.0, 1.0]))
+        upper = np.array([100.00000000000006, 50.0, 0.5, 400.0])
+        ref = [self.reference_power_integral(prof, 0.2, u) for u in upper]
+        np.testing.assert_allclose(_power_integral_table(prof, 0.2)(upper), ref,
+                                   rtol=1e-12, atol=0)
+        # the scalar path estimate2_check uses is the reference bit for bit
+        assert [profile_power_integral(prof, 0.2, u) for u in upper] == ref
+
+    @staticmethod
+    def per_radius_K(omega1, prof, p, scan_points=21):
+        """K as it was computed before it took arrays: a Python loop over
+        radii, the Dini integral over all 900 segments, the power integral
+        plateau by plateau, one scan per radius.  Reference for the
+        array-native K."""
+        from fracheat.lorentz import cylinder_measure_constant
+        C = cylinder_measure_constant(p.n)
+        alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
+        a_scan = np.geomspace(1e-6, 2.0, scan_points)
+        xg, wg = np.polynomial.legendre.leggauss(32)
+        dini = TestDiniIntegral.reference_dini_from_zero
+
+        def power_integral(upper):
+            return TestBuildK.reference_power_integral(prof, alpha, upper)
+
+        def scan_max(fn_over_t, h):
+            lo, hi = a_scan, a_scan + h
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = mid[:, None] + half[:, None] * xg
+            vals = np.asarray(fn_over_t(t.ravel()), dtype=float).reshape(t.shape)
+            return float(np.max(half * (vals @ wg)))
+
+        def K(r):
+            h = math.sqrt(r)
+            k1 = dini(omega1, min(h, 1.0))
+            if h > 1.0:
+                k1 += math.log(h) * float(omega1(1.0))
+            k1 = max(k1, scan_max(lambda t: omega1(np.minimum(t, 1.0)) / t, h))
+            k3 = max(power_integral(C * r), scan_max(
+                lambda u: u ** (alpha - 1.0)
+                * np.sqrt(np.maximum(prof.double_star(u), 0.0)), C * r))
+            return k1 + math.sqrt(r) + k3
+        return K
+
+    @staticmethod
+    def random_profile():
+        from fracheat.lorentz import gridded_to_sampled
+        tg16 = ThinGrid(1, 1.0, 16, 16)
+        f = np.random.default_rng(3).normal(size=tg16.shape)
+        return decreasing_rearrangement(gridded_to_sampled(tg16, f ** 2))
+
+    RADII = np.concatenate([np.geomspace(1e-6, 2.5, 37),
+                            np.random.default_rng(7).uniform(1e-3, 1.2, 12)])
+
+    @pytest.mark.parametrize("om1, zero", [
+        (build_omega1(inv_log_sq_mod(), CFG), False),
+        (ModulusOfContinuity.from_callable(lambda r: np.asarray(r) ** 2), False),
+        (build_omega1(log_dini_mod(), CFG), True)],
+        ids=["omega1", "t_squared", "zero_profile"])
+    def test_array_K_matches_per_radius_reference(self, om1, zero):
+        prof = self.zero_profile() if zero else self.random_profile()
+        K = build_K(om1, prof, self.P, CFG)
+        ref = self.per_radius_K(om1, prof, self.P)
+        np.testing.assert_allclose(K(self.RADII), [ref(r) for r in self.RADII],
+                                   rtol=1e-12, atol=0)
+
+    def test_array_K_matches_scalar_calls(self):
+        prof = self.random_profile()
+        K = build_K(build_omega1(inv_log_sq_mod(), CFG), prof, self.P, CFG)
+        vals = K(self.RADII)
+        scalar = np.array([K(r) for r in self.RADII])
+        np.testing.assert_allclose(vals, scalar, rtol=1e-15, atol=0)
+        for name in ("K1", "K3"):
+            comp = K.components[name]
+            np.testing.assert_allclose(comp(self.RADII),
+                                       [comp(r) for r in self.RADII],
+                                       rtol=1e-15, atol=0)
+        assert K(self.RADII.reshape(7, 7)).shape == (7, 7)
+
+    def test_calls_per_K_grow_with_chunks_not_radii(self):
+        calls = {"omega1": 0, "double_star": 0}
+        om1 = build_omega1(inv_log_sq_mod(), CFG)
+
+        def counted_omega1(t):
+            calls["omega1"] += 1
+            return om1(t)
+        prof = self.random_profile()
+        double_star = prof.double_star
+
+        def counted_double_star(u):
+            calls["double_star"] += 1
+            return double_star(u)
+        prof.double_star = counted_double_star
+        K = build_K(ModulusOfContinuity.from_callable(counted_omega1), prof,
+                    self.P, CFG)
+        rng = np.random.default_rng(5)
+        # 180 radii: about as many as one K call of gradient_modulus_probe
+        for n in (3, 40, 180):
+            calls.update(omega1=0, double_star=0)
+            K(rng.uniform(1e-3, 1.2, n))
+            # K1: dini_integral takes 36 b a chunk (kernels._BATCH // 900)
+            # and reaches a chunk's stop segments, about 135, in three
+            # blocks; the a-scan takes 48 radii a chunk (_BATCH // (21 x 32)).
+            # K3: one call per panel count of the partial plateaus, and the
+            # scan.  The radius-by-radius K made two of each per radius.
+            scan = -(-n // 48)
+            assert calls["omega1"] <= 3 * -(-n // 36) + scan
+            assert calls["double_star"] <= 4 + scan
+
+    def test_non_dini_omega1_raises_from_array_call(self):
+        ones = ModulusOfContinuity.from_callable(
+            lambda r: np.ones_like(np.asarray(r, dtype=float)))
+        K = build_K(ones, self.zero_profile(), self.P, CFG)
+        with pytest.raises(DiniDivergenceError):
+            K(np.array([0.01, 0.25, 1.0]))
 
     def test_concave_majorant_within_factor_two(self):
         om1 = build_omega1(log_dini_mod(), CFG)

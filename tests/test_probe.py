@@ -551,6 +551,14 @@ class TestInteriorProbe:
         assert orders[0] > 3.0
         assert all(row["ratio"] < 10.0 for row in rows)
 
+    def test_cube_outside_y_range_rejected(self):
+        # y0 = 1.6 with side 0.3 lies above the grid's y-range [0, 1]
+        g = grid(nt=8, nx=32, ny=16)
+        U = sample_scalar(g, lambda t, x, y: 0.0 * t)
+        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        with pytest.raises(ValueError, match="meets no y-cell"):
+            interior_probe(U, (0.0, 0.0, 1.6), 0.3, 0.25, 3, psi)
+
     def test_boundary_touching_cube_rejected(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
