@@ -14,29 +14,27 @@ y = 0 and x-linear steady states are reproduced exactly.  Time stepping is
 the theta-method (implicit Euler by default, Crank-Nicolson optional).
 
 The step operator is a sum of Kronecker products,
-theta (Kx (x) Wy + Mx (x) Ky) + (Mx (x) Wy) / dt, for any diagonal A(x).  It
-is solved by fast diagonalization: the x-stiffness Kx is diagonalized once
-against the x-cell measures Mx, which decouples each step into one
-tridiagonal y-problem per x-eigenmode; the stacked y-problems are factored
-once with a pivoted banded LU and applied each step.  The x-direction is
-the one diagonalized because its mesh is uniform, so its eigenbasis is well
-conditioned; the graded y-mesh's resistances span up to 16 decades, and a
-y-eigenbasis loses the componentwise backward-error budget there (see
-`_separable_solver`).  Every step's componentwise backward error on the
-assembled operator is checked against the budget.
+theta (Kx (x) Wy + Mx (x) Ky) + (Mx (x) Wy) / dt, for any diagonal A(x).
+In the axis-separable reference of A, each a_dd is averaged over the other
+axes; it is A itself at n = 1 and whenever a_dd depends on x_d only.  The
+reference is solved by fast diagonalization: one nx x nx eigenbasis per
+x-axis decouples each step into one tridiagonal y-problem per x-eigenmode
+(see `_separable_solver`).  Where A does not split, conjugate gradients run
+on the true step operator, started from and preconditioned by that solve.
+Memory is linear in the unknowns.  Every step's componentwise backward
+error on the assembled operator is checked against the budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .kernels import FracParams
 from .grids import ParabolicGrid, ScalarField, sample_thin
 
 __all__ = [
@@ -123,18 +121,23 @@ def _lattice_points(grid, axis_arrays):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _harmonic(a):
+    return 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+
+
 def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     """Tensor factors of the stiffness operator L = Kx (x) Wy + Mx (x) Ky,
     and the Dirichlet coupling.
 
-    Returns (Kx, x_area, ky, coupling, face_points): Kx the sparse
-    x-stiffness per unit y-weight (x faces and lateral Dirichlet terms),
-    x_area the x-cell measures (Mx's diagonal), ky = (main, off) the
+    Returns ((Kx, factors), x_area, ky, coupling, face_points): Kx the
+    sparse x-stiffness per unit y-weight (x faces and lateral Dirichlet
+    terms), x_area the x-cell measures (Mx's diagonal), ky = (main, off) the
     diagonals of the tridiagonal y-stiffness per unit x-area (y faces and
     the top Dirichlet term), Wy = diag(grid.w_y); face_points (P, n+1) are
     the Dirichlet face points of every boundary patch (lateral faces, then
     the top face), and the sparse (unknowns, P) coupling maps the datum at
-    those points to the right-hand side.
+    those points to the right-hand side.  factors holds, per axis d, the
+    reference's dense 1-D stiffness K_d and cell widths w_d (`_kron_form`).
     """
     n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
     xidx = np.arange(nx ** n).reshape((nx,) * n)
@@ -143,22 +146,24 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     face = dx ** (n - 1)                                # x-face area
 
     rows, cols, vals = [], [], []
-    dirichlet = []
+    dirichlet, factors = [], []
     for axis in range(n):
         a_cell = np.moveaxis(coeff.axis_values(xc, axis).reshape((nx,) * n),
                              axis, 0)
-        harm = 2.0 * a_cell[:-1] * a_cell[1:] / (a_cell[:-1] + a_cell[1:])
-        T = (harm * face / dx).ravel()
+        T = (_harmonic(a_cell) * face / dx).ravel()
         c = np.moveaxis(xidx, axis, 0)
         c1, c2 = c[:-1].ravel(), c[1:].ravel()
         rows += [c1, c2, c1, c2]
         cols += [c2, c1, c1, c2]
         vals += [-T, -T, T, T]
+        T_ref = _harmonic(a_cell.reshape(nx, -1).mean(axis=1)) / dx
+        k_diag = np.append(T_ref, 0.0) + np.append(0.0, T_ref)
         for side in (0, -1):
             axes = list(grid.x_centers)
             axes[axis] = np.array([grid.x_faces[axis][side]])
-            Tb = coeff.axis_values(_lattice_points(grid, axes), axis) \
-                * face / (dx / 2.0)
+            a_face = coeff.axis_values(_lattice_points(grid, axes), axis)
+            Tb = a_face * face / (dx / 2.0)
+            k_diag[side] += a_face.mean() / (dx / 2.0)
             xcells = c[side].ravel()
             rows.append(xcells)
             cols.append(xcells)
@@ -166,6 +171,8 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
             dirichlet.append(((xcells[:, None] * ny + np.arange(ny)).ravel(),
                               np.multiply.outer(Tb, grid.w_y).ravel(),
                               _lattice_points(grid, axes + [grid.y_centers])))
+        factors.append((np.diag(k_diag) - np.diag(T_ref, 1) - np.diag(T_ref, -1),
+                        np.diff(grid.x_faces[axis])))
     Kx = sp.csr_matrix((np.concatenate(vals),
                         (np.concatenate(rows), np.concatenate(cols))),
                        shape=(nx ** n, nx ** n))
@@ -184,39 +191,92 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     # sums its terms in that order
     coupling = sp.csr_matrix((T, (cells, np.arange(T.size))),
                              shape=(nx ** n * ny, T.size))
-    return Kx, x_area, (ky_main, -1.0 / grid.res_y), coupling, face_points
+    return ((Kx, factors), x_area, (ky_main, -1.0 / grid.res_y), coupling,
+            face_points)
 
 
-def _separable_solver(Kx, x_area, ky, w_y, theta, dt):
-    """Solve (Mx (x) Wy / dt + theta L) u = b by fast diagonalization in x.
+def _kron_form(factors):
+    """The reference's x-stiffness sum_d M_0 (x) ... K_d ... (x) M_(n-1),
+    M_e = diag(w_e).  It is Kx whenever a_dd depends on x_d only."""
+    return sum(reduce(sp.kron, [sp.csr_matrix(K) if e == d else sp.diags(w)
+                                for e, (K, w) in enumerate(factors)])
+               for d in range(len(factors)))
 
-    With V = Mx^-1/2 Q from the eigenpairs (mu, Q) of Mx^-1/2 Kx Mx^-1/2,
-    V^T Mx V = I and V^T Kx V = diag(mu), so each x-eigenmode i decouples
-    into the tridiagonal y-problem (theta Ky + (theta mu_i + 1/dt) Wy).
-    The stacked y-problems are one tridiagonal matrix, factored once with
-    pivoting (LAPACK dgttrf) and applied per step (dgttrs).
 
-    The uniform x-mesh keeps this eigenbasis well conditioned.  The same
-    construction in y fails on the graded mesh: at s = 3/4 a y-eigenbasis
-    solve measured a componentwise backward error of 3.5e-9 at ny = 100 and
-    1.5e-4 at 128^3, against at most 1e-12 for this one on the same grids.
+def _separable_solver(factors, ky, w_y, theta, dt):
+    """Solve (Mx (x) Wy / dt + theta L) u = b by fast diagonalization in x
+    (Lynch, Rice and Thomas 1964), L the separable reference.
+
+    V_d = M_d^-1/2 Q_d, from the eigenpairs (mu_d, Q_d) of
+    M_d^-1/2 K_d M_d^-1/2, takes M_d to I and K_d to diag(mu_d).  So
+    V = V_0 (x) ... (x) V_(n-1), applied as n mode products, decouples each
+    x-eigenmode into the tridiagonal y-problem theta Ky + (theta mu_i + 1/dt)
+    Wy, mu the outer sum of the mu_d.  The stacked y-problems are factored
+    once with pivoting (LAPACK dgttrf) and applied per step (dgttrs).
+
+    x is the direction diagonalized because its mesh is uniform.  On the
+    graded y-mesh (resistances spanning 16 decades at s = 3/4) a
+    y-eigenbasis solve measured a componentwise backward error of 3.5e-9 at
+    ny = 100 and 1.5e-4 at 128^3, against at most 1e-12 for this one.
     """
-    scale = 1.0 / np.sqrt(x_area.ravel())
-    mu, Q = la.eigh(scale[:, None] * Kx.toarray() * scale[None, :])
-    V = scale[:, None] * Q
-    nmodes, ny = mu.size, w_y.size
+    V, mu = [], 0.0
+    for K, w in factors:
+        scale = 1.0 / np.sqrt(w)
+        mu_d, Q = la.eigh(scale[:, None] * K * scale[None, :])
+        V.append(scale[:, None] * Q)
+        mu = np.add.outer(mu, mu_d)
+    nx, nmodes, ny = V[0].shape[0], mu.size, w_y.size
     main = (theta * ky[0]
-            + np.multiply.outer(theta * mu + 1.0 / dt, w_y)).ravel()
+            + np.multiply.outer(theta * mu.ravel() + 1.0 / dt, w_y)).ravel()
     off = np.tile(np.append(theta * ky[1], 0.0), nmodes)[:-1]
     dl, d, du, du2, ipiv, info = la.lapack.dgttrf(off, main, off.copy())
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed (info={info})")
 
+    VT = [v.T for v in V]
+
+    def modes(b, mats):
+        for axis, W in enumerate(mats):     # of the (nx,)*n x ny array
+            b = W @ b.reshape(nx ** axis, nx, -1)
+        return b.ravel()
+
     def solve(b):
-        bh = (V.T @ b.reshape(nmodes, ny)).ravel()
-        uh, _ = la.lapack.dgttrs(dl, d, du, du2, ipiv, bh)
-        return (V @ uh.reshape(nmodes, ny)).ravel()
+        uh, _ = la.lapack.dgttrs(dl, d, du, du2, ipiv, modes(b, VT))
+        return modes(uh, V)
     return solve
+
+
+# The preconditioned condition number is at most (Lam/lam)^2, so the two
+# restart cycles of a step take at most about 15 Lam/lam iterations: a
+# bound of 35 for the checkerboard at eps = 0.4, which measured 12 to 18
+_CG_MAXITER = 200
+
+
+def _pcg(A, A_abs, b, u, precond, rtol, maxiter):
+    """Preconditioned CG on A u = b from u until the componentwise backward
+    error max |b - A u| / (|A| |u| + |b|) is at most rtol, or maxiter
+    iterations; returns (u, backward error, iterations).  maxiter = 0 only
+    measures u.  CG restarts from the true residual b - A u whenever its
+    recurrence has shrunk by 1e-6: the two drift apart by rounding, and on
+    the graded y-mesh the true one stalled near 1e-11 while the recurrence
+    went on (recomputing it every iteration instead diverged)."""
+    its = 0
+    while True:
+        r = b - A @ u
+        res = float(np.max(np.abs(r) / np.maximum(A_abs @ np.abs(u)
+                                                  + np.abs(b), 1e-300)))
+        if res <= rtol or its >= maxiter:
+            return u, res, its
+        stop, p, rz = 1e-6 * np.linalg.norm(r), 0.0, 1.0
+        while its < maxiter and np.linalg.norm(r) > stop:
+            z = precond(r)
+            rz, rz_old = float(r @ z), rz
+            p = z + (rz / rz_old) * p
+            Ap = A @ p
+            alpha = rz / float(p @ Ap)
+            u = u + alpha * p
+            r = r - alpha * Ap
+            its += 1
 
 
 def _as_thin_array(grid, data):
@@ -303,19 +363,25 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     divergence forcing (callable returning n components or array with a zero
     last component), lateral_dirichlet the Dirichlet datum g(t, x..., y) on
     the lateral and top boundary, initial the slice at the first time node.
-    theta = 1 is implicit Euler, theta = 0.5 Crank-Nicolson.  method
-    "direct" is the separable solve, "cg" preconditioned conjugate
-    gradients, "auto" the separable solve up to 1M unknowns.
+    theta = 1 is implicit Euler, theta = 0.5 Crank-Nicolson.
 
-    The returned field's meta records the worst linear-solve residual, the
-    per-step mass balance, and the solver path that ran ("separable" or
-    "cg"); a residual above rtol raises.
+    Each step starts from the separable solve of A's reference (see
+    `_assemble`).  Where A is its own reference to rounding (always at
+    n = 1) that is the answer; otherwise conjugate gradients on the true
+    step operator, preconditioned by the same solve (Concus and Golub 1973),
+    refine it to a componentwise backward error of rtol.  method "cg"
+    starts them from zero instead: a second route for `uniqueness_check`.
+
+    The returned field's meta records the worst backward error, the
+    per-step mass balance, the route that ran ("separable", "pcg" or "cg")
+    and the CG iterations; a backward error above max(100 rtol, 1e-9)
+    raises.
     """
     if coeff.n != grid.n:
         raise ValueError("coefficient dimension mismatch")
-    if method not in ("auto", "direct", "cg"):
+    if method not in ("auto", "cg"):
         raise ValueError(f"unknown method {method!r}")
-    Kx, x_area, ky, coupling, face_points = _assemble(grid, coeff)
+    (Kx, factors), x_area, ky, coupling, face_points = _assemble(grid, coeff)
     # unknowns x-major, y fastest
     L = (sp.kron(Kx, sp.diags(grid.w_y))
          + sp.kron(sp.diags(x_area.ravel()), sp.diags([ky[1], ky[0], ky[1]],
@@ -325,15 +391,12 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     dt = grid.dt
     A_step = sp.csr_matrix(sp.diags(mass / dt) + theta * L)
     B_step = sp.diags(mass / dt) - (1.0 - theta) * L
-
-    direct = method == "direct" or (method == "auto" and nfull <= 1_000_000)
-    if direct:
-        solve = _separable_solver(Kx, x_area, ky, grid.w_y, theta, dt)
-    else:
-        precond = sp.diags(1.0 / A_step.diagonal())
-        solve = lambda b: _cg(A_step, b, precond, rtol)
     A_abs = sp.csr_matrix((np.abs(A_step.data), A_step.indices, A_step.indptr),
                           shape=A_step.shape)
+    precond = _separable_solver(factors, ky, grid.w_y, theta, dt)
+    split = abs(Kx - _kron_form(factors)).max() <= 1e-14 * abs(Kx).max()
+    route = method if method == "cg" else ("separable" if split else "pcg")
+    maxiter = 0 if route == "separable" else _CG_MAXITER
 
     rhs_at = _step_rhs(grid, x_area, coupling, face_points, f, F,
                        lateral_dirichlet)
@@ -351,21 +414,18 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     out = np.empty((grid.nt + 1, nfull))
     out[0] = u
     worst_res = 0.0
+    iterations = 0
     mass_hist = [float(np.dot(mass, u))]
     rhs_prev = rhs_at(0)
     for m in range(grid.nt):
         rhs_next = rhs_at(m + 1)
         b = B_step @ u + theta * rhs_next + (1.0 - theta) * rhs_prev
-        u_new = solve(b)
-        if not np.all(np.isfinite(u_new)):
+        start = np.zeros(nfull) if route == "cg" else precond(b)
+        u, res, its = _pcg(A_step, A_abs, b, start, precond, rtol, maxiter)
+        if not np.all(np.isfinite(u)):
             raise RuntimeError("linear solve produced non-finite values")
-        # componentwise backward error: the right residual measure on the
-        # strongly graded meshes whose transmissibilities span many decades
-        r = np.abs(A_step @ u_new - b)
-        denom = A_abs @ np.abs(u_new) + np.abs(b)
-        res = float(np.max(r / np.maximum(denom, 1e-300)))
         worst_res = max(worst_res, res)
-        u = u_new
+        iterations += its
         rhs_prev = rhs_next
         out[m + 1] = u
         mass_hist.append(float(np.dot(mass, u)))
@@ -373,17 +433,9 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
         raise RuntimeError(f"linear solve residual {worst_res:.2e} exceeds budget")
     values = out.reshape((grid.nt + 1,) + grid.spatial_shape)
     return ScalarField(grid, values, meta={
-        "residual": worst_res, "theta": theta,
-        "method": "separable" if direct else "cg",
-        "mass_history": np.asarray(mass_hist),
+        "residual": worst_res, "theta": theta, "method": route,
+        "cg_iterations": iterations, "mass_history": np.asarray(mass_hist),
     })
-
-
-def _cg(A, b, precond, rtol):
-    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, M=precond, maxiter=20000)
-    if info != 0:
-        raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
-    return x
 
 
 def steklov_average(fld: ScalarField, h: float) -> ScalarField:
@@ -631,10 +683,10 @@ def regularity_estimates_check(W: ScalarField, r: float = 0.5) -> RegularityRepo
 def uniqueness_check(grid: ParabolicGrid, coeff: CoefficientField, f=None,
                      F=None, lateral_dirichlet=None, initial=None) -> float:
     """Weighted space-time L^2 distance between two solves that should
-    agree: the direct (separable) solve and preconditioned CG.
-    Discretization uniqueness shows as a near-zero value."""
-    base = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
-                           method="direct")
+    agree: the default route (the separable solve, corrected by
+    preconditioned CG where A does not split) and preconditioned CG from
+    zero.  Discretization uniqueness shows as a near-zero value."""
+    base = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial)
     cg = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
                          method="cg")
     return math.sqrt(grid.weighted_norm_sq(base.values - cg.values))

@@ -273,14 +273,14 @@ class ParabolicGrid:
         interpolants.
 
         The hat functions' Gram matrix int phi_k phi_j is tridiagonal with a
-        closed form per step; only the steps the window meets are read."""
-        h, u0, u1 = self._step_windows(t_lo, t_hi)
-        steps = np.nonzero(u1 > u0)[0]
-        if steps.size == 0:
+        closed form per step; only the steps the window meets are read.
+        u and v may hold every time node or only the `window_nodes`."""
+        nodes = self.window_nodes(t_lo, t_hi)
+        k0, k1 = nodes.start, nodes.stop - 1
+        if k1 <= k0:
             return np.zeros(np.broadcast_shapes(u.shape, v.shape)[1:])
-        k0, k1 = steps[0], steps[-1] + 1
-        h, u0, u1 = h[k0:k1], u0[k0:k1], u1[k0:k1]
-        a, b = u[k0:k1 + 1], v[k0:k1 + 1]
+        h, u0, u1 = (x[k0:k1] for x in self._step_windows(t_lo, t_hi))
+        a, b = (x if len(x) == k1 - k0 + 1 else x[nodes] for x in (u, v))
         cube = (u1 ** 3 - u0 ** 3) / 3.0
         diag = np.zeros(k1 - k0 + 1)
         diag[:-1] += h * ((1.0 - u0) ** 3 - (1.0 - u1) ** 3) / 3.0
@@ -289,6 +289,14 @@ class ParabolicGrid:
         return (np.tensordot(diag, a * b, axes=1)
                 + np.tensordot(off, a[:-1] * b[1:], axes=1)
                 + np.tensordot(off, a[1:] * b[:-1], axes=1))
+
+    def window_nodes(self, t_lo: float | None = None,
+                     t_hi: float | None = None) -> slice:
+        """The time nodes `time_integral_product` reads for [t_lo, t_hi]:
+        the ends of the steps the window meets."""
+        _, u0, u1 = self._step_windows(t_lo, t_hi)
+        steps = np.nonzero(u1 > u0)[0]
+        return slice(steps[0], steps[-1] + 2) if steps.size else slice(0, 0)
 
     def time_integral_sq(self, values: np.ndarray, t_lo: float | None = None,
                          t_hi: float | None = None) -> np.ndarray:

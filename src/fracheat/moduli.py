@@ -135,6 +135,14 @@ class ModulusPipelineConfig:
                    lam=d["lambda"], kmax=int(d["kmax"]))
 
 
+# The tail fit reads segments K // 2 and K - 1 of K: two distinct positive
+# indices need K >= 3.  A concave modulus's segment sums decay at most like
+# 2^-k (omega(t) = t), which the fit reads as exponent log 2 / log 1.5 =
+# 1.71 at K = 4 but 1 at K = 3, so with K = 3 every modulus that reaches
+# the fit is declared divergent.
+_MIN_SEGMENTS = 4
+
+
 def dini_integral(omega, a: float, b, tol: float = 1e-10,
                   max_segments: int = 900):
     """int_a^b omega(t)/t dt honoring the integrable singularity at 0.
@@ -157,6 +165,8 @@ def dini_integral(omega, a: float, b, tol: float = 1e-10,
     from the sum of all segments only by the segments past the block, far
     below tol of it.
     """
+    if max_segments < _MIN_SEGMENTS:
+        raise ValueError(f"max_segments must be at least {_MIN_SEGMENTS}")
     b_arr = np.asarray(b, dtype=float)
     if a < 0.0 or np.any(b_arr <= a):
         raise ValueError("need 0 <= a < b")

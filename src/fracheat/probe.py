@@ -134,7 +134,8 @@ def _fit(grid: ParabolicGrid, pieces, coef=None):
         nres = float(np.linalg.norm(M @ coef - rhs)
                      / max(np.linalg.norm(rhs), 1e-300))
     excesses = [float(np.sum(W * grid.time_integral_sq(
-        V - np.tensordot(coef, C, axes=1), *window)))
+        V[grid.window_nodes(*window)] - np.tensordot(coef, C, axes=1),
+        *window)))
         for V, window, W, C in pieces]
     return coef, excesses, nres
 

@@ -1,6 +1,8 @@
-"""One genuine pass of two benchmark workloads through the benchmark's own
+"""One genuine pass of each benchmark workload through the benchmark's own
 checks (perfbench/workloads.py, imported read-only): a change that breaks
 an invariant the benchmark asserts fails here, not only in a benchmark run.
+The n = 2 dual route runs on every seed the benchmark is judged on, since
+its extension solve is the one most exposed to solver changes.
 
 The first pass of `perfbench/run.py --seed <n>` builds its cases from
 np.random.default_rng(n); so do these tests.
@@ -25,7 +27,11 @@ def run_first_pass(name, seed):
 
 
 @pytest.mark.parametrize("name, seed", [
+    ("dtn_dual_route", 101),
     ("dtn_dual_route_2d", 101),
+    ("dtn_dual_route_2d", 102),
+    ("dtn_dual_route_2d", 103),
+    ("dtn_dual_route_2d", 4049),
     ("regularity_probe", 101),
     ("regularity_probe", 102),
     ("regularity_probe", 103),

@@ -98,6 +98,9 @@ class TestParabolicGrid:
                     lo_, hi_, points=grid.t_nodes, limit=200)[0]
                for j in range(v.shape[1])]
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        # the same result from only the nodes the window reads
+        cropped = v[grid.window_nodes(lo, hi)]
+        assert np.array_equal(grid.time_integral_sq(cropped, lo, hi), got)
 
     def test_time_integral_product_exact_on_interpolants(self, grid):
         from scipy.integrate import quad

@@ -115,6 +115,19 @@ class TestDiniIntegral:
                for b in bs[::97]]
         np.testing.assert_allclose(got[::97], ref, rtol=1e-15, atol=0)
 
+    def test_max_segments_below_tail_fit_rejected(self):
+        # with 1 or 2 segments the tail fit of omega(t) = t divided by zero,
+        # with 3 it declared the Lipschitz modulus divergent
+        for m in (0, 1, 2, 3):
+            with pytest.raises(ValueError, match="max_segments"):
+                dini_integral(identity_mod(), 0.0, np.array([0.5, 1.0]),
+                              max_segments=m)
+        got = dini_integral(identity_mod(), 0.0, np.array([0.5, 1.0]),
+                            max_segments=4)
+        ref = [self.reference_dini_from_zero(identity_mod(), b, max_segments=4)
+               for b in (0.5, 1.0)]
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
     def test_array_b_divergence_and_guards(self):
         ones = ModulusOfContinuity.from_callable(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
