@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as la
 
 from .kernels import FracParams, QuadratureSpec, dtn_constant, frac_heat_apply
 from .grids import ParabolicGrid, ScalarField
@@ -112,17 +111,17 @@ def extract_dtn(U: ScalarField, p: FracParams, layers: int = 4,
     return DtnExtract(values, residual, flagged, c_s, etas, fluxes)
 
 
-def steady_profile(p: FracParams, xi: float, n_cells: int = 4000,
-                   ymax: float | None = None):
+def steady_profile(p: FracParams, xi: float):
     """Decaying radial profile phi of the steady extension of cos(xi x):
-    (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a fine graded
-    1-d mesh with the same resistance scheme as the main solver.
+    (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a graded
+    1-d mesh of 4000 cells over (0, 14 / xi) with the same resistance scheme
+    as the main solver.
 
     Returns (phi, flux0): a vectorized interpolant and the flux limit
     lim_(y->0) y^a phi'(y)  (negative; -c_s * flux0 ~ xi^(2s))."""
     a = p.a
-    if ymax is None:
-        ymax = 14.0 / max(xi, 1e-6)
+    n_cells = 4000
+    ymax = 14.0 / max(xi, 1e-6)
     q = min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
     faces = ymax * (np.arange(n_cells + 1) / n_cells) ** q
     centers = 0.5 * (faces[1:] + faces[:-1])
@@ -146,8 +145,9 @@ def steady_profile(p: FracParams, xi: float, n_cells: int = 4000,
     main[0] += 1.0 / res_bot         # psi(0) = 0
     main[-1] += 1.0 / res_top
     rhs[-1] += -1.0 / res_top        # psi(ymax) = -1
-    A = sp.diags([lower, main, lower], [-1, 0, 1], format="csc")
-    psi_c = spla.splu(A).solve(rhs)
+    *_, psi_c, info = la.lapack.dgtsv(lower, main, lower, rhs)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal profile solve failed (info={info})")
 
     ys = np.concatenate([[0.0], centers, [ymax]])
     vals = np.concatenate([[1.0], 1.0 + psi_c, [0.0]])
@@ -205,16 +205,15 @@ def exponential_extension_data(p: FracParams):
 
 
 def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
-                  qspec: QuadratureSpec | None = None,
-                  interior_fraction: float = 0.5,
-                  time_window: tuple | None = None) -> dict:
+                  qspec: QuadratureSpec | None = None) -> dict:
     """Dual-route consistency: solve the extension of cos(xi x) with
     manufactured data, extract the weighted flux limit, and compare with the
     direct subordination quadrature of the same u (and the closed-form
-    spatial symbol) on interior cells.
+    spatial symbol) on the cells with |x - x0| <= rho / 2 and t >= t0.
 
-    Returns per-route sup/L2 relative discrepancies; boundary-adjacent cells
-    are excluded as flagged."""
+    Returns per-route sup/L2 relative discrepancies; flagged cells
+    (boundary-adjacent, or failing the extrapolation check) are excluded,
+    and a ValueError is raised when that leaves none."""
     if grid.n != 1:
         raise NotImplementedError("the dual-route check runs at n = 1")
     qspec = qspec or QuadratureSpec()
@@ -225,10 +224,8 @@ def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
     ext = extract_dtn(U, p)
 
     X = grid.x_centers[0]
-    keep_x = np.abs(X - grid.center[1]) <= interior_fraction * grid.rho
-    t_lo = time_window[0] if time_window else grid.center[0]
-    t_hi = time_window[1] if time_window else grid.t_range[1]
-    keep_t = (grid.t_nodes >= t_lo) & (grid.t_nodes <= t_hi)
+    keep_x = np.abs(X - grid.center[1]) <= 0.5 * grid.rho
+    keep_t = (grid.t_nodes >= grid.center[0]) & (grid.t_nodes <= grid.t_range[1])
 
     # direct quadrature: u is time-independent, one x-line suffices
     pts = np.column_stack([np.zeros(keep_x.sum()), X[keep_x]])
@@ -241,6 +238,10 @@ def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
     closed_block = np.broadcast_to(closed_line, ext_block.shape)
 
     ok = ~flag_block
+    if not ok.any():
+        raise ValueError(
+            f"no DtN cell left to compare at s = {p.s}: flagged fraction "
+            f"{flag_block.mean():.3g} of {flag_block.size} cells")
     scale = float(np.max(np.abs(closed_block)))
 
     def sup_l2(aa, bb):

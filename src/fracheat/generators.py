@@ -1,10 +1,10 @@
 """Named generators for experiment inputs: modulus families, coefficient
-fields, thin forcing data f, and divergence forcings F.
+fields and thin forcing data f.
 
-Every generator is referenced by (name, params) from experiment configs, so
-runs are reproducible from the config alone; anything random is a fixed
-finite Fourier sum drawn from a seeded generator, which keeps the data a
-closed-form function (stable under grid refinement).
+Each generator is fixed by its (name, params), so an input is reproducible
+from them alone; anything random is a fixed finite Fourier sum drawn from a
+seeded generator, which keeps the data a closed-form function (stable under
+grid refinement).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "modulus_generator",
     "coefficient_generator",
     "thin_data_generator",
-    "vector_data_generator",
     "critical_power_exponent",
 ]
 
@@ -190,28 +189,3 @@ def thin_data_generator(name: str, p: FracParams | None = None, **params):
             + 0.0 * np.asarray(x[0])
     raise KeyError(f"unknown thin data generator '{name}'")
 
-
-def vector_data_generator(name: str, n: int = 1, **params):
-    """Divergence-forcing families, as callables returning the n tangential
-    components (the normal component is identically zero)."""
-    amp = params.get("amp", 1.0)
-    if name == "zero":
-        return lambda t, *x: tuple(0.0 * np.asarray(t, dtype=float)
-                                   for _ in range(n))
-    if name == "cosine":
-        xi = params.get("xi", 2.0)
-
-        def F(t, *x):
-            base = amp * np.sin(xi * x[0]) + 0.0 * np.asarray(t)
-            return tuple(base if d == 0 else 0.0 * base for d in range(n))
-        return F
-    if name == "random_fourier":
-        seed = params.get("seed", 0)
-        comps = [thin_data_generator("random_fourier", n=n, seed=seed + 31 * d,
-                                     amp=amp, modes=params.get("modes", 3))
-                 for d in range(n)]
-
-        def F(t, *x):
-            return tuple(c(t, *x) for c in comps)
-        return F
-    raise KeyError(f"unknown vector data generator '{name}'")

@@ -11,9 +11,7 @@ boundary cells resolved by subsampling.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +22,9 @@ __all__ = [
     "ThinGrid",
     "ParabolicGrid",
     "ScalarField",
-    "VectorField",
     "sample_scalar",
     "sample_thin",
-    "save_field",
-    "load_field",
 ]
-
-_MAGIC = b"FHF1"
 
 
 def _interval_overlap(faces: np.ndarray, lo: float, hi: float,
@@ -316,19 +309,6 @@ class ParabolicGrid:
         wy = _interval_overlap(self.y_faces, 0.0, radius, self.params.a)
         return (t0 - radius ** 2, t0 + radius ** 2), wx, wy
 
-    def integrate_thick(self, values: np.ndarray, center=None,
-                        radius: float | None = None) -> float:
-        """int y^a v dt dX over Q*_radius(center) (whole cylinder when no
-        center/radius given)."""
-        if center is None:
-            center = self.center
-        if radius is None:
-            radius = self.rho
-        window, wx, wy = self.cylinder_weights(center, radius)
-        w = np.multiply.outer(np.multiply.outer(self.time_weights(*window),
-                                                wx), wy)
-        return float(np.sum(w * values))
-
     def weighted_norm_sq(self, values: np.ndarray, center=None,
                          radius: float | None = None) -> float:
         """int y^a v^2 dt dX over Q*_radius(center) (whole cylinder when no
@@ -400,25 +380,6 @@ class ScalarField:
         return math.sqrt(self.grid.weighted_norm_sq(self.values, center, radius))
 
 
-@dataclass
-class VectorField:
-    """R^(n+1)-valued field F(t, x) on the thin variables with F_last = 0;
-    stored on the (node-time, x-cell) lattice with a trailing component
-    axis."""
-
-    grid: ParabolicGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expect = (self.grid.nt + 1,) + (self.grid.nx,) * self.grid.n \
-            + (self.grid.n + 1,)
-        if self.values.shape != expect:
-            raise ValueError(f"values shape {self.values.shape} != {expect}")
-        if np.any(self.values[..., -1] != 0.0):
-            raise ValueError("normal component of F must vanish identically")
-
-
 def sample_scalar(grid: ParabolicGrid, fn) -> ScalarField:
     """Evaluate fn(t, x..., y) on the grid lattice."""
     mesh = grid.meshgrid()
@@ -433,47 +394,3 @@ def sample_thin(grid: ParabolicGrid, fn) -> np.ndarray:
     return np.asarray(fn(*mesh), dtype=float) * np.ones((grid.nt + 1,)
                                                         + (grid.nx,) * grid.n)
 
-
-# -- file format: JSON header + flat little-endian float64, row-major --
-
-def save_field(path, fld: ScalarField):
-    g = fld.grid
-    header = {
-        "kind": "scalar",
-        "n": g.n,
-        "s": g.params.s,
-        "a": g.params.a,
-        "rho": g.rho,
-        "nt": g.nt,
-        "nx": g.nx,
-        "ny": g.ny,
-        "q": g.q,
-        "center": list(g.center),
-        "t_range": list(g.t_range),
-        "order": "t,x...,y row-major",
-        "meta": {k: v for k, v in fld.meta.items()
-                 if isinstance(v, (int, float, str, bool))},
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    data = np.ascontiguousarray(fld.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(data.tobytes())
-
-
-def load_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a fracheat field file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        raw = fh.read()
-    grid = ParabolicGrid(FracParams(header["s"], header["n"]),
-                         rho=header["rho"], nt=header["nt"], nx=header["nx"],
-                         ny=header["ny"], q=header["q"],
-                         center=tuple(header["center"]),
-                         t_range=tuple(header["t_range"]))
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-    return ScalarField(grid, values, meta=header.get("meta", {}))

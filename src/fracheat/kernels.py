@@ -225,8 +225,12 @@ def _eval_u(u, t: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(u(t, x), dtype=float)
 
 
+# frac_heat_apply's refinement tolerance, relative to max(1, max |value|)
+_REFINE_TOL = 1e-4
+
+
 def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
-                    check_convergence: bool = False, tolerance: float = 1e-4):
+                    check_convergence: bool = False):
     """Apply the order-s fractional heat operator to u at the given points.
 
     Parameters
@@ -240,8 +244,8 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
-    quadrature differing beyond `tolerance`) is reported via the diagnostics
-    and a warning, never silently.
+    quadrature differing beyond 1e-4 max(1, max |value|)) is reported via
+    the diagnostics and a warning, never silently.
     """
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != 1 + p.n:
@@ -252,12 +256,13 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     coarse = _frac_heat_core(u, p, q.coarsened(), pts)
     diff = float(np.max(np.abs(values - coarse)))
     scale = max(1.0, float(np.max(np.abs(values))))
-    converged = diff <= tolerance * scale
+    converged = diff <= _REFINE_TOL * scale
     if not converged:
         warnings.warn(
             f"subordination quadrature not converged: refinement delta "
-            f"{diff:.3e} exceeds {tolerance:.1e} * scale", RuntimeWarning)
-    return values, FracHeatDiagnostics(values, coarse, diff, tolerance, converged)
+            f"{diff:.3e} exceeds {_REFINE_TOL:.1e} * scale", RuntimeWarning)
+    return values, FracHeatDiagnostics(values, coarse, diff, _REFINE_TOL,
+                                       converged)
 
 
 def _heat_residual_fd(u, pts, n, h=1e-4):
@@ -381,8 +386,7 @@ def marchaud_normalization(s: float, spec: QuadratureSpec | None = None) -> floa
 
 
 def check_master_bounds(p: FracParams, c1: float, c2: float,
-                        z_range=(0.1, 10.0), samples_per_decade: int = 24,
-                        tau_pad: float = 100.0) -> MasterBoundReport:
+                        z_range=(0.1, 10.0)) -> MasterBoundReport:
     """Empirical constants for the two-sided bounds on the subordination
     kernel K(tau, z) = c_s tau^(-s-1) G(tau, z) in the heat case beta = 2:
 
@@ -391,7 +395,8 @@ def check_master_bounds(p: FracParams, c1: float, c2: float,
 
     lambda_lower is the largest lower constant valid on the sampled diagonal
     region, Lambda_upper the smallest upper constant valid on the sampled
-    (tau, z) box (the diagonal range padded by `tau_pad` both ways).
+    (tau, z) box (the diagonal range padded by a factor 100 both ways),
+    both sampled at 24 points per decade.
     """
     if not 0.0 < c1 < c2:
         raise ValueError("need 0 < c1 < c2")
@@ -401,18 +406,18 @@ def check_master_bounds(p: FracParams, c1: float, c2: float,
     beta = 2.0
     cs = subordination_constant(p.s)
     ndec_z = math.log10(zhi / zlo)
-    zs = np.geomspace(zlo, zhi, max(2, int(ndec_z * samples_per_decade) + 1))
+    zs = np.geomspace(zlo, zhi, max(2, int(ndec_z * 24) + 1))
 
     expo = p.n + 2.0 * p.s + beta
     lam = math.inf
     for z in zs:
-        taus = np.geomspace(c1 * z * z, c2 * z * z, samples_per_decade)
+        taus = np.geomspace(c1 * z * z, c2 * z * z, 24)
         K = cs * taus ** (-p.s - 1.0) * heat_kernel(taus, z, p.n)
         lam = min(lam, float(np.min(K * z ** expo)))
 
     Lam = 0.0
-    tlo, thi = c1 * zlo * zlo / tau_pad, c2 * zhi * zhi * tau_pad
-    taus_all = np.geomspace(tlo, thi, max(2, int(math.log10(thi / tlo) * samples_per_decade) + 1))
+    tlo, thi = c1 * zlo * zlo / 100.0, c2 * zhi * zhi * 100.0
+    taus_all = np.geomspace(tlo, thi, max(2, int(math.log10(thi / tlo) * 24) + 1))
     for z in zs:
         K = cs * taus_all ** (-p.s - 1.0) * heat_kernel(taus_all, z, p.n)
         bound = z ** expo + taus_all ** (p.n / beta + 1.0 + 2.0 * p.s / beta)

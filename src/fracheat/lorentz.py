@@ -22,10 +22,8 @@ __all__ = [
     "PotentialSpec",
     "cylinder_measure_constant",
     "decreasing_rearrangement",
-    "double_star",
     "lorentz_norm",
     "lorentz_norm_forms",
-    "critical_lorentz_exponent",
     "gridded_to_sampled",
     "riesz_potential_I2",
     "estimate1_constant",
@@ -42,11 +40,6 @@ def cylinder_measure_constant(n: int) -> float:
     if ball is None:
         ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     return 2.0 * ball
-
-
-def critical_lorentz_exponent(s: float, n: int) -> float:
-    """The scaling-critical first Lorentz index (n+2)/(2s-1)."""
-    return (n + 2.0) / (2.0 * s - 1.0)
 
 
 @dataclass
@@ -73,15 +66,6 @@ class SampledFunction:
 
     def scaled(self, alpha: float) -> "SampledFunction":
         return SampledFunction(self.measures.copy(), alpha * self.values)
-
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.measures, self.values]),
-                   delimiter=",", header="measure,value", comments="")
-
-    @classmethod
-    def from_csv(cls, path) -> "SampledFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0], data[:, 1])
 
 
 @dataclass
@@ -158,11 +142,6 @@ def decreasing_rearrangement(f: SampledFunction) -> RearrangedProfile:
     merged_v = v[keep]
     breakpoints = np.concatenate([[0.0], np.cumsum(merged_m)])
     return RearrangedProfile(breakpoints, merged_v)
-
-
-def double_star(g: RearrangedProfile, rho: float) -> float:
-    """(1/rho) int_0^rho g*(tau) dtau, exact on the step structure."""
-    return g.double_star(rho)
 
 
 def lorentz_norm_forms(f: SampledFunction, p: float):

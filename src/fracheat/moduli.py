@@ -14,7 +14,7 @@ for r in (lam^(k+1), lam^k].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,15 +124,6 @@ class ModulusPipelineConfig:
             raise ValueError("lam must lie in (0, 1/4)")
         if self.kmax < 1:
             raise ValueError("kmax must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {"gamma": self.gamma, "delta_tilde": self.delta_tilde,
-                "lambda": self.lam, "kmax": self.kmax}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModulusPipelineConfig":
-        return cls(gamma=d["gamma"], delta_tilde=d["delta_tilde"],
-                   lam=d["lambda"], kmax=int(d["kmax"]))
 
 
 # The tail fit reads segments K // 2 and K - 1 of K: two distinct positive
@@ -299,16 +290,10 @@ def least_concave_majorant(r, w) -> ModulusOfContinuity:
         r = np.concatenate([[0.0], r])
         w = np.concatenate([[0.0], w])
     # dedupe equal radii keeping the larger value
-    keep_r, keep_w = [r[0]], [w[0]]
-    for ri, wi in zip(r[1:], w[1:]):
-        if ri == keep_r[-1]:
-            keep_w[-1] = max(keep_w[-1], wi)
-        else:
-            keep_r.append(ri)
-            keep_w.append(wi)
-    pts = list(zip(keep_r, keep_w))
+    r, first = np.unique(r, return_index=True)
+    w = np.maximum.reduceat(w, first)
     hull = []
-    for pt in pts:
+    for pt in zip(r, w):
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0.0:
@@ -323,8 +308,7 @@ def least_concave_majorant(r, w) -> ModulusOfContinuity:
 
 
 def build_omega1(omega_coeff: ModulusOfContinuity,
-                 cfg: ModulusPipelineConfig,
-                 n_samples: int = 600) -> ModulusOfContinuity:
+                 cfg: ModulusPipelineConfig) -> ModulusOfContinuity:
     """First pipeline modulus: concave-majorized max(omega_coeff(gamma r) /
     delta_tilde, r), normalized to 1 at r = 1, then composed with sqrt.
 
@@ -332,7 +316,7 @@ def build_omega1(omega_coeff: ModulusOfContinuity,
     scale_factor is the normalization divisor.
     """
     rs = np.unique(np.concatenate([
-        [0.0], np.geomspace(1e-14, 1.0, n_samples), np.linspace(0.0, 1.0, 257)]))
+        [0.0], np.geomspace(1e-14, 1.0, 600), np.linspace(0.0, 1.0, 257)]))
     raw = np.maximum(np.asarray(omega_coeff(cfg.gamma * rs)) / cfg.delta_tilde, rs)
     hull = least_concave_majorant(rs, raw)
     scale = float(hull(1.0))
@@ -399,25 +383,15 @@ def build_omega3_and_omega(omega1: ModulusOfContinuity,
     w3 = np.array([np.dot(w1[k::-1], w2[:k + 1]) for k in range(kmax + 1)])
     wg = np.maximum(w3, np.sqrt(R))
 
-    lam = cfg.lam
-
     def fn(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        for idx, ri in enumerate(r):
-            if ri >= R[0]:
-                out[idx] = wg[0] * math.sqrt(ri / R[0]) if ri > R[0] else wg[0]
-            elif ri <= R[kmax]:
-                out[idx] = wg[kmax] * math.sqrt(max(ri, 0.0) / R[kmax])
-            else:
-                k = int(math.floor(math.log(ri) / math.log(lam)))
-                k = min(max(k, 0), kmax - 1)
-                while k > 0 and ri > R[k]:          # guard log rounding
-                    k -= 1
-                while k < kmax - 1 and ri <= R[k + 1]:
-                    k += 1
-                out[idx] = max(wg[k + 1], wg[k] * math.sqrt(ri / R[k]))
-        return out if out.size > 1 else out.reshape(())
+        r = np.asarray(r, dtype=float)
+        pos = np.maximum(r, 0.0)
+        # k with R[k+1] < r <= R[k], by bisection on the ascending radii
+        k = np.clip(kmax - np.searchsorted(R[::-1], r), 0, kmax - 1)
+        return np.where(
+            r >= R[0], wg[0] * np.sqrt(pos / R[0]),
+            np.where(r <= R[kmax], wg[kmax] * np.sqrt(pos / R[kmax]),
+                     np.maximum(wg[k + 1], wg[k] * np.sqrt(pos / R[k]))))
 
     out = ModulusOfContinuity.from_callable(fn, name="omega",
                                             is_half_decreasing=True)
@@ -444,22 +418,13 @@ class SummabilityReport:
     holds: bool
 
     @property
-    def sum_omega1(self) -> float:
-        return float(self.partial_sums_omega1[-1])
-
-    @property
-    def sum_omega2(self) -> float:
-        return float(self.partial_sums_omega2[-1])
-
-    @property
     def sum_omega(self) -> float:
         return float(self.partial_sums_omega[-1])
 
 
 def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
                       f_values: np.ndarray, p: FracParams,
-                      cfg: ModulusPipelineConfig,
-                      tune_gamma: bool = True) -> SummabilityReport:
+                      cfg: ModulusPipelineConfig) -> SummabilityReport:
     """Verify the pipeline sums against their explicit bounds.
 
     gamma is tuned downward (halving) until the coefficient part of the
@@ -479,15 +444,14 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
         return (float(omega_coeff(g)) / dt
                 + dini_integral(omega_coeff, 0.0, g) / ((-math.log(math.sqrt(lam))) * dt))
 
-    if tune_gamma:
-        for _ in range(60):
-            if data_part_bound(gamma) <= 1.0:
-                break
-            gamma *= 0.5
-        else:
-            raise DiniDivergenceError(
-                "could not tune gamma: coefficient sum bound stays above 1",
-                np.array([]))
+    for _ in range(60):
+        if data_part_bound(gamma) <= 1.0:
+            break
+        gamma *= 0.5
+    else:
+        raise DiniDivergenceError(
+            "could not tune gamma: coefficient sum bound stays above 1",
+            np.array([]))
     cfg = replace(cfg, gamma=gamma)
 
     omega1 = build_omega1(omega_coeff, cfg)
@@ -525,8 +489,7 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
 
 
 def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
-            p: FracParams, cfg: ModulusPipelineConfig,
-            scan_points: int = 21) -> ModulusOfContinuity:
+            p: FracParams, cfg: ModulusPipelineConfig) -> ModulusOfContinuity:
     """Gradient modulus K = K1 + K2 + K3:
 
        K1(r) = sup_a int_a^(a+sqrt r) omega1(t)/t dt
@@ -544,13 +507,13 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
       - K3 at a = 0 reads a per-plateau table of g, built here once (see
         lorentz._power_integral_table); each radius adds only the Gauss
         panels of its partial plateau.
-      - Each a-scan is one (radii x scan_points x 32) Gauss contraction.
+      - Each a-scan is one (radii x 21 a-values x 32) Gauss contraction.
     Radii go in chunks that keep every temporary within kernels._BATCH
     floats (256 KB; kernels._chunked).
     """
     C = cylinder_measure_constant(p.n)
     alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
-    a_scan = np.geomspace(1e-6, 2.0, scan_points)
+    a_scan = np.geomspace(1e-6, 2.0, 21)
     xg, wg = _leggauss(32)
     omega1_at_1 = float(omega1(1.0))
     power_integral = _power_integral_table(g_profile, alpha)

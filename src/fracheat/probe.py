@@ -185,12 +185,6 @@ class ExcessSequence:
     def excess(self):
         return self.excess_thin + self.excess_thick
 
-    def to_csv(self, path):
-        rows = np.column_stack([self.ks, self.radii, self.excess,
-                                self.bounds, self.ratios])
-        np.savetxt(path, rows, delimiter=",",
-                   header="k,r,excess,bound,ratio", comments="")
-
 
 def resolvable_kmax(grid: ParabolicGrid, lam: float, kmax: int) -> int:
     """Largest k <= kmax whose radius lam^k spans CELLS_PER_RADIUS x-cells,
@@ -236,20 +230,19 @@ def combined_norm(U: ScalarField) -> float:
     return math.sqrt(thin + grid.weighted_norm_sq(U.values))
 
 
-def one_step_improvement(U: ScalarField, lams=None, center=None):
+def one_step_improvement(U: ScalarField, center=None):
     """Scan lam in {2^-2, ..., 2^-6} for the one-scale improvement
         E(lam) < lam^3
     on the input normalized to unit combined norm.  Returns
     (lam_found, achieved_ratio, table); lam_found is None when no scale
     achieves the bound."""
-    if lams is None:
-        lams = [2.0 ** -k for k in range(2, 7)]
+    lams = [2.0 ** -k for k in range(2, 7)]
     norm = combined_norm(U)
     if norm <= 0.0:
-        return max(lams), 0.0, [(lam, 0.0) for lam in lams]
+        return lams[0], 0.0, [(lam, 0.0) for lam in lams]
     Un = ScalarField(U.grid, U.values / norm)
     table = []
-    for lam in sorted(lams, reverse=True):
+    for lam in lams:
         fit = best_linear_fit(Un, lam, center)
         ratio = fit.excess / lam ** 3
         table.append((lam, ratio))
@@ -300,12 +293,6 @@ class ModulusProbeReport:
     pair_distances: np.ndarray
     pair_ratios: np.ndarray
     pair_cases: np.ndarray
-
-    def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.pair_distances,
-                                          self.pair_ratios,
-                                          self.pair_cases]),
-                   delimiter=",", header="distance,ratio,case", comments="")
 
 
 def _cells_in_half_cylinder(grid: ParabolicGrid):

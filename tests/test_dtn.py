@@ -89,6 +89,42 @@ class TestSteadyProfile:
         assert phi(0.0) == pytest.approx(1.0)
         assert phi(12.0) < 1e-3
 
+    @staticmethod
+    def splu_profile(p, xi):
+        """The profile's nodes, values and flux limit from a sparse LU
+        factorization of the same tridiagonal system, for reference."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        a, b, n_cells = p.a, 1.0 - p.a, 4000
+        ymax = 14.0 / xi
+        q = min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
+        faces = ymax * (np.arange(n_cells + 1) / n_cells) ** q
+        yc = 0.5 * (faces[1:] + faces[:-1])
+        w = np.diff(faces ** (1.0 + a)) / (1.0 + a)
+        res = (yc[1:] ** b - yc[:-1] ** b) / b
+        res_bot = yc[0] ** b / b
+        res_top = (ymax ** b - yc[-1] ** b) / b
+        main = xi * xi * w
+        main[:-1] += 1.0 / res
+        main[1:] += 1.0 / res
+        main[0] += 1.0 / res_bot
+        main[-1] += 1.0 / res_top
+        rhs = -xi * xi * w
+        rhs[-1] -= 1.0 / res_top
+        A = sp.diags([-1.0 / res, main, -1.0 / res], [-1, 0, 1], format="csc")
+        psi = spla.splu(A).solve(rhs)
+        return yc, 1.0 + psi, psi[0] / res_bot
+
+    @pytest.mark.parametrize("s", [0.55, 0.65, 0.75, 0.85, 0.95])
+    def test_tridiagonal_solve_matches_sparse_lu(self, s):
+        p = FracParams(s=s)
+        for xi in (0.5, 1.0, 2.0, 3.0):
+            phi, flux0 = steady_profile(p, xi)
+            yc, vals, ref_flux0 = self.splu_profile(p, xi)
+            assert np.max(np.abs(phi(yc) - vals)) <= 1e-11
+            assert abs(flux0 - ref_flux0) <= 1e-11 * abs(ref_flux0)
+
 
 class TestExtractDtn:
     def test_linear_field_zero_flux(self):
@@ -202,3 +238,9 @@ class TestDualRoute:
         rep2 = dtn_vs_direct(p, 2.0, ParabolicGrid(p, nt=48, nx=48, ny=48),
                              qspec=QuadratureSpec().refined())
         assert rep2["sup_extension_vs_direct"] < rep1["sup_extension_vs_direct"]
+
+    def test_every_cell_flagged_near_s_one_is_named(self):
+        # at s = 0.95 the extrapolation check flags every compared cell
+        p = FracParams(s=0.95)
+        with pytest.raises(ValueError, match=r"s = 0\.95: flagged fraction 1 "):
+            dtn_vs_direct(p, 1.0, ParabolicGrid(p, nt=64, nx=64, ny=64))

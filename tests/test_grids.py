@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from fracheat.kernels import FracParams
+from fracheat.extension import CoefficientField, solve_extension
 from fracheat.grids import (
     ThinGrid,
     ParabolicGrid,
     ScalarField,
-    VectorField,
     sample_scalar,
     sample_thin,
-    save_field,
-    load_field,
     _ball_overlap,
     _interval_overlap,
 )
@@ -56,7 +54,8 @@ class TestParabolicGrid:
         # int over Q*_r of y^a dt dX = 2 r^2 * (2r)^n * r^(1+a)/(1+a)
         r = 0.5
         a = grid.params.a
-        got = grid.integrate_thick(np.ones(grid.shape), center=(0.0, 0.0), radius=r)
+        got = grid.weighted_norm_sq(np.ones(grid.shape), center=(0.0, 0.0),
+                                    radius=r)
         expect = 2 * r ** 2 * (2 * r) * r ** (1 + a) / (1 + a)
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -212,19 +211,9 @@ class TestFields:
     def test_vector_normal_component_guard(self, grid):
         bad = np.zeros((grid.nt + 1, grid.nx, grid.n + 1))
         bad[..., -1] = 1.0
-        with pytest.raises(ValueError):
-            VectorField(grid, bad)
+        with pytest.raises(ValueError, match="normal component"):
+            solve_extension(grid, CoefficientField.identity(1), F=bad)
 
     def test_sample_thin_shape(self, grid):
         f = sample_thin(grid, lambda t, x: np.cos(x) * np.exp(t))
         assert f.shape == (grid.nt + 1, grid.nx)
-
-    def test_field_roundtrip(self, tmp_path, grid):
-        fld = sample_scalar(grid, lambda t, x, y: np.sin(t) + x * y)
-        fld.meta["tag"] = "roundtrip"
-        path = tmp_path / "f.fhf"
-        save_field(path, fld)
-        back = load_field(path)
-        assert np.array_equal(back.values, fld.values)
-        assert back.grid.ny == grid.ny
-        assert back.meta["tag"] == "roundtrip"

@@ -11,7 +11,6 @@ from fracheat.lorentz import (
     PotentialSpec,
     cylinder_measure_constant,
     decreasing_rearrangement,
-    double_star,
     lorentz_norm,
     lorentz_norm_forms,
     gridded_to_sampled,
@@ -80,22 +79,22 @@ class TestRearrangement:
 class TestDoubleStar:
     def test_inside_plateau(self):
         g = decreasing_rearrangement(SampledFunction([2.0], [5.0]))
-        assert double_star(g, 1.5) == pytest.approx(5.0)
+        assert g.double_star(1.5) == pytest.approx(5.0)
 
     def test_beyond_support_closed_form(self):
         # g* = h on [0, m): g**(2m) = h m / (2m) = h/2
         g = decreasing_rearrangement(SampledFunction([2.0], [5.0]))
-        assert double_star(g, 4.0) == pytest.approx(2.5)
+        assert g.double_star(4.0) == pytest.approx(2.5)
 
     def test_constant_profile(self):
         g = decreasing_rearrangement(SampledFunction([1.0, 1.0, 1.0], [3, 3, 3]))
         for rho in [0.5, 1.7, 3.0]:
-            assert double_star(g, rho) == pytest.approx(3.0)
+            assert g.double_star(rho) == pytest.approx(3.0)
 
     def test_rejects_nonpositive_rho(self):
         g = decreasing_rearrangement(SampledFunction([1.0], [1.0]))
         with pytest.raises(ValueError):
-            double_star(g, 0.0)
+            g.double_star(0.0)
 
     @staticmethod
     def scalar_integral(g, rho):
@@ -298,12 +297,3 @@ class TestMeasureConstant:
         assert cylinder_measure_constant(1) == pytest.approx(4.0)
         assert cylinder_measure_constant(2) == pytest.approx(2 * math.pi)
 
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        f = SampledFunction([0.5, 1.5], [2.0, -1.0])
-        path = tmp_path / "f.csv"
-        f.to_csv(path)
-        g = SampledFunction.from_csv(path)
-        assert np.allclose(g.measures, f.measures)
-        assert np.allclose(g.values, f.values)

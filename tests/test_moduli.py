@@ -191,6 +191,45 @@ class TestConcaveMajorant:
         assert np.allclose(again(r), hull(r), atol=1e-12)
         assert hull.is_concave is True
 
+    @staticmethod
+    def loop_majorant_vertices(r, w):
+        """The hull vertices with equal radii merged one sample at a time,
+        as the array merge replaced, for reference."""
+        order = np.argsort(r)
+        r, w = r[order], w[order]
+        if r[0] > 0.0:
+            r = np.concatenate([[0.0], r])
+            w = np.concatenate([[0.0], w])
+        keep_r, keep_w = [r[0]], [w[0]]
+        for ri, wi in zip(r[1:], w[1:]):
+            if ri == keep_r[-1]:
+                keep_w[-1] = max(keep_w[-1], wi)
+            else:
+                keep_r.append(ri)
+                keep_w.append(wi)
+        hull = []
+        for pt in zip(keep_r, keep_w):
+            while len(hull) >= 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0.0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(pt)
+        return np.array([h[0] for h in hull]), np.array([h[1] for h in hull])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_radii_merge_matches_loop(self, seed):
+        # repeated radii (with and without r = 0) in shuffled order; the
+        # merge keeps each radius's largest value, bit for bit
+        rng = np.random.default_rng(seed)
+        r = rng.choice(np.linspace(seed % 2, 1.0, 9), 40)
+        w = rng.uniform(0.0, 1.0, 40) + 2.0 * r
+        hull = least_concave_majorant(r, w)
+        ref_r, ref_w = self.loop_majorant_vertices(r, w)
+        assert np.array_equal(hull.samples_r, ref_r)
+        assert np.array_equal(hull.samples_w, ref_w)
+
 
 class TestOmega1:
     def test_config_rejects_boundary_gamma(self):
@@ -303,6 +342,49 @@ class TestOmega3AndOmega:
         sq = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
         omega = build_omega3_and_omega(sq, sq, CFG)
         assert np.allclose(omega(omega.dyadic_radii), omega.dyadic_values, rtol=1e-12)
+
+    @staticmethod
+    def loop_envelope(R, wg, r):
+        """The envelope one radius at a time, with the log bracketing and
+        its rounding guards that the bisection replaced, for reference."""
+        kmax, lam = len(R) - 1, R[1]
+        out = np.empty(len(r))
+        for idx, ri in enumerate(r):
+            if ri >= R[0]:
+                out[idx] = wg[0] * math.sqrt(ri / R[0]) if ri > R[0] else wg[0]
+            elif ri <= R[kmax]:
+                out[idx] = wg[kmax] * math.sqrt(max(ri, 0.0) / R[kmax])
+            else:
+                k = int(math.floor(math.log(ri) / math.log(lam)))
+                k = min(max(k, 0), kmax - 1)
+                while k > 0 and ri > R[k]:
+                    k -= 1
+                while k < kmax - 1 and ri <= R[k + 1]:
+                    k += 1
+                out[idx] = max(wg[k + 1], wg[k] * math.sqrt(ri / R[k]))
+        return out
+
+    @pytest.mark.parametrize("lam", [1.0 / 16.0, 0.2])
+    def test_envelope_matches_loop(self, lam):
+        cfg = ModulusPipelineConfig(lam=lam, kmax=12)
+        omega = build_omega3_and_omega(
+            build_omega1(log_dini_mod(), cfg),
+            ModulusOfContinuity.from_callable(
+                lambda r: 0.3 * np.asarray(r, dtype=float) ** 0.4), cfg)
+        R, wg = omega.dyadic_radii, omega.dyadic_values
+        rng = np.random.default_rng(3)
+        r = np.concatenate([
+            [0.0, 1.0, 1.5, 40.0, R[-1] * 0.5],
+            R, R * (1.0 + 1e-15), R * (1.0 - 1e-15),
+            np.nextafter(R, 0.0), np.nextafter(R, 2.0),
+            np.geomspace(R[-1] * 1e-3, 2.0, 400),
+            np.exp(rng.uniform(math.log(R[-1]), 0.0, 400))])
+        ref = self.loop_envelope(R, wg, r)
+        assert np.array_equal(omega(r), ref)
+        assert np.array_equal(omega(r[:400].reshape(20, 20)),
+                              ref[:400].reshape(20, 20))
+        assert omega(r[7]) == ref[7]
+        assert omega(r[7:8]).shape == (1,)
 
 
 def truncated_power_data(tg, s, n=1, trunc=0.02, amp=1.0):

@@ -1,15 +1,19 @@
-"""pyproject.toml declares only what the source tree has."""
+"""pyproject.toml declares only what the source tree has, and every
+module exports only names it defines."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+import fracheat
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _pyproject():
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)
 
@@ -29,3 +33,12 @@ def test_package_data_globs_match_files():
         for pattern in globs:
             assert any(any(d.glob(pattern)) for d in dirs), \
                 f"package-data {package!r}: {pattern!r} matches no file"
+
+
+@pytest.mark.parametrize("module", ["fracheat"] + [
+    f"fracheat.{m.name}" for m in pkgutil.iter_modules(fracheat.__path__)])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", [])
+               if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names undefined {missing}"

@@ -9,7 +9,6 @@ from fracheat.extension import CoefficientField, solve_extension
 from fracheat.generators import (
     coefficient_generator,
     thin_data_generator,
-    modulus_generator,
 )
 from fracheat.moduli import ModulusOfContinuity
 from fracheat.probe import (
@@ -324,18 +323,19 @@ class TestExcessSequence:
         assert seq.clamped_kmax < 10
         assert seq.requested_kmax == 10
 
-    def test_csv_export(self, tmp_path):
+    def test_one_radius_sequence_keeps_its_arrays(self):
+        # dx = 0.1 resolves only r = 1 at lam = 1/4: every per-radius record
+        # still holds one entry, not a scalar
         g = grid()
         U = sample_scalar(g, lambda t, x, y: x + 0.0 * t)
         one = ModulusOfContinuity.from_callable(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         seq = excess_sequence(U, 0.25, 3, one)
-        path = tmp_path / "seq.csv"
-        seq.to_csv(path)
-        # a one-radius sequence is one row: keep it 2-D
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert data.shape == (seq.ks.size, 5)
-        assert np.allclose(data[:, 2], seq.excess, rtol=1e-12, atol=0.0)
+        assert seq.clamped_kmax == 0
+        for rec in (seq.ks, seq.radii, seq.excess, seq.bounds, seq.ratios):
+            assert rec.shape == (1,)
+        assert seq.excess[0] == best_linear_fit(U, 1.0).excess
+        assert seq.drift_a.shape == seq.drift_b.shape == (0,)
 
 
 class TestOneStepImprovement:
