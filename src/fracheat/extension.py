@@ -211,8 +211,10 @@ def _separable_solver(factors, ky, w_y, theta, dt):
     M_d^-1/2 K_d M_d^-1/2, takes M_d to I and K_d to diag(mu_d).  So
     V = V_0 (x) ... (x) V_(n-1), applied as n mode products, decouples each
     x-eigenmode into the tridiagonal y-problem theta Ky + (theta mu_i + 1/dt)
-    Wy, mu the outer sum of the mu_d.  The stacked y-problems are factored
-    once with pivoting (LAPACK dgttrf) and applied per step (dgttrs).
+    Wy, mu the outer sum of the mu_d.  Each is symmetric positive definite
+    (Ky a weakly dominant M-matrix, mu_i >= 0, Wy > 0), so the stacked
+    y-problems are factored once as LDL^T without pivoting (LAPACK dpttrf)
+    and applied per step (dpttrs).
 
     x is the direction diagonalized because its mesh is uniform.  On the
     graded y-mesh (resistances spanning 16 decades at s = 3/4) a
@@ -229,7 +231,7 @@ def _separable_solver(factors, ky, w_y, theta, dt):
     main = (theta * ky[0]
             + np.multiply.outer(theta * mu.ravel() + 1.0 / dt, w_y)).ravel()
     off = np.tile(np.append(theta * ky[1], 0.0), nmodes)[:-1]
-    dl, d, du, du2, ipiv, info = la.lapack.dgttrf(off, main, off.copy())
+    d, e, info = la.lapack.dpttrf(main, off)
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed (info={info})")
 
@@ -241,7 +243,7 @@ def _separable_solver(factors, ky, w_y, theta, dt):
         return b.ravel()
 
     def solve(b):
-        uh, _ = la.lapack.dgttrs(dl, d, du, du2, ipiv, modes(b, VT))
+        uh, _ = la.lapack.dpttrs(d, e, modes(b, VT))
         return modes(uh, V)
     return solve
 

@@ -27,6 +27,7 @@ with columns (1, x - x0, y - y0).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,10 +64,8 @@ def _resolved(radius: float, widths) -> bool:
 
 def parabolic_distance(p1, p2) -> float:
     """max(sqrt|t1-t2|, ||X1-X2||) for points (t, X) in the thick space."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    return float(max(math.sqrt(abs(p1[0] - p2[0])),
-                     np.linalg.norm(p1[1:] - p2[1:])))
+    dX = [a - b for a, b in zip(p1[1:], p2[1:])]
+    return float(max(math.sqrt(abs(p1[0] - p2[0])), np.linalg.norm(dX)))
 
 
 @dataclass
@@ -302,6 +301,15 @@ def _cells_in_half_cylinder(grid: ParabolicGrid):
     return (np.nonzero(tmask)[0], np.nonzero(xmask)[0], np.nonzero(ymask)[0])
 
 
+def _nearest(nodes: list, v: float) -> int:
+    """Index of the node of the ascending list nearest v, a tie going to the
+    lower index as in np.argmin(np.abs(nodes - v))."""
+    i = bisect.bisect_left(nodes, v)
+    if i == len(nodes) or (i > 0 and v - nodes[i - 1] <= nodes[i] - v):
+        return i - 1
+    return i
+
+
 def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
                            seed: int = 0) -> ModulusProbeReport:
     """Sample stratified point pairs in the half cylinder and report the
@@ -319,7 +327,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     rng = np.random.default_rng(seed)
     gx, gy = grid.gradient(U.values)
     ti, xi_, yi = _cells_in_half_cylinder(grid)
-    t_nodes, x_c, y_c = grid.t_nodes, grid.x_centers[0], grid.y_centers
+    t_nodes, x_c, y_c = (grid.t_nodes.tolist(), grid.x_centers[0].tolist(),
+                         grid.y_centers.tolist())
 
     h_min = min(grid.dx, math.sqrt(grid.dt))
     decades = []
@@ -337,7 +346,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     attempts = 0
     while len(dists) < n_pairs and attempts < 40 * n_pairs:
         attempts += 1
-        i1 = (rng.choice(ti), rng.choice(xi_), rng.choice(yi))
+        # c[rng.integers(0, c.size)] is the draw of rng.choice(c), 4x cheaper
+        i1 = tuple(int(c[rng.integers(0, c.size)]) for c in (ti, xi_, yi))
         target = decades[rng.integers(0, n_dec)] * rng.uniform(0.5, 1.0)
         # random parabolic displacement at the target scale, snapped to cells
         dt_ = rng.uniform(-1.0, 1.0) * target ** 2
@@ -349,30 +359,25 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
         if abs(t2 - grid.center[0]) > 0.25 or abs(x2 - grid.center[1]) > 0.5 \
                 or not 0.0 < y2 < 0.5:
             continue
-        i2 = (int(np.argmin(np.abs(t_nodes - t2))),
-              int(np.argmin(np.abs(x_c - x2))),
-              int(np.argmin(np.abs(y_c - y2))))
+        i2 = (_nearest(t_nodes, t2), _nearest(x_c, x2), _nearest(y_c, y2))
         p1 = (t_nodes[i1[0]], x_c[i1[1]], y_c[i1[2]])
         p2 = (t_nodes[i2[0]], x_c[i2[1]], y_c[i2[2]])
         dist = parabolic_distance(p1, p2)
         if dist < h_min / 2.0 or dist > 0.45:
             continue
-        g1 = np.array([gx[i1], gy[i1]])
-        g2 = np.array([gx[i2], gy[i2]])
         y1_, y2_ = min(p1[2], p2[2]), max(p1[2], p2[2])
         interior = dist <= y1_ / 4.0
         if not interior:
             geometry_ok &= (y2_ <= 6.0 * dist + 1e-12)
         dists.append(dist)
-        incs.append(float(np.linalg.norm(g1 - g2)))
+        incs.append(float(np.linalg.norm((gx[i1] - gx[i2], gy[i1] - gy[i2]))))
         cases.append(0 if interior else 1)
 
     # time-increment pairs: same spatial cell, varying time separation
     rdts, dus = [], []
     for _ in range(n_pairs // 4):
         j1, j2 = rng.choice(ti, size=2, replace=False)
-        ix = rng.choice(xi_)
-        iy = rng.choice(yi)
+        ix, iy = (int(c[rng.integers(0, c.size)]) for c in (xi_, yi))
         dt_ = abs(t_nodes[j1] - t_nodes[j2])
         if dt_ <= 0:
             continue

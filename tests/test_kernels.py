@@ -205,6 +205,72 @@ class TestZetaRule:
             assert 1.0 - w.sum() == pytest.approx(tail, rel=1e-6)
 
 
+def _row_major_zeta(q, n, factor):
+    """The zeta grid as a row-major (k, n) stack of the 1-d nodes."""
+    x1 = zeta_nodes(q, 1, factor)[0][:, 0]
+    grids = np.meshgrid(*([x1] * n), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _row_major_core(u, p, q, pts):
+    """The subordination sum with the shifted points formed as one row-major
+    (m, k, n) array: the same nodes, weights, batches and reduction."""
+    taus, tw = kernels.tau_nodes(q)
+    t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
+    u_here = kernels._eval_u(u, t0, x0, p.n)
+    acc = (kernels._heat_residual_fd(u, pts, p.n)
+           * q.tau_cutoff_low ** (1.0 - p.s) / (1.0 - p.s))
+    for tau, wt in zip(taus, tw):
+        f = kernels._order_bucket(tau)
+        zeta, zw = _row_major_zeta(q, p.n, f), zeta_nodes(q, p.n, f)[1]
+        srt = math.sqrt(tau)
+        inner = np.zeros(m)
+        step = max(1, kernels._BATCH // m)
+        for lo in range(0, zw.size, step):
+            z, w = zeta[lo:lo + step], zw[lo:lo + step]
+            xs = x0[:, None, :] - srt * z[None, :, :]
+            ts = np.repeat(t0 - tau, w.size)
+            shifted = kernels._eval_u(u, ts, xs.reshape(-1, p.n),
+                                      p.n).reshape(m, -1)
+            inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
+        acc += wt * tau ** (-p.s - 1.0) * inner
+    return subordination_constant(p.s) * acc
+
+
+class TestColumnLayout:
+    """The column-built points give the row-major sum bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zeta_grid_values_and_layout(self, n):
+        for factor in sorted({f for _, f in _ZETA_ORDER}):
+            zeta, _ = zeta_nodes(QuadratureSpec(), n, factor)
+            assert np.array_equal(zeta, _row_major_zeta(QuadratureSpec(), n,
+                                                         factor))
+            assert zeta.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n, batch", [(1, 32768), (1, 1000), (2, 32768),
+                                          (2, 1000)])
+    def test_matches_row_major_bit_for_bit(self, n, batch, monkeypatch):
+        monkeypatch.setattr(kernels, "_BATCH", batch)
+        shapes = []
+
+        def u(t, x):
+            shapes.append((t.shape, x.shape))
+            if n == 1:
+                return np.exp(t) * np.cos(1.3 * x)
+            return np.exp(t) * np.cos(1.3 * x[:, 0] - 0.4 * x[:, 1])
+
+        p, q = FracParams(s=0.7, n=n), QuadratureSpec(nodes_per_decade=6)
+        pts = np.array([[0.0] + [0.1, -0.2][:n], [0.3] + [-0.5, 0.4][:n],
+                        [-0.2] + [0.0, 0.9][:n]])
+        values, diag = frac_heat_apply(u, p, q, pts, check_convergence=True)
+        # x is (M, n) at n = 2; at n = 1 u gets the one column, (M,)
+        assert all(x == ((t[0], n) if n > 1 else t) for t, x in shapes)
+        assert np.array_equal(values, _row_major_core(u, p, q, pts))
+        assert np.array_equal(diag.coarse_values,
+                              _row_major_core(u, p, q.coarsened(), pts))
+
+
 class TestErrorTable:
     """Closed-form symbols with the default spec at t = 0, x = 0, where
     u = 1 and the error is the symbol's amplitude error.  Each bound is the
