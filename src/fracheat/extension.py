@@ -94,11 +94,12 @@ class CoefficientField:
             raise ValueError("two-point flux assembly needs diagonal A")
         return A[:, axis, axis]
 
-    def verify_ellipticity(self, x_points: np.ndarray, tol: float = 1e-10) -> bool:
+    def verify_ellipticity(self, x_points: np.ndarray) -> bool:
+        """lam_ell <= eig(sym A) <= Lam_ell at the points, to 1e-10."""
         A = self.matrices(x_points)
         eig = np.linalg.eigvalsh(0.5 * (A + np.transpose(A, (0, 2, 1))))
-        return bool(np.all(eig >= self.lam_ell - tol)
-                    and np.all(eig <= self.Lam_ell + tol))
+        return bool(np.all(eig >= self.lam_ell - 1e-10)
+                    and np.all(eig <= self.Lam_ell + 1e-10))
 
     def oscillation_check(self, x_points: np.ndarray, radii) -> bool:
         """Measured sup_(|x-x'| <= r) |A(x) - A(x')| <= modulus(r) on pairs."""
@@ -116,7 +117,7 @@ class CoefficientField:
         return ok
 
 
-def _lattice_points(grid, axis_arrays):
+def _lattice_points(axis_arrays):
     mesh = np.meshgrid(*axis_arrays, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -141,7 +142,7 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     """
     n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
     xidx = np.arange(nx ** n).reshape((nx,) * n)
-    xc = _lattice_points(grid, grid.x_centers)          # (nx^n, n)
+    xc = _lattice_points(grid.x_centers)                # (nx^n, n)
     x_area = grid.x_cell_measures()                     # (nx,)*n
     face = dx ** (n - 1)                                # x-face area
 
@@ -161,7 +162,7 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
         for side in (0, -1):
             axes = list(grid.x_centers)
             axes[axis] = np.array([grid.x_faces[axis][side]])
-            a_face = coeff.axis_values(_lattice_points(grid, axes), axis)
+            a_face = coeff.axis_values(_lattice_points(axes), axis)
             Tb = a_face * face / (dx / 2.0)
             k_diag[side] += a_face.mean() / (dx / 2.0)
             xcells = c[side].ravel()
@@ -170,7 +171,7 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
             vals.append(Tb)
             dirichlet.append(((xcells[:, None] * ny + np.arange(ny)).ravel(),
                               np.multiply.outer(Tb, grid.w_y).ravel(),
-                              _lattice_points(grid, axes + [grid.y_centers])))
+                              _lattice_points(axes + [grid.y_centers])))
         factors.append((np.diag(k_diag) - np.diag(T_ref, 1) - np.diag(T_ref, -1),
                         np.diff(grid.x_faces[axis])))
     Kx = sp.csr_matrix((np.concatenate(vals),
@@ -184,7 +185,7 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     ky_main[-1] += 1.0 / grid.res_top
     dirichlet.append((xidx.ravel() * ny + ny - 1,
                       x_area.ravel() / grid.res_top,
-                      _lattice_points(grid, list(grid.x_centers)
+                      _lattice_points(list(grid.x_centers)
                                       + [np.array([grid.rho])])))
     cells, T, face_points = (np.concatenate(part) for part in zip(*dirichlet))
     # one column per face point, in patch order, so a cell on two patches
@@ -631,11 +632,13 @@ class RegularityReport:
     r: float
 
 
-def regularity_estimates_check(W: ScalarField, r: float = 0.5) -> RegularityReport:
-    """Interior estimates for a zero-flux constant-coefficient solution:
-    scaled sup bounds of (d_t, D_x, D_x^2) by the oscillation on the double
-    cylinder, the max by the weighted L^2 norm, and |W_y| <= C ||W|| y."""
+def regularity_estimates_check(W: ScalarField) -> RegularityReport:
+    """Interior estimates for a zero-flux constant-coefficient solution on
+    the cylinder of radius r = 0.5: scaled sup bounds of (d_t, D_x, D_x^2)
+    by the oscillation on the double cylinder, the max by the weighted L^2
+    norm, and |W_y| <= C ||W|| y."""
     grid = W.grid
+    r = 0.5
     half = r / 2.0
 
     def region_mask(rad, ymax):

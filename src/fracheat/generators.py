@@ -65,7 +65,7 @@ def modulus_generator(name: str, **params) -> ModulusOfContinuity:
         fn = lambda r: c * np.ones_like(np.asarray(r, dtype=float))
     else:
         raise KeyError(f"unknown modulus generator '{name}'")
-    return ModulusOfContinuity.from_callable(fn, name=name)
+    return ModulusOfContinuity(fn, name=name)
 
 
 def _bump_profile(modulus, eps):
@@ -101,7 +101,7 @@ def coefficient_generator(name: str, n: int = 1, **params) -> CoefficientField:
             r = np.linalg.norm(x, axis=1)
             return np.eye(n)[None] + eta(r)[:, None, None] * M[None]
 
-        osc = ModulusOfContinuity.from_callable(
+        osc = ModulusOfContinuity(
             lambda r: 2.0 * eps * m_norm
             * np.asarray(mod(np.minimum(r, 1.0)), dtype=float),
             name=f"osc_{name}")
@@ -118,7 +118,7 @@ def coefficient_generator(name: str, n: int = 1, **params) -> CoefficientField:
             pattern = np.prod(np.sin(math.pi * k * x), axis=1)
             return np.eye(n)[None] + eps * pattern[:, None, None] * M[None]
 
-        osc = ModulusOfContinuity.from_callable(
+        osc = ModulusOfContinuity(
             lambda r: 2.0 * eps * m_norm
             * np.minimum(math.pi * k * np.asarray(r, dtype=float), 1.0),
             name=f"osc_{name}")

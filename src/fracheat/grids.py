@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import FracParams
+from .kernels import FracParams, _chunked, _pow
 
 __all__ = [
     "ThinGrid",
@@ -27,22 +27,29 @@ __all__ = [
 ]
 
 
-def _interval_overlap(faces: np.ndarray, lo: float, hi: float,
+def _interval_overlap(faces: np.ndarray, lo, hi,
                       a: float = 0.0) -> np.ndarray:
     """Per-cell integral of y^a over the overlap of the cells given by
     `faces` with [lo, hi], exact by the closed-form antiderivative; with
-    a = 0 it is the overlap length."""
+    a = 0 it is the overlap length.  Array lo, hi with a last axis of
+    length 1 give one row of cells per interval."""
     left = np.maximum(faces[:-1], lo)
     right = np.maximum(np.minimum(faces[1:], hi), left)
     return (right ** (1.0 + a) - left ** (1.0 + a)) / (1.0 + a)
 
 
-def _ball_overlap(x_faces, x0, radius: float) -> np.ndarray:
+def _ball_overlap(x_faces, x0, radius) -> np.ndarray:
     """Per-cell overlap measure of the x-cells given by their per-axis
     faces with the ball B_radius(x0): exact for n = 1; for n = 2 the cells
-    the circle cuts are subsampled."""
+    the circle cuts are subsampled.  For a 1-d array of radii the overlaps
+    stack along a leading axis (broadcast at n = 1, radius by radius at
+    n = 2)."""
     if len(x_faces) == 1:
-        return _interval_overlap(x_faces[0], x0[0] - radius, x0[0] + radius)
+        r = np.asarray(radius, dtype=float)[..., None]
+        return _interval_overlap(x_faces[0], x0[0] - r, x0[0] + r) \
+            .reshape(np.shape(radius) + (-1,))
+    if np.ndim(radius):
+        return np.stack([_ball_overlap(x_faces, x0, r) for r in radius])
     fx, fy = x_faces
     dx, dy = np.diff(fx), np.diff(fy)
     X, Y = np.meshgrid(0.5 * (fx[1:] + fx[:-1]), 0.5 * (fy[1:] + fy[:-1]),
@@ -114,19 +121,33 @@ class ThinGrid:
         axes = [self.t_centers] + self.x_centers
         return np.meshgrid(*axes, indexing="ij")
 
-    def cylinder_weights(self, center, radius: float) -> np.ndarray:
-        """Per-cell overlap measures with Q_radius(center); exact for n = 1."""
+    def cylinder_weights(self, center, radius) -> np.ndarray:
+        """Per-cell overlap measures with Q_radius(center); exact for n = 1.
+        For a 1-d array of radii, one set per radius along a leading axis."""
         t0, x0 = center[0], np.asarray(center[1:], dtype=float)
-        wt = _interval_overlap(self.t_faces, t0 - radius ** 2, t0 + radius ** 2)
-        wx = _ball_overlap(self.x_faces, x0, radius)
-        return np.multiply.outer(wt, wx)
+        r = np.asarray(radius, dtype=float)
+        sq = _pow(r, 2)[..., None]
+        wt = _interval_overlap(self.t_faces, t0 - sq, t0 + sq)
+        wx = _ball_overlap(self.x_faces, x0, r)
+        return wt.reshape(r.shape + (self.nt,) + (1,) * self.n) \
+            * np.expand_dims(wx, r.ndim)
 
-    def cylinder_mean(self, values: np.ndarray, center, radius: float) -> float:
-        w = self.cylinder_weights(center, radius)
-        tot = float(np.sum(w))
-        if tot <= 0.0:
-            raise ValueError("cylinder does not intersect the grid")
-        return float(np.sum(w * values) / tot)
+    def cylinder_mean(self, values: np.ndarray, center, radius):
+        """Mean of values over Q_radius(center): a float for a scalar
+        radius, one mean per radius for an array.  Each radius is summed
+        over the trailing (cell) axes on its own, so it gets the value it
+        gets alone; the radii go in chunks of kernels._BATCH weights."""
+        def means(radii):
+            w = self.cylinder_weights(center, radii)
+            cells = tuple(range(1, w.ndim))
+            tot = np.sum(w, axis=cells)
+            if np.any(tot <= 0.0):
+                raise ValueError("cylinder does not intersect the grid")
+            return np.sum(w * values, axis=cells) / tot
+
+        r = np.asarray(radius, dtype=float)
+        out = _chunked(means, r.ravel(), math.prod(self.shape)).reshape(r.shape)
+        return float(out) if out.ndim == 0 else out
 
     def contains_cylinder(self, center, radius: float) -> bool:
         t0, x0 = center[0], np.asarray(center[1:], dtype=float)
@@ -376,8 +397,9 @@ class ScalarField:
     def trace(self) -> np.ndarray:
         return self.grid.trace_at_zero(self.values)
 
-    def weighted_norm(self, center=None, radius=None) -> float:
-        return math.sqrt(self.grid.weighted_norm_sq(self.values, center, radius))
+    def weighted_norm(self) -> float:
+        """Weighted L^2 norm over the whole cylinder."""
+        return math.sqrt(self.grid.weighted_norm_sq(self.values))
 
 
 def sample_scalar(grid: ParabolicGrid, fn) -> ScalarField:

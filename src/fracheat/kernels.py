@@ -80,9 +80,9 @@ class QuadratureSpec:
         if self.z_radius <= 0:
             raise ValueError("z_radius must be positive")
 
-    def refined(self, factor: int = 2) -> "QuadratureSpec":
-        """Same cutoffs, `factor` times as many nodes per decade."""
-        return replace(self, nodes_per_decade=self.nodes_per_decade * factor)
+    def refined(self) -> "QuadratureSpec":
+        """Same cutoffs, twice as many nodes per decade."""
+        return replace(self, nodes_per_decade=self.nodes_per_decade * 2)
 
     def coarsened(self) -> "QuadratureSpec":
         return replace(self, nodes_per_decade=max(4, self.nodes_per_decade // 2))
@@ -268,9 +268,11 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
                                        converged)
 
 
-def _heat_residual_fd(u, pts, n, h=1e-4):
-    """(u_t - Lap u) at the eval points by finite differences; time uses a
-    second-order backward stencil (u need not be evaluable forward in time)."""
+def _heat_residual_fd(u, pts, n):
+    """(u_t - Lap u) at the eval points by finite differences of step 1e-4;
+    time uses a second-order backward stencil (u need not be evaluable
+    forward in time)."""
+    h = 1e-4
     t0 = pts[:, 0]
     x0 = pts[:, 1:]
     u0 = _eval_u(u, t0, x0, n)
@@ -326,6 +328,16 @@ def _chunked(fn, rows: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0)
 
 
+def _pow(x, p: float) -> np.ndarray:
+    """x ** p element by element through the C library's pow, as a Python
+    float gets it.  numpy's array power rounds differently for about 5% of
+    x at a fractional p, and its x ** 2 is x * x, which differs from pow for
+    about 0.1%; this keeps an array of radii on the values that each radius
+    gets alone."""
+    x = np.asarray(x, dtype=float)
+    return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _frac_heat_core(u, p, q, pts):
     taus, tw = tau_nodes(q)
     t0 = pts[:, 0]
@@ -346,6 +358,9 @@ def _frac_heat_core(u, p, q, pts):
         f = _order_bucket(tau)
         if f != fac:
             fac = f
+            # release the previous grid and the last batch (z, w are views
+            # of the grid) before the next grid is built
+            zeta = zw = z = w = xs = ts = shifted = None
             zeta, zw = zeta_nodes(q, p.n, fac)
         srt = math.sqrt(tau)
         inner = np.zeros(m)
@@ -364,7 +379,7 @@ def _frac_heat_core(u, p, q, pts):
     return subordination_constant(p.s) * acc
 
 
-def marchaud_normalization(s: float, spec: QuadratureSpec | None = None) -> float:
+def marchaud_normalization(s: float) -> float:
     """Numeric value of (s / Gamma(1-s)) * int_0^inf tau^(-s-1)(1 - e^-tau) dtau.
 
     Equals 1 exactly (integrate by parts); the small-tau part is summed as a
@@ -373,7 +388,6 @@ def marchaud_normalization(s: float, spec: QuadratureSpec | None = None) -> floa
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    spec = spec or QuadratureSpec()
     eps = 0.25
     # int_0^eps tau^(-s-1)(1-e^-tau) dtau = sum_{k>=1} (-1)^(k+1) eps^(k-s)/(k! (k-s))
     series = 0.0
@@ -381,10 +395,9 @@ def marchaud_normalization(s: float, spec: QuadratureSpec | None = None) -> floa
     for k in range(1, 60):
         term_fac *= eps / k
         series += (-1.0) ** (k + 1) * term_fac * eps ** (-s) / (k - s)
-    lo, hi = eps, max(spec.tau_cutoff_high, 1e12)
+    lo, hi = eps, 1e12
     u, wu = _gauss_panels(math.log10(lo), math.log10(hi),
-                          int(math.ceil(math.log10(hi / lo))),
-                          max(spec.nodes_per_decade, 12))
+                          int(math.ceil(math.log10(hi / lo))), 12)
     taus = 10.0 ** u
     body = float(np.sum(wu * taus * math.log(10.0)
                         * taus ** (-s - 1.0) * (1.0 - np.exp(-taus))))

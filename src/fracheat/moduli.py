@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import _BATCH, FracParams, _chunked, _leggauss
+from .kernels import _BATCH, FracParams, _chunked, _leggauss, _pow
 from .lorentz import (
     _power_integral_table,
     PotentialSpec,
@@ -52,57 +52,28 @@ class DiniDivergenceError(ArithmeticError):
         self.partial_sums = np.asarray(partial_sums)
 
 
-@dataclass
+@dataclass(slots=True)
 class ModulusOfContinuity:
-    """Nondecreasing r -> omega(r) on (0, 1] with queryable regularity flags.
+    """Nondecreasing r -> omega(r) on (0, 1], evaluated by fn on arrays.
 
-    Flags are tri-state: True (verified), False (refuted), None (unchecked).
-    scale_factor records any normalization applied during construction.
+    scale_factor records any normalization applied during construction;
+    samples_r / samples_w, ascending in r, are the values a modulus is
+    built from (interpolated by a concave majorant, enveloped by omega);
+    components names the parts of a sum (K1, K2, K3 of K).  The fields are
+    slots, so no other attribute can be set.
     """
 
     fn: object
     name: str = ""
-    is_dini: bool | None = None
-    is_concave: bool | None = None
-    is_half_decreasing: bool | None = None
     scale_factor: float = 1.0
     samples_r: np.ndarray | None = None
     samples_w: np.ndarray | None = None
+    components: dict | None = None
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         out = np.asarray(self.fn(r), dtype=float)
         return float(out) if out.ndim == 0 else out
-
-    @classmethod
-    def from_callable(cls, fn, name="", **flags):
-        return cls(fn=fn, name=name, **flags)
-
-    @classmethod
-    def from_samples(cls, r, w, name="", **flags):
-        r = np.asarray(r, dtype=float)
-        w = np.asarray(w, dtype=float)
-        order = np.argsort(r)
-        r, w = r[order], w[order]
-        if r[0] > 0.0:
-            r = np.concatenate([[0.0], r])
-            w = np.concatenate([[0.0], w])
-
-        def fn(x):
-            return np.interp(np.asarray(x, dtype=float), r, w)
-
-        return cls(fn=fn, name=name, samples_r=r, samples_w=w, **flags)
-
-    def check_monotone(self, rs) -> bool:
-        vals = self(np.asarray(rs))
-        return bool(np.all(np.diff(vals) >= -1e-12 * np.maximum(vals[:-1], 1e-300)))
-
-    def check_half_decreasing(self, rs) -> bool:
-        rs = np.sort(np.asarray(rs, dtype=float))
-        h = self(rs) / np.sqrt(rs)
-        ok = np.all(np.diff(h) <= 1e-10 * np.maximum(h[:-1], 1e-300))
-        self.is_half_decreasing = bool(ok) if ok else False
-        return bool(ok)
 
 
 @dataclass(frozen=True)
@@ -126,78 +97,56 @@ class ModulusPipelineConfig:
             raise ValueError("kmax must be positive")
 
 
-# The tail fit reads segments K // 2 and K - 1 of K: two distinct positive
-# indices need K >= 3.  A concave modulus's segment sums decay at most like
-# 2^-k (omega(t) = t), which the fit reads as exponent log 2 / log 1.5 =
-# 1.71 at K = 4 but 1 at K = 3, so with K = 3 every modulus that reaches
-# the fit is declared divergent.
-_MIN_SEGMENTS = 4
+# The stop tolerance of dini_integral, relative to max(1, the sum so far),
+# and its number of dyadic segments before the tail fit
+_DINI_TOL = 1e-10
+_DINI_SEGMENTS = 900
 
 
-def dini_integral(omega, a: float, b, tol: float = 1e-10,
-                  max_segments: int = 900):
-    """int_a^b omega(t)/t dt honoring the integrable singularity at 0.
+def dini_integral(omega, b):
+    """int_0^b omega(t)/t dt honoring the integrable singularity at 0.
 
-    For a = 0 the interval is split dyadically towards 0, and b may be an
-    array of upper limits, each integrated on its own segments
+    The interval is split dyadically towards 0, and b may be an array of
+    upper limits in (0, 1], each integrated on its own segments
     [b 2^-(k+1), b 2^-k].  A b stops at the first segment below
-    tol * max(1, sum of its segments), with a geometric tail.  A b whose
-    segments never get that small is summed over every segment and its
-    tail extrapolated from the observed decay of the segment sums; if they
-    do not decay summably the integral is declared divergent (refuting the
-    Dini property) and a DiniDivergenceError carrying the partial sums is
-    raised.
+    _DINI_TOL * max(1, sum of its segments), with a geometric tail.  A b
+    whose segments never get that small is summed over all _DINI_SEGMENTS
+    segments and its tail extrapolated from the observed decay of the
+    segment sums; if they do not decay summably the integral is declared
+    divergent (refuting the Dini property) and a DiniDivergenceError
+    carrying the partial sums is raised.
 
-    The b go in chunks of _BATCH // max(max_segments, 16), and a chunk's
+    The b go in chunks of _BATCH // _DINI_SEGMENTS (36), and a chunk's
     segments are evaluated for all its b together, in blocks of about
-    _BATCH nodes: max(max_segments, 16) / 16 segments per b at first (at
-    least one), more as b stop, and all of them at once for a lone b.  The
-    stop rule reads the sum of the segments evaluated so far; it differs
-    from the sum of all segments only by the segments past the block, far
-    below tol of it.
+    _BATCH nodes: 56 segments per b of a full chunk at first, more as b
+    stop, and all of them at once for a lone b.  The stop rule reads the
+    sum of the segments evaluated so far; it differs from the sum of all
+    segments only by the segments past the block, far below _DINI_TOL of
+    it.
     """
-    if max_segments < _MIN_SEGMENTS:
-        raise ValueError(f"max_segments must be at least {_MIN_SEGMENTS}")
     b_arr = np.asarray(b, dtype=float)
-    if a < 0.0 or np.any(b_arr <= a):
-        raise ValueError("need 0 <= a < b")
+    if np.any(b_arr <= 0.0):
+        raise ValueError("need b > 0")
     if np.any(b_arr > 1.0 + 1e-12):
         raise ValueError("dini integral is restricted to (0, 1]")
-    if a > 0.0:
-        if b_arr.ndim:
-            raise ValueError("an array of upper limits needs a = 0")
-        b = float(b_arr)
-        xg, wg = _leggauss(16)
-
-        def segment(lo, hi):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            t = mid + half * xg
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                vals = np.asarray(omega(t), dtype=float) / t
-            return half * np.dot(wg, np.nan_to_num(vals, nan=0.0, posinf=0.0))
-
-        n_panels = max(1, int(math.ceil(math.log(b / a) / math.log(2.0))))
-        edges = np.geomspace(a, b, n_panels + 1)
-        return float(sum(segment(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])))
-
-    out = _chunked(lambda bs: _dini_from_zero(omega, bs, tol, max_segments),
-                   b_arr.ravel(), max(max_segments, 16))
+    out = _chunked(lambda bs: _dini_from_zero(omega, bs), b_arr.ravel(),
+                   _DINI_SEGMENTS)
     return float(out[0]) if b_arr.ndim == 0 else out.reshape(b_arr.shape)
 
 
-def _first_small(segs, total, tol, n_seg):
+def _first_small(segs, total, n_seg):
     """Index of the first of a row's n_seg segments below
-    tol * max(total, 1), or -1."""
-    small = ((segs < tol * np.maximum(total, 1.0)[:, None])
+    _DINI_TOL * max(total, 1), or -1."""
+    small = ((segs < _DINI_TOL * np.maximum(total, 1.0)[:, None])
              & (np.arange(segs.shape[1]) < n_seg[:, None]))
     return np.where(small.any(axis=1), np.argmax(small, axis=1), -1)
 
 
-def _dini_from_zero(omega, b, tol, max_segments):
+def _dini_from_zero(omega, b):
     """int_0^b omega(t)/t dt for the 1-d array b (see dini_integral)."""
     xg, wg = _leggauss(16)
     # stop well above the subnormal range so underflow cannot fake decay
-    n_seg = np.minimum(max_segments,
+    n_seg = np.minimum(_DINI_SEGMENTS,
                        np.floor(np.log2(b / 1e-280))).astype(int)
     n_max = int(n_seg.max())
     segs = np.zeros((b.size, n_max))
@@ -232,7 +181,7 @@ def _dini_from_zero(omega, b, tol, max_segments):
             raise DiniDivergenceError(
                 "omega(t)/t integral overflows under dyadic refinement",
                 partial[row, :n_seg[row]])
-        first = _first_small(segs[todo, :known], part[:, -1], tol, n_seg[todo])
+        first = _first_small(segs[todo, :known], part[:, -1], n_seg[todo])
         stop = first >= 2
         rows, k = todo[stop], first[stop]
         ratio = segs[rows, k] / np.maximum(segs[rows, k - 1], 1e-300)
@@ -267,17 +216,6 @@ def _dini_from_zero(omega, b, tol, max_segments):
     return out
 
 
-def verify_dini(omega: ModulusOfContinuity, b: float = 1.0) -> bool:
-    """Set (and return) the is_dini flag by attempting the singular integral."""
-    try:
-        dini_integral(omega, 0.0, b)
-    except DiniDivergenceError:
-        omega.is_dini = False
-        return False
-    omega.is_dini = True
-    return True
-
-
 def least_concave_majorant(r, w) -> ModulusOfContinuity:
     """Least concave nondecreasing majorant of nondecreasing samples on
     [0, 1]: the upper hull of the sample graph (anchored at (0, 0) when the
@@ -303,8 +241,9 @@ def least_concave_majorant(r, w) -> ModulusOfContinuity:
         hull.append(pt)
     hr = np.array([h[0] for h in hull])
     hw = np.array([h[1] for h in hull])
-    return ModulusOfContinuity.from_samples(hr, hw, name="concave_majorant",
-                                            is_concave=True)
+    return ModulusOfContinuity(lambda x: np.interp(x, hr, hw),
+                               name="concave_majorant", samples_r=hr,
+                               samples_w=hw)
 
 
 def build_omega1(omega_coeff: ModulusOfContinuity,
@@ -320,18 +259,12 @@ def build_omega1(omega_coeff: ModulusOfContinuity,
     raw = np.maximum(np.asarray(omega_coeff(cfg.gamma * rs)) / cfg.delta_tilde, rs)
     hull = least_concave_majorant(rs, raw)
     scale = float(hull(1.0))
-    tilde = ModulusOfContinuity.from_samples(
-        hull.samples_r, hull.samples_w / scale, name="omega1_tilde",
-        is_concave=True)
+    hr, hw = hull.samples_r, hull.samples_w / scale
 
     def fn(r):
-        return tilde(np.sqrt(np.asarray(r, dtype=float)))
+        return np.interp(np.sqrt(r), hr, hw)
 
-    out = ModulusOfContinuity.from_callable(
-        fn, name="omega1", is_concave=True, is_half_decreasing=True)
-    out.scale_factor = scale
-    out.tilde = tilde
-    return out
+    return ModulusOfContinuity(fn, name="omega1", scale_factor=scale)
 
 
 def build_omega2(thin_grid, f_values: np.ndarray, cfg: ModulusPipelineConfig,
@@ -340,31 +273,21 @@ def build_omega2(thin_grid, f_values: np.ndarray, cfg: ModulusPipelineConfig,
     max(gamma * I(gamma r) / delta_tilde, r) with
     I(r) = r^(2s-1) (mean over Q_r of f^2)^(1/2).
 
-    Cylinder averages below the grid resolution clamp to the finest
-    resolvable radius; the clamp count is recorded on the result.
+    Cylinder averages below the grid resolution, gamma r <
+    thin_grid.min_radius(), are clamped to that finest resolvable radius.
+    One call takes all its radii in one array-native cylinder_mean.
     """
-    f_values = np.asarray(f_values, dtype=float)
-    f_sq = f_values ** 2
+    f_sq = np.asarray(f_values, dtype=float) ** 2
     floor = thin_grid.min_radius()
-    diagnostics = {"clamped_evaluations": 0}
-    s = p.s
-
-    def intensity(r):
-        r_eff = max(float(r), floor)
-        if r_eff > float(r):
-            diagnostics["clamped_evaluations"] += 1
-        avg = thin_grid.cylinder_mean(f_sq, thin_grid.center, r_eff)
-        return float(r) ** (2.0 * s - 1.0) * math.sqrt(max(avg, 0.0))
 
     def fn(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([max(cfg.gamma * intensity(cfg.gamma * ri)
-                            / cfg.delta_tilde, ri) for ri in r])
-        return out if out.size > 1 else out.reshape(())
+        gr = cfg.gamma * r
+        avg = thin_grid.cylinder_mean(f_sq, thin_grid.center,
+                                      np.maximum(gr, floor))
+        intensity = _pow(gr, 2.0 * p.s - 1.0) * np.sqrt(np.maximum(avg, 0.0))
+        return np.maximum(cfg.gamma * intensity / cfg.delta_tilde, r)
 
-    out = ModulusOfContinuity.from_callable(fn, name="omega2")
-    out.diagnostics = diagnostics
-    return out
+    return ModulusOfContinuity(fn, name="omega2")
 
 
 def build_omega3_and_omega(omega1: ModulusOfContinuity,
@@ -374,7 +297,8 @@ def build_omega3_and_omega(omega1: ModulusOfContinuity,
     and the final omega(lam^k) = max(omega3(lam^k), lam^(k/2)), with the
     1/2-decreasing monotone envelope for off-grid radii.
 
-    The returned modulus carries dyadic_radii / dyadic_values / omega3_values.
+    The returned modulus's samples_r / samples_w are the radii lam^k and
+    the values max(omega3(lam^k), lam^(k/2)), ascending in r.
     """
     kmax = cfg.kmax
     R = cfg.lam ** np.arange(kmax + 1)
@@ -393,12 +317,8 @@ def build_omega3_and_omega(omega1: ModulusOfContinuity,
             np.where(r <= R[kmax], wg[kmax] * np.sqrt(pos / R[kmax]),
                      np.maximum(wg[k + 1], wg[k] * np.sqrt(pos / R[k]))))
 
-    out = ModulusOfContinuity.from_callable(fn, name="omega",
-                                            is_half_decreasing=True)
-    out.dyadic_radii = R
-    out.dyadic_values = wg
-    out.omega3_values = w3
-    return out
+    return ModulusOfContinuity(fn, name="omega", samples_r=R[::-1],
+                               samples_w=wg[::-1])
 
 
 @dataclass
@@ -442,7 +362,7 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
 
     def data_part_bound(g):
         return (float(omega_coeff(g)) / dt
-                + dini_integral(omega_coeff, 0.0, g) / ((-math.log(math.sqrt(lam))) * dt))
+                + dini_integral(omega_coeff, g) / ((-math.log(math.sqrt(lam))) * dt))
 
     for _ in range(60):
         if data_part_bound(gamma) <= 1.0:
@@ -462,7 +382,7 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
     R = lam ** ks
     terms1 = np.asarray(omega1(R))
     terms2 = np.asarray(omega2(R))
-    terms = omega.dyadic_values
+    terms = omega.samples_w[::-1]
     geo_half = 1.0 / (1.0 - math.sqrt(lam))
 
     s1_data = float(np.sum(np.asarray(omega_coeff(gamma * lam ** (ks / 2.0))) / dt))
@@ -534,7 +454,7 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
     def K1(r):
         h = np.sqrt(r)
         # past h = 1, omega1 is extended by its constant value omega1(1)
-        best = (dini_integral(omega1, 0.0, np.minimum(h, 1.0))
+        best = (dini_integral(omega1, np.minimum(h, 1.0))
                 + np.log(np.maximum(h, 1.0)) * omega1_at_1)
         return np.maximum(best, scan_max(
             lambda t: np.asarray(omega1(np.minimum(t, 1.0))) / t, h))
@@ -545,7 +465,5 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
             lambda u: u ** (alpha - 1.0)
             * np.sqrt(np.maximum(g_profile.double_star(u), 0.0)), h))
 
-    out = ModulusOfContinuity.from_callable(
-        lambda r: K1(r) + np.sqrt(r) + K3(r), name="K", is_half_decreasing=None)
-    out.components = {"K1": K1, "K2": np.sqrt, "K3": K3}
-    return out
+    return ModulusOfContinuity(lambda r: K1(r) + np.sqrt(r) + K3(r), name="K",
+                               components={"K1": K1, "K2": np.sqrt, "K3": K3})

@@ -2,7 +2,9 @@
 checks (perfbench/workloads.py, imported read-only): a change that breaks
 an invariant the benchmark asserts fails here, not only in a benchmark run.
 The n = 2 dual route runs on every seed the benchmark is judged on, since
-its extension solve is the one most exposed to solver changes.
+its extension solve is the one most exposed to solver changes.  The
+modulus pipeline is the only end-to-end run of summability_check, build_K
+and estimate2_check on rough critical data.
 
 The first pass of `perfbench/run.py --seed <n>` builds its cases from
 np.random.default_rng(n); so do these tests.
@@ -32,6 +34,8 @@ def run_first_pass(name, seed):
     ("dtn_dual_route_2d", 102),
     ("dtn_dual_route_2d", 103),
     ("dtn_dual_route_2d", 4049),
+    ("modulus_pipeline", 101),
+    ("modulus_pipeline", 4049),
     ("regularity_probe", 101),
     ("regularity_probe", 102),
     ("regularity_probe", 103),

@@ -79,7 +79,7 @@ def _reference_assemble(grid, coeff):
         np.add.at(diag, cells, T)
         dirichlet.append((cells, T, pts))
 
-    xc = _lattice_points(grid, grid.x_centers)          # (nx^n, n)
+    xc = _lattice_points(grid.x_centers)                # (nx^n, n)
     x_area = grid.x_cell_measures()                     # (nx,)*n
 
     if n == 1:
@@ -90,7 +90,7 @@ def _reference_assemble(grid, coeff):
         for side, fpos in ((0, grid.x_faces[0][0]), (-1, grid.x_faces[0][-1])):
             aface = coeff.axis_values(np.array([[fpos]]), 0)[0]
             Tb = np.broadcast_to(aface / (dx / 2.0) * grid.w_y, (grid.ny,))
-            pts = _lattice_points(grid, [np.array([fpos]), grid.y_centers])
+            pts = _lattice_points([np.array([fpos]), grid.y_centers])
             add_dirichlet(idx[side, :], Tb.copy(), pts)
     else:
         for axis in range(2):
@@ -112,12 +112,12 @@ def _reference_assemble(grid, coeff):
                 Tb = aface[:, None] * dx / (dx / 2.0) * grid.w_y  # (nx, ny)
                 cells = np.moveaxis(idx, axis, 0)[side]          # (nx, ny)
                 if axis == 0:
-                    pts = _lattice_points(grid, [np.array([fpos]), other,
-                                                 grid.y_centers])
+                    pts = _lattice_points([np.array([fpos]), other,
+                                           grid.y_centers])
                 else:
-                    pts = _lattice_points(grid, [grid.x_centers[0],
-                                                 np.array([fpos]),
-                                                 grid.y_centers])
+                    pts = _lattice_points([grid.x_centers[0],
+                                           np.array([fpos]),
+                                           grid.y_centers])
                 add_dirichlet(cells, Tb, pts)
 
     # y-direction interior faces: coefficient 1, exact resistances
@@ -128,7 +128,7 @@ def _reference_assemble(grid, coeff):
     Ttop = x_area / grid.res_top
     add_dirichlet(idx[..., -1],
                   np.broadcast_to(Ttop, x_area.shape).copy(),
-                  _lattice_points(grid, list(grid.x_centers)
+                  _lattice_points(list(grid.x_centers)
                                   + [np.array([grid.rho])]))
 
     rows.append(np.arange(nfull))
@@ -490,7 +490,7 @@ class TestCoefficientField:
         c = CoefficientField(
             fn=lambda x: (1.0 + eps * np.sin(np.atleast_2d(x)[:, 0]))[:, None, None],
             n=1, lam_ell=1 - eps, Lam_ell=1 + eps,
-            modulus=ModulusOfContinuity.from_callable(lambda r: eps * np.minimum(r, 2.0)))
+            modulus=ModulusOfContinuity(lambda r: eps * np.minimum(r, 2.0)))
         pts = np.linspace(-1, 1, 41)[:, None]
         assert c.oscillation_check(pts, [0.1, 0.5, 1.0])
 

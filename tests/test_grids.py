@@ -197,6 +197,50 @@ class TestThinGrid:
         w = _ball_overlap(tg.x_faces, np.array([0.0, 0.0]), 0.7)
         assert float(np.sum(w)) == pytest.approx(math.pi * 0.49, rel=2e-3)
 
+    @staticmethod
+    def per_radius_mean(tg, values, center, radius):
+        """cylinder_mean as it was before it took arrays: one float radius,
+        the weights an outer product, every cell summed in one np.sum."""
+        t0, x0 = center[0], np.asarray(center[1:], dtype=float)
+        wt = _interval_overlap(tg.t_faces, t0 - radius ** 2, t0 + radius ** 2)
+        w = np.multiply.outer(wt, _ball_overlap(tg.x_faces, x0, radius))
+        return float(np.sum(w * values) / float(np.sum(w)))
+
+    # n = 1 on the modulus grids, n = 2 with the circle cutting cells;
+    # 64 x 256 has more cells than one numpy reduction buffer (8192)
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (1, 32, 64), (1, 64, 256),
+                                       (2, 8, 12), (2, 16, 16)])
+    def test_array_mean_matches_per_radius(self, shape):
+        n, nt, nx = shape
+        tg = ThinGrid(n, 1.0, nt, nx)
+        rng = np.random.default_rng(nt + nx)
+        values = rng.normal(size=tg.shape) ** 2
+        floor = tg.min_radius()
+        # below the resolution, off the face lattice, past the grid
+        radii = np.concatenate([[0.3 * floor, floor, 1.3],
+                                np.geomspace(0.02, 0.99, 30),
+                                rng.uniform(floor, 1.0, 12)])
+        center = (0.013,) + (0.021,) * n
+        got = tg.cylinder_mean(values, center, radii)
+        assert got.shape == radii.shape
+        assert np.array_equal(got, [tg.cylinder_mean(values, center, r)
+                                    for r in radii])
+        assert np.array_equal(got, [self.per_radius_mean(tg, values, center,
+                                                         float(r))
+                                    for r in radii])
+        assert isinstance(tg.cylinder_mean(values, center, 0.4), float)
+        assert np.array_equal(
+            tg.cylinder_mean(values, center, radii[:40].reshape(8, 5)),
+            got[:40].reshape(8, 5))
+
+    def test_array_weights_stack_per_radius(self):
+        tg = ThinGrid(2, 1.0, 6, 10)
+        radii = np.array([0.05, 0.37, 0.8])
+        w = tg.cylinder_weights((0.0, 0.1, -0.2), radii)
+        assert w.shape == (3,) + tg.shape
+        for wi, r in zip(w, radii):
+            assert np.array_equal(wi, tg.cylinder_weights((0.0, 0.1, -0.2), r))
+
     def test_contains_cylinder(self):
         tg = ThinGrid(1, 1.0, 8, 8)
         assert tg.contains_cylinder((0.0, 0.0), 0.5)

@@ -246,6 +246,77 @@ class TestEstimate1:
                     assert estimate1_check(tg, f, spec).holds
 
 
+def per_radius_mean_sq(tg, f, center, radius):
+    """(mean of f^2 over Q_radius)^(1/2) for one float radius, as the
+    per-radius loops below called it."""
+    return math.sqrt(max(tg.cylinder_mean(f ** 2, center, float(radius)), 0.0))
+
+
+def per_radius_riesz(tg, f, spec):
+    """riesz_potential_I2 as it was before the array cylinder means: one
+    cylinder_mean call per Gauss node."""
+    from fracheat.kernels import _gauss_panels
+    s = spec.s
+    rho_min = tg.min_radius() / 8.0
+    total = 0.0
+    if spec.r <= rho_min:
+        rho_min = spec.r
+    else:
+        n_panels = max(1, int(math.ceil(math.log10(spec.r / rho_min) * 64 / 8)))
+        u, wu = _gauss_panels(math.log(rho_min), math.log(spec.r), n_panels, 8)
+        rhos = np.exp(u)
+        vals = np.array([per_radius_mean_sq(tg, f, spec.center, r) for r in rhos])
+        total += float(np.sum(wu * rhos * rhos ** (2.0 * s - 2.0) * vals))
+    tail_amp = per_radius_mean_sq(tg, f, spec.center, rho_min)
+    return total + tail_amp * rho_min ** (2.0 * s - 1.0) / (2.0 * s - 1.0)
+
+
+def per_radius_estimate1_lhs(tg, f, spec):
+    """estimate1_check's dyadic sum as the while loop computed it."""
+    lhs, count, r_i = 0.0, 0, spec.r / 2.0
+    while r_i >= tg.min_radius():
+        lhs += r_i ** (2.0 * spec.s - 1.0) * per_radius_mean_sq(
+            tg, f, spec.center, r_i)
+        r_i *= spec.sigma
+        count += 1
+        if count > 200:
+            break
+    return lhs, count
+
+
+# the benchmark's two thin grids and an n = 2 one
+PARITY_GRIDS = [ThinGrid(1, 1.0, 16, 16), ThinGrid(1, 1.0, 32, 64),
+                ThinGrid(2, 1.0, 64, 16)]
+
+
+class TestPerRadiusParity:
+    """The array-native cylinder means give the per-radius loops' values
+    bit for bit."""
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["16x16", "32x64", "n2"])
+    @pytest.mark.parametrize("s", [0.6, 0.83])
+    def test_riesz_potential(self, grid, s):
+        f = np.random.default_rng(5).normal(size=grid.shape) + 0.5
+        center = (0.02,) + (-0.03,) * grid.n
+        for r in (0.9, 0.45, grid.min_radius() / 10.0):
+            spec = PotentialSpec(center, r, 0.5, s, grid.n)
+            assert riesz_potential_I2(grid, f, spec) == per_radius_riesz(grid, f, spec)
+
+    # sigma = 0.999 on 16 x 16 reaches the cap of 201 terms; r = 0.3 on
+    # the coarse grids has no term at all
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["16x16", "32x64", "n2"])
+    @pytest.mark.parametrize("r, sigma", [(0.9, 0.5), (0.9, 0.999), (0.3, 0.25)])
+    def test_estimate1(self, grid, r, sigma):
+        f = np.random.default_rng(6).normal(size=grid.shape)
+        spec = PotentialSpec((0.0,) * (grid.n + 1), r, sigma, 0.62, grid.n)
+        rep = estimate1_check(grid, f, spec)
+        lhs, count = per_radius_estimate1_lhs(grid, f, spec)
+        assert (rep.lhs, rep.radii_used) == (lhs, count)
+        assert rep.rhs == rep.constant_used * per_radius_riesz(grid, f, spec)
+        if grid.nt == 16 and sigma == 0.999:
+            assert count == 201
+
+
 class TestEstimate2:
     def test_zero_function(self, tg):
         lhs, rhs, holds = estimate2_check(tg, np.zeros(tg.shape), (0.0, 0.0),

@@ -251,7 +251,7 @@ class TestSeparableFitMatchesLoop:
     def test_interior_probe(self, n):
         U = random_field(n, 3, *((8, 24, 96) if n == 1 else (6, 24, 64)))
         center = (0.0,) * (n + 1) + (0.55,)
-        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         rows = interior_probe(U, center, 0.45, 0.5, 3, psi)["rows"]
         ref = loop_interior(U, center, 0.45, 0.5, 3)
         assert len(rows) == len(ref) >= 1
@@ -279,7 +279,7 @@ class TestExcessSequence:
     def test_linear_field_zero_excess(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 0.3 + 0.9 * x + 0.0 * t)
-        one = ModulusOfContinuity.from_callable(
+        one = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         seq = excess_sequence(U, 0.25, 4, one)
         assert np.all(seq.excess < 1e-12)
@@ -288,7 +288,7 @@ class TestExcessSequence:
         # U = x^2: E(r) = (16/45)(1 + 1/(1+a)) r^4 from exact moments
         g = grid(nt=64, nx=96, ny=48)
         U = sample_scalar(g, lambda t, x, y: x ** 2 + 0.0 * t)
-        one = ModulusOfContinuity.from_callable(
+        one = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         lam = 0.25
         seq = excess_sequence(U, lam, 3, one)
@@ -317,7 +317,7 @@ class TestExcessSequence:
     def test_kmax_clamped_to_resolution(self):
         g = grid(nt=8, nx=8, ny=8)
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
-        one = ModulusOfContinuity.from_callable(
+        one = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         seq = excess_sequence(U, 0.25, 10, one)
         assert seq.clamped_kmax < 10
@@ -328,7 +328,7 @@ class TestExcessSequence:
         # still holds one entry, not a scalar
         g = grid()
         U = sample_scalar(g, lambda t, x, y: x + 0.0 * t)
-        one = ModulusOfContinuity.from_callable(
+        one = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         seq = excess_sequence(U, 0.25, 3, one)
         assert seq.clamped_kmax == 0
@@ -380,7 +380,7 @@ class TestCampanato:
         U = solve_extension(g, coeff, f=f,
                             lateral_dirichlet=lambda t, x, y: 0.05 * np.cos(x),
                             initial=lambda x, y: 0.05 * np.cos(x))
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        K = ModulusOfContinuity(lambda r: np.sqrt(r))
         rep = campanato_excess_profile(U, (0.0, 0.0), [0.4, 0.2, 0.1, 0.05],
                                        K=K)
         ratios = [row["ratio"] for row in rep["rows"]]
@@ -402,7 +402,7 @@ class TestGradientModulusProbe:
     def test_linear_field_zero_constants(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 2.0 * x + 0.0 * t)
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        K = ModulusOfContinuity(lambda r: np.sqrt(r))
         rep = gradient_modulus_probe(U, K, n_pairs=400, seed=1)
         assert rep.C_emp_interior < 1e-9
         assert rep.C_emp_boundary < 1e-9
@@ -411,14 +411,14 @@ class TestGradientModulusProbe:
     def test_deterministic_given_seed(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: np.cos(2 * x) * (1 + y) + 0.1 * t)
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        K = ModulusOfContinuity(lambda r: np.sqrt(r))
         a = gradient_modulus_probe(U, K, n_pairs=300, seed=42)
         b = gradient_modulus_probe(U, K, n_pairs=300, seed=42)
         assert np.array_equal(a.pair_distances, b.pair_distances)
         assert a.C_emp_boundary == b.C_emp_boundary
 
     def test_smooth_solution_finite_and_stable(self):
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        K = ModulusOfContinuity(lambda r: np.sqrt(r))
         vals = []
         for nx in (24, 36):
             g = grid(nt=nx, nx=nx, ny=nx)
@@ -434,7 +434,7 @@ class TestGradientModulusProbe:
     def test_no_resolvable_scale_rejected(self):
         # min(dx, sqrt(dt)) = 0.5 leaves no pair scale below 0.45
         U = sample_scalar(grid(nt=8, nx=4, ny=8), lambda t, x, y: x + 0.0 * t)
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        K = ModulusOfContinuity(lambda r: np.sqrt(r))
         with pytest.raises(ValueError, match="no pair scale"):
             gradient_modulus_probe(U, K, n_pairs=10)
 
@@ -515,7 +515,7 @@ class TestBatchedK:
         assert 0 < calls[0][0] <= rep.pair_distances.size + rep.n_time
 
     def test_matches_scalar_call_reference(self):
-        K = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r) + r)
+        K = ModulusOfContinuity(lambda r: np.sqrt(r) + r)
         U = self.field()
         rep = gradient_modulus_probe(U, K, n_pairs=300, seed=11)
         dists, ratios, cases, consts = scalar_call_probe(U, K, 300, 11)
@@ -531,7 +531,7 @@ class TestInteriorProbe:
         # the k = 0 cube of side 0.3 spans 4 x- and y-cells per radius here
         g = grid(nx=32, ny=64)
         U = sample_scalar(g, lambda t, x, y: 1.0 + x - 0.5 * y + 0.0 * t)
-        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         rep = interior_probe(U, (0.0, 0.0, 0.55), 0.3, 0.25, 4, psi)
         assert len(rep["rows"]) >= 1
         assert all(row["excess"] < 1e-12 for row in rep["rows"])
@@ -540,7 +540,7 @@ class TestInteriorProbe:
         # fine enough that three cubes 0.3 (1/2)^k span 4 cells per radius
         g = grid(nt=48, nx=112, ny=160)
         U = sample_scalar(g, lambda t, x, y: np.cos(x) * np.cosh(y) + 0.05 * t)
-        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         lam = 0.5
         rep = interior_probe(U, (0.0, 0.0, 0.55), 0.3, lam, 6, psi)
         rows = rep["rows"]
@@ -555,14 +555,14 @@ class TestInteriorProbe:
         # y0 = 1.6 with side 0.3 lies above the grid's y-range [0, 1]
         g = grid(nt=8, nx=32, ny=16)
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
-        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         with pytest.raises(ValueError, match="meets no y-cell"):
             interior_probe(U, (0.0, 0.0, 1.6), 0.3, 0.25, 3, psi)
 
     def test_boundary_touching_cube_rejected(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
-        psi = ModulusOfContinuity.from_callable(lambda r: np.sqrt(r))
+        psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         with pytest.raises(ValueError):
             interior_probe(U, (0.0, 0.0, 0.2), 0.3, 0.25, 3, psi)
 
