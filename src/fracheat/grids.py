@@ -3,10 +3,9 @@ carried by exact per-cell quadrature weights.
 
 Geometry conventions: the thin cylinder Q_rho(t0, x0) is the time interval
 (t0 - rho^2, t0 + rho^2) times the spatial ball B_rho(x0); the thick
-cylinder Q*_rho adds y in (0, rho).  For n = 1 the ball is an interval and
-every cylinder overlap below is exact.  For n = 2 the grid itself is the
-tensor box (-rho, rho)^2 while cylinder averages use Euclidean balls, with
-boundary cells resolved by subsampling.
+cylinder Q*_rho adds y in (0, rho).  For n = 1 the ball is an interval; for
+n = 2 the grid itself is the tensor box (-rho, rho)^2 while cylinder
+averages use Euclidean disks.  Every cylinder overlap below is exact.
 """
 
 from __future__ import annotations
@@ -38,12 +37,27 @@ def _interval_overlap(faces: np.ndarray, lo, hi,
     return (right ** (1.0 + a) - left ** (1.0 + a)) / (1.0 + a)
 
 
+def _quadrant_area(x, y, r):
+    """Area of the disk B_r(0) within [0, x] x [0, y], signed by the signs
+    of x and y: below u = sqrt(r^2 - y^2) a column is cut by y, above it
+    by the circle, whose area to the left of v is
+    S(v) = (v sqrt(r^2 - v^2) + r^2 asin(v / r)) / 2."""
+    ax, ay = np.minimum(np.abs(x), r), np.minimum(np.abs(y), r)
+    lo = np.minimum(np.sqrt(r * r - ay * ay), ax)
+
+    def S(v):
+        return 0.5 * (v * np.sqrt(np.maximum(r * r - v * v, 0.0))
+                      + r * r * np.arcsin(v / r))
+    return np.sign(x) * np.sign(y) * (ay * lo + S(ax) - S(lo))
+
+
 def _ball_overlap(x_faces, x0, radius) -> np.ndarray:
     """Per-cell overlap measure of the x-cells given by their per-axis
-    faces with the ball B_radius(x0): exact for n = 1; for n = 2 the cells
-    the circle cuts are subsampled.  For a 1-d array of radii the overlaps
-    stack along a leading axis (broadcast at n = 1, radius by radius at
-    n = 2)."""
+    faces with the ball B_radius(x0), exact: an interval overlap for
+    n = 1; for n = 2 the cell's area where the ball covers it, and the
+    disk-rectangle area (by signed quadrant areas at the cell's corners)
+    where the circle cuts it.  For a 1-d array of radii the overlaps stack
+    along a leading axis (broadcast at n = 1, radius by radius at n = 2)."""
     if len(x_faces) == 1:
         r = np.asarray(radius, dtype=float)[..., None]
         return _interval_overlap(x_faces[0], x0[0] - r, x0[0] + r) \
@@ -58,17 +72,37 @@ def _ball_overlap(x_faces, x0, radius) -> np.ndarray:
     cdist = np.hypot(X - x0[0], Y - x0[1])
     corner = np.hypot(hx, hy)
     area = np.multiply.outer(dx, dy)
-    out = np.where(cdist + corner <= radius, area, 0.0)
     boundary = (cdist - corner < radius) & (cdist + corner > radius)
-    sub = 24
-    off = (np.arange(sub) + 0.5) / sub - 0.5
-    for i, j in zip(*np.nonzero(boundary)):
-        xs = X[i, j] + off * dx[i]
-        ys = Y[i, j] + off * dy[j]
-        XX, YY = np.meshgrid(xs, ys, indexing="ij")
-        frac = np.mean(np.hypot(XX - x0[0], YY - x0[1]) < radius)
-        out[i, j] = area[i, j] * frac
-    return out
+    A = _quadrant_area((fx - x0[0])[:, None], (fy - x0[1])[None, :], radius)
+    cut = A[1:, 1:] - A[:-1, 1:] - A[1:, :-1] + A[:-1, :-1]
+    return np.where(cdist + corner <= radius, area,
+                    np.where(boundary, np.maximum(cut, 0.0), 0.0))
+
+
+def _derivative_at(values, cells, axis, coords):
+    """np.gradient(values, coords, axis=axis, edge_order=2)[cells] from
+    numpy's own formulas and operation order at those cells only: the
+    three-point stencil a f0 + b f1 + c f2 on the steps h1, h2 around the
+    cell (one-sided at the two ends), and (f2 - f0) / (2 h) inside when
+    the spacing is uniform."""
+    h = np.diff(coords)
+    i = cells[axis]
+    lo = np.clip(i - 1, 0, coords.size - 3)
+    f0, f1, f2 = (values[cells[:axis] + (lo + k,) + cells[axis + 1:]]
+                  for k in range(3))
+    first, last = i == 0, i == coords.size - 1
+    if np.all(h == h[0]):
+        d = h[0]
+        a, b, c = (np.where(first, u, v) / d
+                   for u, v in ((-1.5, 0.5), (2., -2.), (-0.5, 1.5)))
+        return np.where(first | last, a * f0 + b * f1 + c * f2,
+                        (f2 - f0) / (2. * d))
+    h1, h2 = h[lo], h[lo + 1]
+    s = h1 + h2
+    a = np.where(first, -(2. * h1 + h2), np.where(last, h2, -h2)) / (h1 * s)
+    b = np.where(first, s, np.where(last, -s, h2 - h1)) / (h1 * h2)
+    c = np.where(first, -h1, np.where(last, 2. * h2 + h1, h1)) / (h2 * s)
+    return a * f0 + b * f1 + c * f2
 
 
 @dataclass
@@ -122,7 +156,7 @@ class ThinGrid:
         return np.meshgrid(*axes, indexing="ij")
 
     def cylinder_weights(self, center, radius) -> np.ndarray:
-        """Per-cell overlap measures with Q_radius(center); exact for n = 1.
+        """Per-cell overlap measures with Q_radius(center), exact.
         For a 1-d array of radii, one set per radius along a leading axis."""
         t0, x0 = center[0], np.asarray(center[1:], dtype=float)
         r = np.asarray(radius, dtype=float)
@@ -375,6 +409,12 @@ class ParabolicGrid:
                                      axis=1 + axis, edge_order=2))
         grads.append(np.gradient(values, self.y_centers, axis=-1, edge_order=2))
         return grads
+
+    def gradient_at(self, values: np.ndarray, cells):
+        """`gradient` at the given cells only, cells holding one index array
+        per axis of values; equal to `gradient` there bit for bit."""
+        return [_derivative_at(values, cells, 1 + k, c) for k, c in
+                enumerate(self.x_centers + [self.y_centers])]
 
     def time_derivative(self, values: np.ndarray) -> np.ndarray:
         return np.gradient(values, self.t_nodes, axis=0, edge_order=2)

@@ -193,14 +193,17 @@ def gridded_to_sampled(thin_grid, values: np.ndarray) -> SampledFunction:
                            np.asarray(values, dtype=float).ravel())
 
 
-def riesz_potential_I2(thin_grid, f_values: np.ndarray, spec: PotentialSpec,
-                       nodes_per_decade: int = 64) -> float:
+_I2_NODES_PER_DECADE = 64   # Gauss nodes per decade of rho
+
+
+def riesz_potential_I2(thin_grid, f_values: np.ndarray,
+                       spec: PotentialSpec) -> float:
     """int_0^r rho^(2s-2) (mean of f^2 over Q_rho(center))^(1/2) drho.
 
-    Log-spaced Gauss panels down to a fraction of the cell scale; below that
-    the cylinder average is constant in rho and the remaining piece is the
-    closed-form power integral.  The cylinder means of all nodes are one
-    array-native cylinder_mean call.
+    Log-spaced Gauss panels, _I2_NODES_PER_DECADE nodes a decade, down to a
+    fraction of the cell scale; below that the cylinder average is constant
+    in rho and the remaining piece is the closed-form power integral.  The
+    cylinder means of all nodes are one array-native cylinder_mean call.
     """
     if not thin_grid.contains_cylinder(spec.center, spec.r):
         raise ValueError("potential cylinder exits the sampled domain")
@@ -213,7 +216,7 @@ def riesz_potential_I2(thin_grid, f_values: np.ndarray, spec: PotentialSpec,
     else:
         decades = math.log10(spec.r / rho_min)
         order = 8
-        n_panels = max(1, int(math.ceil(decades * nodes_per_decade / order)))
+        n_panels = max(1, math.ceil(decades * _I2_NODES_PER_DECADE / order))
         u, wu = _gauss_panels(math.log(rho_min), math.log(spec.r), n_panels, order)
         rhos = np.exp(u)
         vals = np.sqrt(np.maximum(

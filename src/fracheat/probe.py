@@ -27,7 +27,6 @@ with columns (1, x - x0, y - y0).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -62,10 +61,13 @@ def _resolved(radius: float, widths) -> bool:
     return radius >= CELLS_PER_RADIUS * float(np.max(widths))
 
 
-def parabolic_distance(p1, p2) -> float:
-    """max(sqrt|t1-t2|, ||X1-X2||) for points (t, X) in the thick space."""
-    dX = [a - b for a, b in zip(p1[1:], p2[1:])]
-    return float(max(math.sqrt(abs(p1[0] - p2[0])), np.linalg.norm(dX)))
+def parabolic_distance(p1, p2):
+    """max(sqrt|t1-t2|, ||X1-X2||) for points (t, X) in the thick space; a
+    float, or one distance per point pair when the coordinates are arrays."""
+    dX = [np.subtract(a, b) for a, b in zip(p1[1:], p2[1:])]
+    d = np.maximum(np.sqrt(np.abs(np.subtract(p1[0], p2[0]))),
+                   np.sqrt(sum(c * c for c in dX)))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 @dataclass
@@ -301,13 +303,16 @@ def _cells_in_half_cylinder(grid: ParabolicGrid):
     return (np.nonzero(tmask)[0], np.nonzero(xmask)[0], np.nonzero(ymask)[0])
 
 
-def _nearest(nodes: list, v: float) -> int:
-    """Index of the node of the ascending list nearest v, a tie going to the
-    lower index as in np.argmin(np.abs(nodes - v))."""
-    i = bisect.bisect_left(nodes, v)
-    if i == len(nodes) or (i > 0 and v - nodes[i - 1] <= nodes[i] - v):
-        return i - 1
-    return i
+def _snap(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Index of the node of the ascending array nearest each v, a tie going
+    to the lower index as in np.argmin(np.abs(nodes - v))."""
+    i = np.clip(np.searchsorted(nodes, v), 1, nodes.size - 1)
+    return np.where(v - nodes[i - 1] <= nodes[i] - v, i - 1, i)
+
+
+PAIR_BLOCK = 4096
+"""Most pair attempts the probe draws at once, so the temporaries of a
+block stay a few hundred KB whatever n_pairs is."""
 
 
 def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
@@ -317,6 +322,14 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     the interior regime (dist <= y1/4) and the boundary regime, plus the
     time-increment ratio |U(t1,X) - U(t2,X)| / (K(sqrt dt) sqrt dt).
 
+    An attempt draws a cell of the half cylinder and a parabolic
+    displacement at a random dyadic scale, and snaps the displaced point to
+    the nearest node and cells.  Attempts go in blocks of at most
+    min(PAIR_BLOCK, 4 x the pairs still missing), each block filtered as
+    arrays and accepted in draw order, until n_pairs pairs are in or
+    40 n_pairs attempts are spent.  Gradients are evaluated at the sampled
+    cells only (ParabolicGrid.gradient_at).
+
     K must accept an array of radii, as ModulusOfContinuity does: it is
     called once, on the distinct radii min(dist, 1) of all sampled pairs.
     The boundary-regime geometry fact y2 <= 6 dist is asserted pairwise.
@@ -325,10 +338,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     if grid.n != 1:
         raise NotImplementedError("the pair sampler runs at n = 1")
     rng = np.random.default_rng(seed)
-    gx, gy = grid.gradient(U.values)
     ti, xi_, yi = _cells_in_half_cylinder(grid)
-    t_nodes, x_c, y_c = (grid.t_nodes.tolist(), grid.x_centers[0].tolist(),
-                         grid.y_centers.tolist())
+    axes = (grid.t_nodes, grid.x_centers[0], grid.y_centers)
 
     h_min = min(grid.dx, math.sqrt(grid.dt))
     decades = []
@@ -339,66 +350,59 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     if not decades:
         raise ValueError(f"no pair scale is resolvable: min(dx, sqrt(dt)) = "
                          f"{h_min:.3g} >= 0.45, the largest pair distance")
-    n_dec = len(decades)
+    decades, n_dec = np.array(decades), len(decades)
 
-    dists, incs, cases = [], [], []
-    geometry_ok = True
-    attempts = 0
-    while len(dists) < n_pairs and attempts < 40 * n_pairs:
-        attempts += 1
-        # c[rng.integers(0, c.size)] is the draw of rng.choice(c), 4x cheaper
-        i1 = tuple(int(c[rng.integers(0, c.size)]) for c in (ti, xi_, yi))
-        target = decades[rng.integers(0, n_dec)] * rng.uniform(0.5, 1.0)
+    blocks = [(np.empty(0),) + (np.empty(0, dtype=int),) * 6]
+    n_in = attempts = 0
+    while n_in < n_pairs and attempts < 40 * n_pairs:
+        m = min(PAIR_BLOCK, 4 * (n_pairs - n_in), 40 * n_pairs - attempts)
+        attempts += m
+        i1 = tuple(c[rng.integers(0, c.size, m)] for c in (ti, xi_, yi))
+        target = decades[rng.integers(0, n_dec, m)] * rng.uniform(0.5, 1.0, m)
         # random parabolic displacement at the target scale, snapped to cells
-        dt_ = rng.uniform(-1.0, 1.0) * target ** 2
-        dx_ = rng.uniform(-1.0, 1.0) * target
-        dy_ = rng.uniform(-1.0, 1.0) * target
-        t2 = t_nodes[i1[0]] + dt_
-        x2 = x_c[i1[1]] + dx_
-        y2 = y_c[i1[2]] + dy_
-        if abs(t2 - grid.center[0]) > 0.25 or abs(x2 - grid.center[1]) > 0.5 \
-                or not 0.0 < y2 < 0.5:
-            continue
-        i2 = (_nearest(t_nodes, t2), _nearest(x_c, x2), _nearest(y_c, y2))
-        p1 = (t_nodes[i1[0]], x_c[i1[1]], y_c[i1[2]])
-        p2 = (t_nodes[i2[0]], x_c[i2[1]], y_c[i2[2]])
-        dist = parabolic_distance(p1, p2)
-        if dist < h_min / 2.0 or dist > 0.45:
-            continue
-        y1_, y2_ = min(p1[2], p2[2]), max(p1[2], p2[2])
-        interior = dist <= y1_ / 4.0
-        if not interior:
-            geometry_ok &= (y2_ <= 6.0 * dist + 1e-12)
-        dists.append(dist)
-        incs.append(float(np.linalg.norm((gx[i1] - gx[i2], gy[i1] - gy[i2]))))
-        cases.append(0 if interior else 1)
+        shift = rng.uniform(-1.0, 1.0, (3, m)) * (target ** 2, target, target)
+        to = tuple(ax[i] + d for ax, i, d in zip(axes, i1, shift))
+        i2 = tuple(_snap(ax, v) for ax, v in zip(axes, to))
+        dist = parabolic_distance(*(tuple(ax[i] for ax, i in zip(axes, ii))
+                                    for ii in (i1, i2)))
+        ok = ((np.abs(to[0] - grid.center[0]) <= 0.25)
+              & (np.abs(to[1] - grid.center[1]) <= 0.5)
+              & (to[2] > 0.0) & (to[2] < 0.5)
+              & (dist >= h_min / 2.0) & (dist <= 0.45))
+        keep = np.nonzero(ok)[0][:n_pairs - n_in]
+        n_in += keep.size
+        blocks.append((dist[keep],) + tuple(i[keep] for i in i1 + i2))
+    dists, *idx = (np.concatenate(c) for c in zip(*blocks))
+    y1, y2 = (axes[2][i] for i in idx[2::3])
+    interior = dists <= np.minimum(y1, y2) / 4.0
+    geometry_ok = bool(np.all(interior | (np.maximum(y1, y2)
+                                          <= 6.0 * dists + 1e-12)))
+    grads = grid.gradient_at(U.values, tuple(np.concatenate([a, b])
+                                             for a, b in zip(idx[:3], idx[3:])))
+    dg = [g[:dists.size] - g[dists.size:] for g in grads]
+    incs = np.sqrt(sum(c * c for c in dg))
 
-    # time-increment pairs: same spatial cell, varying time separation
-    rdts, dus = [], []
-    for _ in range(n_pairs // 4):
-        j1, j2 = rng.choice(ti, size=2, replace=False)
-        ix, iy = (int(c[rng.integers(0, c.size)]) for c in (xi_, yi))
-        dt_ = abs(t_nodes[j1] - t_nodes[j2])
-        if dt_ <= 0:
-            continue
-        rdts.append(math.sqrt(dt_))
-        dus.append(abs(U.values[j1, ix, iy] - U.values[j2, ix, iy]))
+    # time-increment pairs: same spatial cell, two distinct time nodes
+    n_time = n_pairs // 4
+    j1 = rng.integers(0, ti.size, n_time)
+    j2 = rng.integers(0, ti.size - 1, n_time)
+    j1, j2 = ti[j1], ti[j2 + (j2 >= j1)]
+    ix, iy = (c[rng.integers(0, c.size, n_time)] for c in (xi_, yi))
+    rdts = np.sqrt(np.abs(axes[0][j1] - axes[0][j2]))
+    dus = np.abs(U.values[j1, ix, iy] - U.values[j2, ix, iy])
 
-    dists, rdts = np.asarray(dists), np.asarray(rdts)
-    cases = np.asarray(cases, dtype=int)
     radii, inverse = np.unique(np.minimum(np.concatenate([dists, rdts]), 1.0),
                                return_inverse=True)
     k_vals = (np.atleast_1d(np.asarray(K(radii), dtype=float))[inverse]
               if radii.size else radii)
-    ratios = np.asarray(incs) / np.maximum(k_vals[:dists.size], 1e-300)
-    t_ratios = np.asarray(dus) / np.maximum(k_vals[dists.size:] * rdts, 1e-300)
-    interior = cases == 0
+    ratios = incs / np.maximum(k_vals[:dists.size], 1e-300)
+    t_ratios = dus / np.maximum(k_vals[dists.size:] * rdts, 1e-300)
     return ModulusProbeReport(
         float(ratios[interior].max(initial=0.0)),
         float(ratios[~interior].max(initial=0.0)),
         float(t_ratios.max(initial=0.0)),
         int(np.sum(interior)), int(np.sum(~interior)), int(rdts.size),
-        bool(geometry_ok), seed, dists, ratios, cases)
+        geometry_ok, seed, dists, ratios, np.where(interior, 0, 1))
 
 
 def interior_probe(U: ScalarField, center, side: float, lam: float,

@@ -130,6 +130,22 @@ class TestParabolicGrid:
         assert np.allclose(gx, 2.0, atol=1e-10)
         assert np.allclose(gy, -0.5, atol=1e-8)
 
+    # the graded y-mesh, a uniform one (q = 1 at ny = 16 has exactly equal
+    # steps), the three-cell minimum and n = 2
+    @pytest.mark.parametrize("n, shape, q", [(1, (16, 20, 24), None),
+                                             (1, (16, 20, 16), 1.0),
+                                             (1, (4, 3, 3), None),
+                                             (2, (4, 7, 5), None)])
+    def test_gradient_at_every_cell_equals_gradient(self, n, shape, q):
+        nt, nx, ny = shape
+        g = ParabolicGrid(FracParams(s=0.7, n=n), nt=nt, nx=nx, ny=ny, q=q)
+        values = np.random.default_rng(nx).normal(size=g.shape)
+        if q == 1.0:
+            assert np.all(np.diff(g.y_centers) == np.diff(g.y_centers)[0])
+        cells = tuple(np.indices(g.shape).reshape(len(g.shape), -1))
+        for full, at in zip(g.gradient(values), g.gradient_at(values, cells)):
+            assert np.array_equal(full.ravel(), at)
+
     def test_interp_multilinear(self, grid):
         fld = sample_scalar(grid, lambda t, x, y: t + 2.0 * x + 3.0 * y)
         pts = np.array([[0.1, 0.2, 0.4], [-0.5, -0.3, 0.05]])
@@ -195,7 +211,45 @@ class TestThinGrid:
     def test_ball_overlap_2d_disk_area(self):
         tg = ThinGrid(2, 1.0, 4, 40)
         w = _ball_overlap(tg.x_faces, np.array([0.0, 0.0]), 0.7)
-        assert float(np.sum(w)) == pytest.approx(math.pi * 0.49, rel=2e-3)
+        assert float(np.sum(w)) == pytest.approx(math.pi * 0.49, rel=1e-13)
+
+    # a ball on the corner of four cells, or wholly inside one, far below
+    # the cell size; with 24 x 24 subsamples per cut cell the first one met
+    # no sample and its cylinder mean raised
+    @pytest.mark.parametrize("x0, cells", [((0.0, 0.0), 4),
+                                           ((0.08, 0.09), 1),
+                                           ((0.013, 0.021), 1),
+                                           ((1.0 / 6.0, 0.05), 2)])
+    @pytest.mark.parametrize("radius", [1e-3, 5e-3, 0.05])
+    def test_small_ball_overlap_2d_exact(self, x0, cells, radius):
+        tg = ThinGrid(2, 1.0, 8, 12)
+        w = _ball_overlap(tg.x_faces, np.array(x0), radius)
+        assert float(np.sum(w)) == pytest.approx(math.pi * radius ** 2,
+                                                 rel=1e-13)
+        if radius < 0.01:
+            assert np.count_nonzero(w) == cells
+        assert tg.contains_cylinder((0.0,) + x0, radius)
+        assert tg.cylinder_mean(np.ones(tg.shape), (0.0,) + x0, radius) \
+            == pytest.approx(1.0, rel=1e-14)
+
+    def test_ball_overlap_2d_cut_cells_match_quad(self):
+        # each cut cell against the integral over x of its chord length
+        from scipy.integrate import quad
+        tg = ThinGrid(2, 1.0, 4, 8)
+        x0, radius = np.array([0.13, -0.07]), 0.55
+        w = _ball_overlap(tg.x_faces, x0, radius)
+        fx, fy = tg.x_faces
+        area = np.multiply.outer(np.diff(fx), np.diff(fy))
+        cut = np.argwhere((w > 0.0) & (w < area))
+        assert len(cut) >= 12
+
+        def chord(x, y0, y1):
+            h = math.sqrt(max(radius ** 2 - (x - x0[0]) ** 2, 0.0))
+            return max(0.0, min(y1, x0[1] + h) - max(y0, x0[1] - h))
+        for i, j in cut:
+            ref, _ = quad(chord, fx[i], fx[i + 1], args=(fy[j], fy[j + 1]),
+                          limit=200, epsabs=1e-13)
+            assert w[i, j] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     @staticmethod
     def per_radius_mean(tg, values, center, radius):

@@ -202,12 +202,15 @@ class TestRieszPotential:
         got = riesz_potential_I2(tg, np.full(tg.shape, c), spec)
         assert got == pytest.approx(c * r ** (2 * s - 1) / (2 * s - 1), rel=1e-8)
 
-    def test_quadrature_self_convergence(self, tg):
+    def test_quadrature_self_convergence(self, tg, monkeypatch):
+        import fracheat.lorentz as lorentz
         rng = np.random.default_rng(11)
         f = random_piecewise(tg, rng)
         spec = PotentialSpec((0.0, 0.0), 0.35, 0.5, 0.6)
-        coarse = riesz_potential_I2(tg, f, spec, nodes_per_decade=32)
-        fine = riesz_potential_I2(tg, f, spec, nodes_per_decade=96)
+        monkeypatch.setattr(lorentz, "_I2_NODES_PER_DECADE", 32)
+        coarse = riesz_potential_I2(tg, f, spec)
+        monkeypatch.setattr(lorentz, "_I2_NODES_PER_DECADE", 96)
+        fine = riesz_potential_I2(tg, f, spec)
         assert abs(fine - coarse) <= 1e-3 * max(abs(fine), 1e-12)
 
     def test_domain_guard(self, tg):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fracheat.moduli import (
     build_omega3_and_omega,
     summability_check,
     build_K,
+    _sqrt_interp_dini,
 )
 
 CFG = ModulusPipelineConfig(gamma=0.05, delta_tilde=0.5, lam=1.0 / 16.0, kmax=24)
@@ -35,6 +37,26 @@ log_dini_mod = lambda: ModulusOfContinuity(
     lambda r: np.where(np.asarray(r) > 0, r * np.log(np.e / np.maximum(r, 1e-300)), 0.0))
 inv_log_sq_mod = lambda: ModulusOfContinuity(
     lambda r: np.where(np.asarray(r) > 0, np.log(np.e / np.maximum(r, 1e-300)) ** -2.0, 0.0))
+
+
+def piecewise_sqrt_dini(omega1, b):
+    """int_0^b omega1(t)/t dt for a build_omega1 modulus, piece by piece of
+    its hull in sigma = sqrt t: 2 int w(sigma)/sigma dsigma with a 40-point
+    Gauss rule per piece, in sigma on the first piece (where w/sigma is
+    constant) and in log sigma on the others (where the integrand in
+    u = log sigma is w(e^u), smooth).  Independent reference for the exact
+    a = 0 term of K1."""
+    sig = np.sqrt(omega1.samples_r)
+    x, wx = np.polynomial.legendre.leggauss(40)
+    top = math.sqrt(b)
+    lo, hi = sig[:-1], np.minimum(sig[1:], top)
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    s0 = 0.5 * hi[0] * (1.0 + x)
+    total = 0.5 * hi[0] * float(np.dot(wx, omega1(s0 ** 2) / s0))
+    ul, uh = np.log(lo[1:]), np.log(hi[1:])
+    u = 0.5 * (ul + uh)[:, None] + 0.5 * (uh - ul)[:, None] * x
+    total += float(np.sum(0.5 * (uh - ul) * (omega1(np.exp(2.0 * u)) @ wx)))
+    return 2.0 * total
 
 
 class TestDiniIntegral:
@@ -506,9 +528,12 @@ class TestBuildK:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             return half * float(np.dot(wg, fn(mid + half * xg)))
 
+        # the a = 0 term of a build_omega1 modulus is its exact integral
+        a0 = piecewise_sqrt_dini if omega1.name == "omega1" else dini_integral
+
         def K(r):
             h1 = math.sqrt(r)
-            k1 = dini_integral(omega1, min(h1, 1.0))
+            k1 = a0(omega1, min(h1, 1.0))
             if h1 > 1.0:
                 k1 += math.log(h1) * float(omega1(1.0))
             for a in a_scan:
@@ -584,7 +609,9 @@ class TestBuildK:
         alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
         a_scan = np.geomspace(1e-6, 2.0, scan_points)
         xg, wg = np.polynomial.legendre.leggauss(32)
-        dini = TestDiniIntegral.reference_dini_from_zero
+        # the a = 0 term of a build_omega1 modulus is its exact integral
+        dini = (piecewise_sqrt_dini if omega1.name == "omega1"
+                else TestDiniIntegral.reference_dini_from_zero)
 
         def power_integral(upper):
             return TestBuildK.reference_power_integral(prof, alpha, upper)
@@ -679,6 +706,43 @@ class TestBuildK:
         K = build_K(ones, self.zero_profile(), self.P, CFG)
         with pytest.raises(DiniDivergenceError):
             K(np.array([0.01, 0.25, 1.0]))
+
+    GAMMAS = (0.05, 0.025, 0.0125)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("make", [inv_log_sq_mod, log_dini_mod],
+                             ids=["inv_log_sq", "log_dini"])
+    def test_k1_table_matches_per_piece_quadrature(self, make, gamma):
+        om1 = build_omega1(make(), replace(CFG, gamma=gamma))
+        bs = np.concatenate([np.geomspace(1e-6, 1.0, 41), [0.37, 1.0]])
+        np.testing.assert_allclose(
+            _sqrt_interp_dini(om1)(bs),
+            [piecewise_sqrt_dini(om1, b) for b in bs], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_dyadic_rule_error_on_kinked_omega1(self, gamma):
+        # the dyadic rule's Gauss panels straddle the hull's kinks: about
+        # 1e-6 relative, far above its 1e-10 stop tolerance
+        om1 = build_omega1(inv_log_sq_mod(), replace(CFG, gamma=gamma))
+        bs = np.geomspace(1e-6, 1.0, 41)
+        err = dini_integral(om1, bs) / _sqrt_interp_dini(om1)(bs) - 1.0
+        assert np.max(np.abs(err)) <= 1e-6
+
+    def test_k1_table_only_for_sqrt_interpolants(self, tg):
+        om1 = build_omega1(inv_log_sq_mod(), CFG)
+        assert _sqrt_interp_dini(om1) is not None
+        # linear in r, not in sqrt r
+        rs = np.linspace(0.0, 1.0, 9)
+        assert _sqrt_interp_dini(least_concave_majorant(rs, np.sqrt(rs))) is None
+        f = np.ones(tg.shape)
+        omega = build_omega3_and_omega(om1, build_omega2(tg, f, CFG, self.P), CFG)
+        assert _sqrt_interp_dini(omega) is None
+        assert _sqrt_interp_dini(identity_mod()) is None
+        # omega1's samples on a function that is not their interpolant
+        bent = ModulusOfContinuity(lambda r: om1(r) * (1.0 + 1e-6 * np.sin(
+            40.0 * np.asarray(r))), samples_r=om1.samples_r,
+            samples_w=om1.samples_w)
+        assert _sqrt_interp_dini(bent) is None
 
     def test_concave_majorant_within_factor_two(self):
         om1 = build_omega1(log_dini_mod(), CFG)

@@ -31,6 +31,14 @@ def grid(nt=16, nx=20, ny=16, s=0.75):
 
 
 class TestParabolicDistance:
+    def test_arrays_equal_pair_by_pair(self):
+        rng = np.random.default_rng(4)
+        p1, p2 = rng.normal(size=(2, 3, 500))
+        got = parabolic_distance(tuple(p1), tuple(p2))
+        assert got.shape == (500,)
+        assert np.array_equal(got, [parabolic_distance(a, b)
+                                    for a, b in zip(p1.T, p2.T)])
+
     def test_identical(self):
         assert parabolic_distance((0.1, 0.2, 0.3), (0.1, 0.2, 0.3)) == 0.0
 
@@ -439,22 +447,31 @@ class TestGradientModulusProbe:
             gradient_modulus_probe(U, K, n_pairs=10)
 
 
-def scalar_call_probe(U, K, n_pairs, seed):
-    """The sampler with one scalar K call per pair, as the probe ran before
-    it batched K: reference for the batched probe."""
+def pair_scales(grid):
+    """min(dx, sqrt(dt)) and the probe's dyadic pair scales below 0.45."""
+    h_min = min(grid.dx, math.sqrt(grid.dt))
+    decades, d = [], 0.45
+    while d > h_min:
+        decades.append(d)
+        d /= 2.0
+    return h_min, decades
+
+
+def old_loop_probe(U, K, n_pairs, seed):
+    """The sampler as it was before it drew its attempts in blocks: one
+    attempt at a time, rng.choice cells, one scalar K call per pair.
+    Reference for the distribution of the pairs; returns the pair
+    distances, ratios and cases, the time pairs' sqrt(dt) and the three
+    empirical constants."""
     from fracheat.probe import _cells_in_half_cylinder
     grid = U.grid
     rng = np.random.default_rng(seed)
     gx, gy = grid.gradient(U.values)
     ti, xi_, yi = _cells_in_half_cylinder(grid)
     t_nodes, x_c, y_c = grid.t_nodes, grid.x_centers[0], grid.y_centers
-    h_min = min(grid.dx, math.sqrt(grid.dt))
-    decades, d = [], 0.45
-    while d > h_min:
-        decades.append(d)
-        d /= 2.0
+    h_min, decades = pair_scales(grid)
     n_dec = max(len(decades), 1)
-    dists, ratios, cases = [], [], []
+    dists, ratios, cases, rdts = [], [], [], []
     ci = cb = ct = 0.0
     attempts = 0
     while len(dists) < n_pairs and attempts < 40 * n_pairs:
@@ -493,9 +510,71 @@ def scalar_call_probe(U, K, n_pairs, seed):
         if dt_ <= 0:
             continue
         rdt = math.sqrt(dt_)
+        rdts.append(rdt)
         du = abs(U.values[j1, ix, iy] - U.values[j2, ix, iy])
         ct = max(ct, du / max(float(K(min(rdt, 1.0))) * rdt, 1e-300))
-    return dists, ratios, cases, (ci, cb, ct)
+    return dists, ratios, cases, rdts, (ci, cb, ct)
+
+
+def scalar_call_probe(U, K, n_pairs, seed):
+    """The probe pair by pair on the sampler's own draws (the same blocks
+    of the same RNG calls): argmin snapping, the public parabolic_distance,
+    the full-field grid.gradient and one scalar K call per pair.
+    Reference for the array-native probe; returns what old_loop_probe
+    does."""
+    from fracheat.probe import PAIR_BLOCK, _cells_in_half_cylinder
+    grid = U.grid
+    rng = np.random.default_rng(seed)
+    gx, gy = grid.gradient(U.values)
+    ti, xi_, yi = _cells_in_half_cylinder(grid)
+    axes = (grid.t_nodes, grid.x_centers[0], grid.y_centers)
+    h_min, decades = pair_scales(grid)
+    dists, ratios, cases, rdts = [], [], [], []
+    ci = cb = ct = 0.0
+    attempts = 0
+    while len(dists) < n_pairs and attempts < 40 * n_pairs:
+        m = min(PAIR_BLOCK, 4 * (n_pairs - len(dists)), 40 * n_pairs - attempts)
+        attempts += m
+        cells = [c[rng.integers(0, c.size, m)] for c in (ti, xi_, yi)]
+        target = np.array(decades)[rng.integers(0, len(decades), m)] \
+            * rng.uniform(0.5, 1.0, m)
+        shift = rng.uniform(-1.0, 1.0, (3, m)) * (target ** 2, target, target)
+        for k in range(m):
+            if len(dists) == n_pairs:
+                break
+            i1 = tuple(int(c[k]) for c in cells)
+            to = [ax[i] + d[k] for ax, i, d in zip(axes, i1, shift)]
+            if abs(to[0] - grid.center[0]) > 0.25 \
+                    or abs(to[1] - grid.center[1]) > 0.5 or not 0.0 < to[2] < 0.5:
+                continue
+            i2 = tuple(int(np.argmin(np.abs(ax - v))) for ax, v in zip(axes, to))
+            p1, p2 = ([ax[i] for ax, i in zip(axes, ii)] for ii in (i1, i2))
+            dist = parabolic_distance(p1, p2)
+            if dist < h_min / 2.0 or dist > 0.45:
+                continue
+            dgx, dgy = gx[i1] - gx[i2], gy[i1] - gy[i2]
+            inc = math.sqrt(dgx * dgx + dgy * dgy)
+            ratio = inc / max(float(K(min(dist, 1.0))), 1e-300)
+            interior = dist <= min(p1[2], p2[2]) / 4.0
+            if interior:
+                ci = max(ci, ratio)
+            else:
+                cb = max(cb, ratio)
+            dists.append(dist)
+            ratios.append(ratio)
+            cases.append(0 if interior else 1)
+    n_time = n_pairs // 4
+    j1 = rng.integers(0, ti.size, n_time)
+    j2 = rng.integers(0, ti.size - 1, n_time)
+    ix, iy = (c[rng.integers(0, c.size, n_time)] for c in (xi_, yi))
+    for k in range(n_time):
+        # j2 is drawn from the ti.size - 1 indices other than j1
+        a, b = ti[j1[k]], ti[j2[k] + (j2[k] >= j1[k])]
+        rdt = math.sqrt(abs(axes[0][a] - axes[0][b]))
+        rdts.append(rdt)
+        du = abs(U.values[a, ix[k], iy[k]] - U.values[b, ix[k], iy[k]])
+        ct = max(ct, du / max(float(K(min(rdt, 1.0))) * rdt, 1e-300))
+    return dists, ratios, cases, rdts, (ci, cb, ct)
 
 
 class TestBatchedK:
@@ -515,15 +594,99 @@ class TestBatchedK:
         assert 0 < calls[0][0] <= rep.pair_distances.size + rep.n_time
 
     def test_matches_scalar_call_reference(self):
+        self.check_scalar_call_reference(300, 11)      # one block of attempts
+
+    def test_matches_scalar_call_reference_over_blocks(self):
+        self.check_scalar_call_reference(3000, 5)      # two full blocks
+
+    def check_scalar_call_reference(self, n_pairs, seed):
         K = ModulusOfContinuity(lambda r: np.sqrt(r) + r)
         U = self.field()
-        rep = gradient_modulus_probe(U, K, n_pairs=300, seed=11)
-        dists, ratios, cases, consts = scalar_call_probe(U, K, 300, 11)
+        rep = gradient_modulus_probe(U, K, n_pairs=n_pairs, seed=seed)
+        dists, ratios, cases, rdts, consts = scalar_call_probe(U, K, n_pairs,
+                                                               seed)
         assert np.array_equal(rep.pair_distances, dists)
         assert np.array_equal(rep.pair_ratios, ratios)
         assert np.array_equal(rep.pair_cases, cases)
+        assert rep.n_time == len(rdts)
         assert (rep.C_emp_interior, rep.C_emp_boundary, rep.C_emp_time) == consts
         assert min(consts) > 0.0
+
+    def test_default_pairs_one_K_call_bounded_memory(self):
+        import tracemalloc
+        g = grid(nt=48, nx=48, ny=48)
+        U = sample_scalar(g, lambda t, x, y: np.cos(2 * x) * (1 + y ** 1.5)
+                          + 0.3 * t * x)
+        calls = []
+
+        def K(r):
+            calls.append(np.shape(r))
+            return np.sqrt(r) + r
+        tracemalloc.start()
+        try:
+            rep = gradient_modulus_probe(U, K, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pair_distances.size == 10000 and len(calls) == 1
+        # blocks of at most PAIR_BLOCK attempts peak at about 4.5 MB; one
+        # uncapped block of 4 x 10,000 attempts already peaks at 8.7 MB
+        assert peak < 6e6, peak
+
+
+class TestPairStatistics:
+    """The array sampler draws the RNG stream in a different order than the
+    one-attempt loop, so its pairs differ; their distribution must not.
+    The seeds were fixed before any comparison was run."""
+
+    SEEDS = range(20)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        g = grid(nt=48, nx=48, ny=48)
+        U = sample_scalar(g, lambda t, x, y: np.cos(2 * x) * (1 + y ** 1.5)
+                          + 0.3 * t * x)
+        K = ModulusOfContinuity(lambda r: np.sqrt(r) + r)
+        old = [old_loop_probe(U, K, 500, s) for s in self.SEEDS]
+        new = [scalar_call_probe(U, K, 500, s) for s in self.SEEDS]
+        reps = [gradient_modulus_probe(U, K, n_pairs=500, seed=s)
+                for s in self.SEEDS]
+        return old, new, reps
+
+    def test_pair_distances_same_distribution(self, runs):
+        from scipy.stats import ks_2samp
+        old, _, reps = runs
+        pooled_old = np.concatenate([o[0] for o in old])
+        pooled_new = np.concatenate([r.pair_distances for r in reps])
+        assert ks_2samp(pooled_old, pooled_new).pvalue > 0.01
+
+    def test_interior_fraction(self, runs):
+        old, _, reps = runs
+        n = sum(len(o[2]) for o in old)
+        f_old = 1.0 - sum(np.sum(o[2]) for o in old) / n
+        f_new = (sum(r.n_interior for r in reps)
+                 / sum(r.pair_distances.size for r in reps))
+        se = math.sqrt(2.0 * f_old * (1.0 - f_old) / n)
+        assert abs(f_new - f_old) < 4.0 * se
+
+    def test_time_pair_scales_same_distribution(self, runs):
+        from scipy.stats import ks_2samp
+        old, new, reps = runs
+        # the replica's time pairs are the probe's (the same draws, and
+        # C_emp_time equal bit for bit in TestBatchedK)
+        assert [len(n[3]) for n in new] == [r.n_time for r in reps]
+        assert [n[4][2] for n in new] == [r.C_emp_time for r in reps]
+        assert ks_2samp(np.concatenate([o[3] for o in old]),
+                        np.concatenate([n[3] for n in new])).pvalue > 0.01
+
+    def test_median_constants_within_old_spread(self, runs):
+        old, _, reps = runs
+        consts_old = np.array([o[4] for o in old])
+        consts_new = np.array([(r.C_emp_interior, r.C_emp_boundary,
+                                r.C_emp_time) for r in reps])
+        q1, q3 = np.percentile(consts_old, [25, 75], axis=0)
+        gap = np.abs(np.median(consts_new, axis=0) - np.median(consts_old, axis=0))
+        assert np.all(gap <= q3 - q1), (gap, q3 - q1)
 
 
 class TestInteriorProbe:
@@ -601,8 +764,8 @@ class TestCombinedNorm:
 
     def test_constant_field_closed_form_2d(self):
         # thin and thick parts both integrate over Q_1 = (-1, 1) x B_1:
-        # 2 pi (1 + 1/(1 + a)); the ball overlap is subsampled at n = 2
+        # 2 pi (1 + 1/(1 + a)); the disk overlap is exact at n = 2
         g = ParabolicGrid(FracParams(s=0.75, n=2), nt=4, nx=16, ny=8)
         U = sample_scalar(g, lambda t, x1, x2, y: 1.0 + 0.0 * t)
         expect = 2.0 * math.pi * (1.0 + 1.0 / (1.0 + g.params.a))
-        assert combined_norm(U) ** 2 == pytest.approx(expect, rel=1e-3)
+        assert combined_norm(U) ** 2 == pytest.approx(expect, rel=1e-13)
