@@ -214,8 +214,9 @@ class ParabolicGrid:
         a = self.params.a
         if self.q is None:
             # measure-equidistributing grading, capped so the inter-center
-            # resistance spread (1/ny)^(q(1-a)) stays within what float64
-            # sparse factorizations tolerate
+            # resistance spread (1/ny)^(q(1-a)) stays bounded: cells coupled
+            # far more stiffly than their neighbours are numerically
+            # identical at float64 (ROADMAP item 2 re-measures the cap)
             self.q = min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
         if self.q < 1.0:
             raise ValueError("grading exponent q must be >= 1")
@@ -240,7 +241,7 @@ class ParabolicGrid:
         # top boundary): the harmonic face treatment of the weight.
         # Resistances are floored 16 decades below the largest one; cells
         # coupled more stiffly than that are numerically identical at
-        # float64, and unfloored values overflow sparse factorizations.
+        # float64 (ROADMAP item 2 re-measures the floor).
         b = 1.0 - a
         yc = self.y_centers
         self.res_y = (yc[1:] ** b - yc[:-1] ** b) / b

@@ -80,10 +80,6 @@ class QuadratureSpec:
         if self.z_radius <= 0:
             raise ValueError("z_radius must be positive")
 
-    def refined(self) -> "QuadratureSpec":
-        """Same cutoffs, twice as many nodes per decade."""
-        return replace(self, nodes_per_decade=self.nodes_per_decade * 2)
-
     def coarsened(self) -> "QuadratureSpec":
         return replace(self, nodes_per_decade=max(4, self.nodes_per_decade // 2))
 

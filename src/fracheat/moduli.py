@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import _BATCH, FracParams, _chunked, _leggauss, _pow
+from .kernels import FracParams, _leggauss, _pow
 from .lorentz import (
     _power_integral_table,
     PotentialSpec,
@@ -97,32 +97,23 @@ class ModulusPipelineConfig:
             raise ValueError("kmax must be positive")
 
 
-# The stop tolerance of dini_integral, relative to max(1, the sum so far),
+# The stop tolerance of dini_integral, relative to max(1, the whole sum),
 # and its number of dyadic segments before the tail fit
 _DINI_TOL = 1e-10
 _DINI_SEGMENTS = 900
 
 
-def dini_integral(omega, b):
+def dini_integral(omega, b: float) -> float:
     """int_0^b omega(t)/t dt honoring the integrable singularity at 0.
 
-    The interval is split dyadically towards 0, and b may be an array of
-    upper limits in (0, 1], each integrated on its own segments
-    [b 2^-(k+1), b 2^-k].  A b stops at the first segment below
-    _DINI_TOL * max(1, sum of its segments), with a geometric tail.  A b
-    whose segments never get that small is summed over all _DINI_SEGMENTS
-    segments and its tail extrapolated from the observed decay of the
-    segment sums; if they do not decay summably the integral is declared
-    divergent (refuting the Dini property) and a DiniDivergenceError
-    carrying the partial sums is raised.
-
-    The b go in chunks of _BATCH // _DINI_SEGMENTS (36), and a chunk's
-    segments are evaluated for all its b together, in blocks of about
-    _BATCH nodes: 56 segments per b of a full chunk at first, more as b
-    stop, and all of them at once for a lone b.  The stop rule reads the
-    sum of the segments evaluated so far; it differs from the sum of all
-    segments only by the segments past the block, far below _DINI_TOL of
-    it.
+    The interval (0, b], b in (0, 1], is split dyadically towards 0 into
+    segments [b 2^-(k+1), b 2^-k], all evaluated in one call of omega.  The
+    sum stops at the first segment below _DINI_TOL * max(1, sum of all
+    segments), with a geometric tail.  If no segment gets that small, the
+    tail past the last of the _DINI_SEGMENTS segments is extrapolated from
+    the observed decay of the segment sums; if they do not decay summably
+    the integral is declared divergent (refuting the Dini property) and a
+    DiniDivergenceError carrying the partial sums is raised.
 
     The stop rule bounds the tail, not the error of the 16-point panels:
     on a kinked omega such as the hull interpolant of build_omega1, panels
@@ -131,96 +122,41 @@ def dini_integral(omega, b):
     1e-6 against the 1e-10 tolerance.  build_K integrates such an omega1
     exactly instead.
     """
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr <= 0.0):
-        raise ValueError("need b > 0")
-    if np.any(b_arr > 1.0 + 1e-12):
-        raise ValueError("dini integral is restricted to (0, 1]")
-    out = _chunked(lambda bs: _dini_from_zero(omega, bs), b_arr.ravel(),
-                   _DINI_SEGMENTS)
-    return float(out[0]) if b_arr.ndim == 0 else out.reshape(b_arr.shape)
-
-
-def _first_small(segs, total, n_seg):
-    """Index of the first of a row's n_seg segments below
-    _DINI_TOL * max(total, 1), or -1."""
-    small = ((segs < _DINI_TOL * np.maximum(total, 1.0)[:, None])
-             & (np.arange(segs.shape[1]) < n_seg[:, None]))
-    return np.where(small.any(axis=1), np.argmax(small, axis=1), -1)
-
-
-def _dini_from_zero(omega, b):
-    """int_0^b omega(t)/t dt for the 1-d array b (see dini_integral)."""
+    b = float(b)
+    if not 0.0 < b <= 1.0 + 1e-12:
+        raise ValueError("dini integral needs b in (0, 1]")
     xg, wg = _leggauss(16)
     # stop well above the subnormal range so underflow cannot fake decay
-    n_seg = np.minimum(_DINI_SEGMENTS,
-                       np.floor(np.log2(b / 1e-280))).astype(int)
-    n_max = int(n_seg.max())
-    segs = np.zeros((b.size, n_max))
-    partial = np.zeros((b.size, n_max))
-    out = np.empty(b.size)
-    todo = np.arange(b.size)              # rows that have not stopped
-    k0 = 0
-    while k0 < n_max:
-        known = min(k0 + _BATCH // (xg.size * todo.size), n_max)
-        ks = np.arange(k0, known)
-        his = b[todo, None] * 0.5 ** ks
-        los = his * 0.5
-        mids, halfs = 0.5 * (his + los), 0.5 * (his - los)
-        t = (mids[..., None] + halfs[..., None] * xg).ravel()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.asarray(omega(t), dtype=float) / t
-        if not np.isfinite(vals).all():
-            vals = np.nan_to_num(vals, nan=0.0, posinf=0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            seg = np.where(ks < n_seg[todo, None],
-                           halfs * (vals.reshape(-1, xg.size) @ wg)
-                           .reshape(halfs.shape), 0.0)
-            # continue each row's running sum in the order of one cumsum
-            part = np.cumsum(np.column_stack([partial[todo, k0 - 1] if k0
-                                              else np.zeros(todo.size), seg]),
-                             axis=1)[:, 1:]
-        segs[todo, k0:known] = seg
-        partial[todo, k0:known] = part
-        finite = np.isfinite(part).all(axis=1)
-        if not finite.all():
-            row = todo[np.argmin(finite)]
-            raise DiniDivergenceError(
-                "omega(t)/t integral overflows under dyadic refinement",
-                partial[row, :n_seg[row]])
-        first = _first_small(segs[todo, :known], part[:, -1], n_seg[todo])
-        stop = first >= 2
-        rows, k = todo[stop], first[stop]
-        ratio = segs[rows, k] / np.maximum(segs[rows, k - 1], 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(ratio < 0.9, segs[rows, k] * ratio / (1.0 - ratio), 0.0)
-        out[rows] = partial[rows, k] + tail
-        todo, first = todo[~stop], first[~stop]
-        if not todo.size:
-            return out
-        k0 = known
-
-    # the rows left were summed over all their segments
-    last = partial[todo, n_seg[todo] - 1]
-    out[todo] = last                      # a small segment among the first two
-    rows = first < 0
-    if np.any(rows):
-        r, K = todo[rows], n_seg[todo[rows]]
-        # extrapolate: fit segment decay s_k ~ c k^-p on the last stretch
-        k1, k2 = K // 2, K - 1
-        p_exp = np.array([
-            math.log(max(segs[i, j1], 1e-300) / max(segs[i, j2], 1e-300))
-            / math.log(j2 / j1)
-            for i, j1, j2 in zip(r, k1.tolist(), k2.tolist())])
-        bad = np.nonzero(p_exp <= 1.05)[0]
-        if bad.size:
-            i = bad[0]
-            raise DiniDivergenceError(
-                f"omega(t)/t integral not Cauchy: segment decay exponent "
-                f"{p_exp[i]:.3f} <= 1 after {K[i]} dyadic refinements",
-                partial[r[i], :K[i]])
-        out[r] = last[rows] + segs[r, k2] * k2 / (p_exp - 1.0)
-    return out
+    n_seg = min(_DINI_SEGMENTS, int(math.log2(b / 1e-280)))
+    his = b * 0.5 ** np.arange(n_seg)
+    los = his * 0.5
+    mids, halfs = 0.5 * (his + los), 0.5 * (his - los)
+    t = (mids[:, None] + halfs[:, None] * xg).ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.nan_to_num(np.asarray(omega(t), dtype=float) / t,
+                             nan=0.0, posinf=0.0)
+        segs = halfs * (vals.reshape(n_seg, xg.size) @ wg)
+        partial = np.cumsum(segs)
+    if not np.isfinite(partial).all():
+        raise DiniDivergenceError(
+            "omega(t)/t integral overflows under dyadic refinement", partial)
+    small = np.nonzero(segs < _DINI_TOL * max(partial[-1], 1.0))[0]
+    if small.size and small[0] >= 2:
+        k = small[0]
+        ratio = segs[k] / max(segs[k - 1], 1e-300)
+        tail = segs[k] * ratio / (1.0 - ratio) if ratio < 0.9 else 0.0
+        return float(partial[k] + tail)
+    if small.size:                        # a small segment among the first two
+        return float(partial[-1])
+    # extrapolate: fit segment decay s_k ~ c k^-p on the last stretch
+    k1, k2 = n_seg // 2, n_seg - 1
+    p_exp = (math.log(max(segs[k1], 1e-300) / max(segs[k2], 1e-300))
+             / math.log(k2 / k1))
+    if p_exp <= 1.05:
+        raise DiniDivergenceError(
+            f"omega(t)/t integral not Cauchy: segment decay exponent "
+            f"{p_exp:.3f} <= 1 after {n_seg} dyadic refinements", partial)
+    return float(partial[-1] + segs[k2] * k2 / (p_exp - 1.0))
 
 
 def least_concave_majorant(r, w) -> ModulusOfContinuity:
@@ -462,58 +398,34 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
        K2(r) = sqrt(r)
        K3(r) = sup_a int_a^(a+C r) u^((2s-1)/(n+2)) (g**(u))^(1/2) du/u
 
-    For the nonincreasing integrands at hand the sup sits at a = 0; the
-    log-spaced a-scan certifies this numerically rather than assuming it.
+    Both integrands are nonincreasing, so each sup sits at a = 0:
+      - omega1 is a concave hull through (0, 0) read in sqrt t, so
+        omega1(t)/sqrt t is nonincreasing, and so is omega1(t)/t;
+      - g** is the running mean of the nonincreasing g*, and
+        (2s-1)/(n+2) < 1/2 (lorentz._power_integral_table enforces it).
 
-    K and its components (.components["K1"], ["K2"], ["K3"]) are
-    array-native: one call evaluates all its radii together, on the nodes
-    a radius-by-radius evaluation uses, so a radius gets the same value
-    alone or in an array.
-      - K1 at a = 0 reads a per-vertex table of omega1, built here once,
-        when omega1 is an interpolant in sqrt r as build_omega1 makes
-        (see _sqrt_interp_dini); for any other omega1 it is one
-        dini_integral call on the array of sqrt r.
-      - K3 at a = 0 reads a per-plateau table of g, built here once (see
-        lorentz._power_integral_table); each radius adds only the Gauss
-        panels of its partial plateau.
-      - Each a-scan is one (radii x 21 a-values x 32) Gauss contraction.
-    Radii go in chunks that keep every temporary within kernels._BATCH
-    floats (256 KB; kernels._chunked).
+    omega1 must be made by build_omega1; K1 then reads a per-vertex table
+    of it (see _sqrt_interp_dini), with omega1 extended past t = 1 by its
+    constant value omega1(1).  K3 reads a per-plateau table of g (see
+    lorentz._power_integral_table): each radius adds only the Gauss panels
+    of its partial plateau.  K and its components (.components["K1"],
+    ["K2"], ["K3"]) take an array of radii of any shape.
     """
+    dini = _sqrt_interp_dini(omega1)
+    if dini is None:
+        raise ValueError("build_K needs omega1 from build_omega1: an "
+                         "interpolant in sqrt r of its samples from (0, 0)")
     C = cylinder_measure_constant(p.n)
-    alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
-    a_scan = np.geomspace(1e-6, 2.0, 21)
-    xg, wg = _leggauss(32)
     omega1_at_1 = float(omega1(1.0))
-    dini = _sqrt_interp_dini(omega1) or (lambda b: dini_integral(omega1, b))
-    power_integral = _power_integral_table(g_profile, alpha)
-
-    def scan_max(fn_over_t, h):
-        """max over a in a_scan of int_a^(a+h) fn_over_t(t) dt, per h."""
-        h = np.asarray(h, dtype=float)
-
-        def rows(h):
-            lo, hi = a_scan, a_scan + h[:, None]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            t = mid[..., None] + half[..., None] * xg
-            vals = np.asarray(fn_over_t(t.ravel()), dtype=float)
-            return np.max(half * (vals.reshape(-1, xg.size) @ wg)
-                          .reshape(half.shape), axis=1)
-        return _chunked(rows, h.ravel(), a_scan.size * xg.size).reshape(h.shape)
+    power_integral = _power_integral_table(g_profile,
+                                           (2.0 * p.s - 1.0) / (p.n + 2.0))
 
     def K1(r):
         h = np.sqrt(r)
-        # past h = 1, omega1 is extended by its constant value omega1(1)
-        best = (dini(np.minimum(h, 1.0))
-                + np.log(np.maximum(h, 1.0)) * omega1_at_1)
-        return np.maximum(best, scan_max(
-            lambda t: np.asarray(omega1(np.minimum(t, 1.0))) / t, h))
+        return dini(np.minimum(h, 1.0)) + np.log(np.maximum(h, 1.0)) * omega1_at_1
 
     def K3(r):
-        h = C * r
-        return np.maximum(power_integral(h), scan_max(
-            lambda u: u ** (alpha - 1.0)
-            * np.sqrt(np.maximum(g_profile.double_star(u), 0.0)), h))
+        return power_integral(C * r)
 
     return ModulusOfContinuity(lambda r: K1(r) + np.sqrt(r) + K3(r), name="K",
                                components={"K1": K1, "K2": np.sqrt, "K3": K3})

@@ -236,7 +236,7 @@ class TestDualRoute:
         p = FracParams(s=0.6)
         rep1 = dtn_vs_direct(p, 2.0, ParabolicGrid(p, nt=24, nx=24, ny=24))
         rep2 = dtn_vs_direct(p, 2.0, ParabolicGrid(p, nt=48, nx=48, ny=48),
-                             qspec=QuadratureSpec().refined())
+                             qspec=QuadratureSpec(nodes_per_decade=24))
         assert rep2["sup_extension_vs_direct"] < rep1["sup_extension_vs_direct"]
 
     def test_every_cell_flagged_near_s_one_is_named(self):

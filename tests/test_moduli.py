@@ -6,12 +6,14 @@ import pytest
 from scipy.integrate import quad
 
 from fracheat.kernels import FracParams
+from fracheat.generators import modulus_generator
 from fracheat.grids import ThinGrid
 from fracheat.lorentz import (
     RearrangedProfile,
     SampledFunction,
     _power_integral_table,
     decreasing_rearrangement,
+    gridded_to_sampled,
     profile_power_integral,
 )
 from fracheat.moduli import (
@@ -80,7 +82,7 @@ class TestDiniIntegral:
 
     @staticmethod
     def reference_dini_from_zero(omega, b, tol=1e-10, max_segments=900):
-        """The a = 0 integral as it was computed before the blocked path:
+        """dini_integral's rule without its overflow and divergence raises:
         every segment at once, the stop rule on the sum of all of them."""
         xg, wg = np.polynomial.legendre.leggauss(16)
         K = min(max_segments, int(math.floor(math.log2(b / 1e-280))))
@@ -106,33 +108,31 @@ class TestDiniIntegral:
             / math.log(k2 / k1)
         return float(partial[-1] + segs[k2] * k2 / (p_exp - 1.0))
 
-    # identity and log_dini stop in the first block, the pipeline omega1
-    # after about 130 segments, in a later one; inv_log_sq never meets the
-    # stop rule and is extrapolated; b = 1e-9 has 899 segments, not 900
+    # identity and log_dini stop within a few segments, the pipeline omega1
+    # after about 130; inv_log_sq never meets the stop rule and is
+    # extrapolated; b = 1e-9 has 899 segments, not 900
     @pytest.mark.parametrize("make", [identity_mod, log_dini_mod,
                                       inv_log_sq_mod,
                                       lambda: build_omega1(inv_log_sq_mod(), CFG)],
                              ids=["identity", "log_dini", "inv_log_sq", "omega1"])
     def test_array_b_matches_full_reference(self, make):
-        # the sum in blocks stops at the same segment with the same value as
-        # the sum over all segments: a different stop segment would move
-        # the value by about the stop threshold, 1e-10
+        # each upper limit of an array, in its own call, is the reference
+        # bit for bit: a different stop segment would move the value by
+        # about the stop threshold, 1e-10
         omega = make()
         bs = np.concatenate([np.geomspace(1e-3, 1.0, 23), [0.37, 1e-9]])
-        got = dini_integral(omega, bs)
-        ref = [self.reference_dini_from_zero(omega, b) for b in bs]
-        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
-        assert [dini_integral(omega, b) for b in bs] == list(got)
-        assert got.shape == bs.shape and isinstance(dini_integral(omega, 0.5), float)
+        got = [dini_integral(omega, b) for b in bs]
+        assert got == [self.reference_dini_from_zero(omega, b) for b in bs]
+        assert all(isinstance(v, float) for v in got)
 
     def test_array_b_divergence_and_guards(self):
         ones = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))
         with pytest.raises(DiniDivergenceError) as exc:
-            dini_integral(ones, np.array([0.5, 1.0]))
+            dini_integral(ones, 0.5)
         assert exc.value.partial_sums.size == 900
         with pytest.raises(ValueError):
-            dini_integral(identity_mod(), np.array([0.5, 1.5]))
+            dini_integral(identity_mod(), 1.5)
 
 
 def brute_majorant_at_samples(r, w):
@@ -490,20 +490,43 @@ class TestBuildK:
         return decreasing_rearrangement(SampledFunction([1.0], [0.0]))
 
     def test_linear_omega1_zero_data(self):
-        om1 = ModulusOfContinuity(lambda r: np.asarray(r, dtype=float))
+        # a zero coefficient modulus gives omega1(r) = sqrt r, linear in
+        # sqrt r, so K1(r) = 2 r^(1/4) and K3 = 0
+        om1 = build_omega1(modulus_generator("zero"), CFG)
         K = build_K(om1, self.zero_profile(), self.P, CFG)
         for r in [0.04, 0.25, 0.81]:
-            assert K(r) == pytest.approx(2.0 * math.sqrt(r), rel=1e-9)
+            assert K(r) == 2.0 * math.sqrt(math.sqrt(r)) + math.sqrt(r)
 
     def test_k2_component(self):
-        om1 = ModulusOfContinuity(lambda r: np.asarray(r, dtype=float))
+        om1 = build_omega1(modulus_generator("zero"), CFG)
         K = build_K(om1, self.zero_profile(), self.P, CFG)
         assert K.components["K2"](0.25) == 0.5
+
+    def test_sup_over_shifts_sits_at_zero(self):
+        # build_K takes both sups over shifts a at a = 0, which holds when
+        # the integrands omega1(t)/t and u^(alpha-1) (g**(u))^(1/2) are
+        # nonincreasing; "constant" is left out: omega1(0) > 0 there, so it
+        # is not a modulus
+        ts = np.geomspace(1e-12, 4.0, 2001)
+        for name in ("zero", "lipschitz", "log_dini", "inv_log_sq", "power"):
+            for gamma in (0.0125, 0.05, 0.45):
+                om1 = build_omega1(modulus_generator(name),
+                                   replace(CFG, gamma=gamma))
+                v = om1(ts) / ts
+                assert np.all(np.diff(v) <= 1e-13 * v[:-1]), (name, gamma)
+        rng = np.random.default_rng(11)
+        for tg in (ThinGrid(1, 1.0, 16, 16), ThinGrid(2, 1.0, 8, 8)):
+            for _ in range(5):
+                f = rng.uniform(0.1, 10.0) * rng.normal(size=tg.shape)
+                prof = decreasing_rearrangement(gridded_to_sampled(tg, f ** 2))
+                alpha = (2.0 * rng.uniform(0.51, 0.99) - 1.0) / (tg.n + 2.0)
+                us = np.geomspace(1e-12, 4.0 * prof.total_measure, 2001)
+                v = us ** (alpha - 1.0) * np.sqrt(prof.double_star(us))
+                assert np.all(np.diff(v) <= 1e-13 * v[:-1]), tg.n
 
     def test_monotone_and_half_decreasing(self, tg):
         rng = np.random.default_rng(12)
         f = np.abs(rng.normal(size=tg.shape))
-        from fracheat.lorentz import gridded_to_sampled
         prof = decreasing_rearrangement(gridded_to_sampled(tg, f ** 2))
         om1 = build_omega1(log_dini_mod(), CFG)
         K = build_K(om1, prof, self.P, CFG)
@@ -515,8 +538,10 @@ class TestBuildK:
 
     @staticmethod
     def per_a_loop_K(omega1, prof, p, scan_points=21):
-        """K1 + K2 + K3 with one Gauss integral per shift a and a scalar g**
-        per node: the loop the batched a-scan replaced, kept as reference."""
+        """K1 + K2 + K3 of a build_omega1 modulus as sups over 21 shifts a,
+        one Gauss integral per shift and a scalar g** per node.  Oracle for
+        the closed-form K, which takes each sup at a = 0: a shift that beat
+        a = 0 would show here."""
         from fracheat.lorentz import cylinder_measure_constant, profile_power_integral
         C = cylinder_measure_constant(p.n)
         alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
@@ -528,12 +553,9 @@ class TestBuildK:
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             return half * float(np.dot(wg, fn(mid + half * xg)))
 
-        # the a = 0 term of a build_omega1 modulus is its exact integral
-        a0 = piecewise_sqrt_dini if omega1.name == "omega1" else dini_integral
-
         def K(r):
             h1 = math.sqrt(r)
-            k1 = a0(omega1, min(h1, 1.0))
+            k1 = piecewise_sqrt_dini(omega1, min(h1, 1.0))
             if h1 > 1.0:
                 k1 += math.log(h1) * float(omega1(1.0))
             for a in a_scan:
@@ -548,12 +570,8 @@ class TestBuildK:
             return k1 + math.sqrt(r) + k3
         return K
 
-    # omega1(t) = t^2 makes omega1(t)/t increase, so the K1 sup sits at a > 0
-    @pytest.mark.parametrize("om1", [
-        build_omega1(log_dini_mod(), CFG),
-        ModulusOfContinuity(lambda r: np.asarray(r) ** 2)])
+    @pytest.mark.parametrize("om1", [build_omega1(log_dini_mod(), CFG)])
     def test_batched_scan_matches_per_a_loop(self, om1):
-        from fracheat.lorentz import gridded_to_sampled
         tg16 = ThinGrid(1, 1.0, 16, 16)
         f = np.random.default_rng(3).normal(size=tg16.shape)
         prof = decreasing_rearrangement(gridded_to_sampled(tg16, f ** 2))
@@ -600,18 +618,15 @@ class TestBuildK:
 
     @staticmethod
     def per_radius_K(omega1, prof, p, scan_points=21):
-        """K as it was computed before it took arrays: a Python loop over
-        radii, the Dini integral over all 900 segments, the power integral
-        plateau by plateau, one scan per radius.  Reference for the
-        array-native K."""
+        """K of a build_omega1 modulus as it was computed before it took
+        arrays: a Python loop over radii, the exact Dini integral, the power
+        integral plateau by plateau, one a-scan per radius.  Reference for
+        the array-native, closed-form K."""
         from fracheat.lorentz import cylinder_measure_constant
         C = cylinder_measure_constant(p.n)
         alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
         a_scan = np.geomspace(1e-6, 2.0, scan_points)
         xg, wg = np.polynomial.legendre.leggauss(32)
-        # the a = 0 term of a build_omega1 modulus is its exact integral
-        dini = (piecewise_sqrt_dini if omega1.name == "omega1"
-                else TestDiniIntegral.reference_dini_from_zero)
 
         def power_integral(upper):
             return TestBuildK.reference_power_integral(prof, alpha, upper)
@@ -625,7 +640,7 @@ class TestBuildK:
 
         def K(r):
             h = math.sqrt(r)
-            k1 = dini(omega1, min(h, 1.0))
+            k1 = piecewise_sqrt_dini(omega1, min(h, 1.0))
             if h > 1.0:
                 k1 += math.log(h) * float(omega1(1.0))
             k1 = max(k1, scan_max(lambda t: omega1(np.minimum(t, 1.0)) / t, h))
@@ -637,7 +652,6 @@ class TestBuildK:
 
     @staticmethod
     def random_profile():
-        from fracheat.lorentz import gridded_to_sampled
         tg16 = ThinGrid(1, 1.0, 16, 16)
         f = np.random.default_rng(3).normal(size=tg16.shape)
         return decreasing_rearrangement(gridded_to_sampled(tg16, f ** 2))
@@ -647,9 +661,8 @@ class TestBuildK:
 
     @pytest.mark.parametrize("om1, zero", [
         (build_omega1(inv_log_sq_mod(), CFG), False),
-        (ModulusOfContinuity(lambda r: np.asarray(r) ** 2), False),
         (build_omega1(log_dini_mod(), CFG), True)],
-        ids=["omega1", "t_squared", "zero_profile"])
+        ids=["omega1", "zero_profile"])
     def test_array_K_matches_per_radius_reference(self, om1, zero):
         prof = self.zero_profile() if zero else self.random_profile()
         K = build_K(om1, prof, self.P, CFG)
@@ -684,28 +697,36 @@ class TestBuildK:
             calls["double_star"] += 1
             return double_star(u)
         prof.double_star = counted_double_star
-        K = build_K(ModulusOfContinuity(counted_omega1), prof,
-                    self.P, CFG)
+        K = build_K(ModulusOfContinuity(counted_omega1, samples_r=om1.samples_r,
+                                        samples_w=om1.samples_w),
+                    prof, self.P, CFG)
         rng = np.random.default_rng(5)
         # 180 radii: about as many as one K call of gradient_modulus_probe
         for n in (3, 40, 180):
             calls.update(omega1=0, double_star=0)
             K(rng.uniform(1e-3, 1.2, n))
-            # K1: dini_integral takes 36 b a chunk (kernels._BATCH // 900)
-            # and reaches a chunk's stop segments, about 135, in three
-            # blocks; the a-scan takes 48 radii a chunk (_BATCH // (21 x 32)).
-            # K3: one call per panel count of the partial plateaus, and the
-            # scan.  The radius-by-radius K made two of each per radius.
-            scan = -(-n // 48)
-            assert calls["omega1"] <= 3 * -(-n // 36) + scan
-            assert calls["double_star"] <= 4 + scan
+            # K1 reads the per-vertex table built with K; K3 makes one call
+            # per panel count of the partial plateaus.  The radius-by-radius
+            # K made two of each per radius.
+            assert calls["omega1"] == 0
+            assert calls["double_star"] <= 4
 
-    def test_non_dini_omega1_raises_from_array_call(self):
-        ones = ModulusOfContinuity(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)))
-        K = build_K(ones, self.zero_profile(), self.P, CFG)
-        with pytest.raises(DiniDivergenceError):
-            K(np.array([0.01, 0.25, 1.0]))
+    @staticmethod
+    def bent(om1):
+        """omega1's samples on a function that is not their interpolant."""
+        return ModulusOfContinuity(lambda r: om1(r) * (1.0 + 1e-6 * np.sin(
+            40.0 * np.asarray(r))), samples_r=om1.samples_r,
+            samples_w=om1.samples_w)
+
+    # t^2 makes omega1(t)/t increase, so the K1 sup would sit at a > 0
+    @pytest.mark.parametrize("om1", [
+        ModulusOfContinuity(lambda r: np.asarray(r) ** 2),
+        ModulusOfContinuity(lambda r: np.ones_like(np.asarray(r, dtype=float))),
+        bent(build_omega1(inv_log_sq_mod(), CFG))],
+        ids=["t_squared", "non_dini", "bent"])
+    def test_omega1_not_from_build_omega1_raises(self, om1):
+        with pytest.raises(ValueError, match="build_omega1"):
+            build_K(om1, self.zero_profile(), self.P, CFG)
 
     GAMMAS = (0.05, 0.025, 0.0125)
 
@@ -725,7 +746,8 @@ class TestBuildK:
         # 1e-6 relative, far above its 1e-10 stop tolerance
         om1 = build_omega1(inv_log_sq_mod(), replace(CFG, gamma=gamma))
         bs = np.geomspace(1e-6, 1.0, 41)
-        err = dini_integral(om1, bs) / _sqrt_interp_dini(om1)(bs) - 1.0
+        err = (np.array([dini_integral(om1, b) for b in bs])
+               / _sqrt_interp_dini(om1)(bs) - 1.0)
         assert np.max(np.abs(err)) <= 1e-6
 
     def test_k1_table_only_for_sqrt_interpolants(self, tg):
@@ -738,11 +760,7 @@ class TestBuildK:
         omega = build_omega3_and_omega(om1, build_omega2(tg, f, CFG, self.P), CFG)
         assert _sqrt_interp_dini(omega) is None
         assert _sqrt_interp_dini(identity_mod()) is None
-        # omega1's samples on a function that is not their interpolant
-        bent = ModulusOfContinuity(lambda r: om1(r) * (1.0 + 1e-6 * np.sin(
-            40.0 * np.asarray(r))), samples_r=om1.samples_r,
-            samples_w=om1.samples_w)
-        assert _sqrt_interp_dini(bent) is None
+        assert _sqrt_interp_dini(self.bent(om1)) is None
 
     def test_concave_majorant_within_factor_two(self):
         om1 = build_omega1(log_dini_mod(), CFG)
