@@ -570,7 +570,11 @@ class TestBuildK:
             return k1 + math.sqrt(r) + k3
         return K
 
-    @pytest.mark.parametrize("om1", [build_omega1(log_dini_mod(), CFG)])
+    # a t^2 coefficient modulus, which as omega1 itself would put the K1
+    # sup at a > 0, goes through build_omega1 like any other
+    @pytest.mark.parametrize("om1", [
+        build_omega1(log_dini_mod(), CFG),
+        build_omega1(ModulusOfContinuity(lambda r: np.asarray(r) ** 2), CFG)])
     def test_batched_scan_matches_per_a_loop(self, om1):
         tg16 = ThinGrid(1, 1.0, 16, 16)
         f = np.random.default_rng(3).normal(size=tg16.shape)
@@ -661,8 +665,10 @@ class TestBuildK:
 
     @pytest.mark.parametrize("om1, zero", [
         (build_omega1(inv_log_sq_mod(), CFG), False),
+        (build_omega1(ModulusOfContinuity(lambda r: np.asarray(r) ** 2), CFG),
+         False),
         (build_omega1(log_dini_mod(), CFG), True)],
-        ids=["omega1", "zero_profile"])
+        ids=["omega1", "t_squared", "zero_profile"])
     def test_array_K_matches_per_radius_reference(self, om1, zero):
         prof = self.zero_profile() if zero else self.random_profile()
         K = build_K(om1, prof, self.P, CFG)
