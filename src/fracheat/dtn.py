@@ -47,36 +47,42 @@ class DtnExtract:
     fluxes: np.ndarray
 
 
-def extract_dtn(U: ScalarField, p: FracParams, layers: int = 4,
-                residual_threshold: float = 0.05,
-                resistance_floor: float = 1e-11,
-                eta_window: float = 0.45) -> DtnExtract:
+# at least this many flux intervals enter the fit
+_LAYERS = 4
+# a cell is flagged when the two fits differ by more than this share of
+# its value
+_RESIDUAL_THRESHOLD = 0.05
+# intervals of lower resistance are skipped: there the U differences are
+# float noise on strongly graded meshes
+_RESISTANCE_FLOOR = 1e-11
+# the fit stops once eta exceeds this share of rho^(1+a)
+_ETA_WINDOW = 0.45
+
+
+def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
     """Extrapolate the flux y^a dU/dy through graded inter-center intervals
     to y = 0 and scale by -c_s.
 
     The flux of an extension solution is analytic in eta = y^(1+a) with the
     first model error only at order eta^(1 + 2/(1+a)), so the limit comes
     from a quadratic fit in eta.  Intervals are auto-selected: at least
-    `layers` of them (3 minimum), skipping intervals whose resistance sits
-    below `resistance_floor` (there the U differences are float noise on
-    strongly graded meshes) and stopping once eta exceeds `eta_window`.
+    `_LAYERS` of them, skipping intervals whose resistance sits below
+    `_RESISTANCE_FLOOR` and stopping once eta exceeds `_ETA_WINDOW`.
     """
     grid = U.grid
-    if layers < 3:
-        raise ValueError("need at least 3 layers for the extrapolation")
     a = p.a
     yc = grid.y_centers
     eta_all = (1.0 - a) * (yc[1:] ** 2 - yc[:-1] ** 2) \
         / (2.0 * (yc[1:] ** (1.0 - a) - yc[:-1] ** (1.0 - a)))
-    usable = np.nonzero(grid.res_y >= resistance_floor)[0]
-    if usable.size < layers:
+    usable = np.nonzero(grid.res_y >= _RESISTANCE_FLOOR)[0]
+    if usable.size < _LAYERS:
         raise ValueError("mesh does not resolve enough flux layers")
     j0 = int(usable[0])
     in_window = [j for j in range(j0, grid.ny - 1)
-                 if eta_all[j] <= eta_window * grid.rho ** (1.0 + a)]
-    picked = in_window if len(in_window) >= layers \
-        else list(range(j0, min(j0 + layers, grid.ny - 1)))
-    picked = picked[:max(layers, min(len(picked), 12))]
+                 if eta_all[j] <= _ETA_WINDOW * grid.rho ** (1.0 + a)]
+    picked = in_window if len(in_window) >= _LAYERS \
+        else list(range(j0, min(j0 + _LAYERS, grid.ny - 1)))
+    picked = picked[:max(_LAYERS, min(len(picked), 12))]
     if len(picked) < 3:
         raise ValueError("grid does not resolve the requested layers")
     m = len(picked)
@@ -101,7 +107,7 @@ def extract_dtn(U: ScalarField, p: FracParams, layers: int = 4,
     values = (-c_s * limit_2).reshape(thin_shape)
 
     scale_ref = np.maximum(np.abs(values), np.max(np.abs(values)) * 1e-3 + 1e-300)
-    flagged = residual * c_s > residual_threshold * scale_ref
+    flagged = residual * c_s > _RESIDUAL_THRESHOLD * scale_ref
     for axis in range(1, 1 + grid.n):
         sl = [slice(None)] * len(thin_shape)
         sl[axis] = 0

@@ -5,16 +5,16 @@
 
 with Dirichlet data on the lateral and top boundary and an initial slice,
 plus the weak-form verification suite (energy estimate, trace/Poincare
-constants, Steklov averaging, comparison solve, uniqueness).
+constants, Steklov averaging, comparison solve).
 
 Discretization: cell-centered finite volumes with harmonic-mean face
 coefficients; the weight enters through exact cell measures int y^a dy and
 exact inter-center resistances int y^-a dy, so y^a is never evaluated at
 y = 0 and x-linear steady states are reproduced exactly.  Time stepping is
-the theta-method (implicit Euler by default, Crank-Nicolson optional).
+implicit Euler.
 
 The step operator is a sum of Kronecker products,
-theta (Kx (x) Wy + Mx (x) Ky) + (Mx (x) Wy) / dt, for any diagonal A(x).
+Kx (x) Wy + Mx (x) Ky + (Mx (x) Wy) / dt, for any diagonal A(x).
 In the axis-separable reference of A, each a_dd is averaged over the other
 axes; it is A itself at n = 1 and whenever a_dd depends on x_d only.  The
 reference is solved by fast diagonalization: one nx x nx eigenbasis per
@@ -48,7 +48,6 @@ __all__ = [
     "solve_constant_coeff_dirichlet",
     "closeness_experiment",
     "regularity_estimates_check",
-    "uniqueness_check",
 ]
 
 
@@ -204,15 +203,15 @@ def _kron_form(factors):
                for d in range(len(factors)))
 
 
-def _separable_solver(factors, ky, w_y, theta, dt):
-    """Solve (Mx (x) Wy / dt + theta L) u = b by fast diagonalization in x
+def _separable_solver(factors, ky, w_y, dt):
+    """Solve (Mx (x) Wy / dt + L) u = b by fast diagonalization in x
     (Lynch, Rice and Thomas 1964), L the separable reference.
 
     V_d = M_d^-1/2 Q_d, from the eigenpairs (mu_d, Q_d) of
     M_d^-1/2 K_d M_d^-1/2, takes M_d to I and K_d to diag(mu_d).  So
     V = V_0 (x) ... (x) V_(n-1), applied as n mode products, decouples each
-    x-eigenmode into the tridiagonal y-problem theta Ky + (theta mu_i + 1/dt)
-    Wy, mu the outer sum of the mu_d.  Each is symmetric positive definite
+    x-eigenmode into the tridiagonal y-problem Ky + (mu_i + 1/dt) Wy, mu the
+    outer sum of the mu_d.  Each is symmetric positive definite
     (Ky a weakly dominant M-matrix, mu_i >= 0, Wy > 0), so the stacked
     y-problems are factored once as LDL^T without pivoting (LAPACK dpttrf)
     and applied per step (dpttrs).
@@ -229,9 +228,8 @@ def _separable_solver(factors, ky, w_y, theta, dt):
         V.append(scale[:, None] * Q)
         mu = np.add.outer(mu, mu_d)
     nx, nmodes, ny = V[0].shape[0], mu.size, w_y.size
-    main = (theta * ky[0]
-            + np.multiply.outer(theta * mu.ravel() + 1.0 / dt, w_y)).ravel()
-    off = np.tile(np.append(theta * ky[1], 0.0), nmodes)[:-1]
+    main = (ky[0] + np.multiply.outer(mu.ravel() + 1.0 / dt, w_y)).ravel()
+    off = np.tile(np.append(ky[1], 0.0), nmodes)[:-1]
     d, e, info = la.lapack.dpttrf(main, off)
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed (info={info})")
@@ -253,11 +251,15 @@ def _separable_solver(factors, ky, w_y, theta, dt):
 # restart cycles of a step take at most about 15 Lam/lam iterations: a
 # bound of 35 for the checkerboard at eps = 0.4, which measured 12 to 18
 _CG_MAXITER = 200
+# each step's componentwise backward-error target, and the budget whose
+# excess raises
+_RTOL = 1e-12
+_BUDGET = 1e-9
 
 
-def _pcg(A, A_abs, b, u, precond, rtol, maxiter):
+def _pcg(A, A_abs, b, u, precond, maxiter):
     """Preconditioned CG on A u = b from u until the componentwise backward
-    error max |b - A u| / (|A| |u| + |b|) is at most rtol, or maxiter
+    error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or maxiter
     iterations; returns (u, backward error, iterations).  maxiter = 0 only
     measures u.  CG restarts from the true residual b - A u whenever its
     recurrence has shrunk by 1e-6: the two drift apart by rounding, and on
@@ -268,7 +270,7 @@ def _pcg(A, A_abs, b, u, precond, rtol, maxiter):
         r = b - A @ u
         res = float(np.max(np.abs(r) / np.maximum(A_abs @ np.abs(u)
                                                   + np.abs(b), 1e-300)))
-        if res <= rtol or its >= maxiter:
+        if res <= _RTOL or its >= maxiter:
             return u, res, its
         stop, p, rz = 1e-6 * np.linalg.norm(r), 0.0, 1.0
         while its < maxiter and np.linalg.norm(r) > stop:
@@ -283,36 +285,20 @@ def _pcg(A, A_abs, b, u, precond, rtol, maxiter):
 
 
 def _as_thin_array(grid, data):
-    """f-like data to a (nt+1, nx...) array."""
+    """f-like data (callable (t, x...) or None) to a (nt+1, nx...) array."""
     if data is None:
         return np.zeros((grid.nt + 1,) + (grid.nx,) * grid.n)
-    if callable(data):
-        return sample_thin(grid, data)
-    arr = np.asarray(data, dtype=float)
-    expect = (grid.nt + 1,) + (grid.nx,) * grid.n
-    if arr.shape != expect:
-        raise ValueError(f"thin data shape {arr.shape} != {expect}")
-    return arr
+    return sample_thin(grid, data)
 
 
 def _as_vector_array(grid, data):
-    """F-like data to (nt+1, nx..., n+1) with vanishing last component."""
-    shape = (grid.nt + 1,) + (grid.nx,) * grid.n + (grid.n + 1,)
-    if data is None:
-        return np.zeros(shape)
-    if callable(data):
-        axes = [grid.t_nodes] + grid.x_centers
-        mesh = np.meshgrid(*axes, indexing="ij")
-        comps = data(*mesh)
-        arr = np.zeros(shape)
+    """F-like data (callable (t, x...) returning n components, or None) to
+    (nt+1, nx..., n+1) with vanishing last component."""
+    arr = np.zeros((grid.nt + 1,) + (grid.nx,) * grid.n + (grid.n + 1,))
+    if data is not None:
+        comps = data(*np.meshgrid(grid.t_nodes, *grid.x_centers, indexing="ij"))
         for d in range(grid.n):
             arr[..., d] = comps[d]
-        return arr
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"vector data shape {arr.shape} != {shape}")
-    if np.max(np.abs(arr[..., -1])) != 0.0:
-        raise ValueError("normal component of F must vanish")
     return arr
 
 
@@ -357,33 +343,28 @@ def _step_rhs(grid, x_area, coupling, face_points, f, F, lateral):
 
 
 def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
-                    F=None, lateral_dirichlet=None, initial=None,
-                    theta: float = 1.0, method: str = "auto",
-                    rtol: float = 1e-12) -> ScalarField:
-    """March the degenerate problem over the grid's time window.
+                    F=None, lateral_dirichlet=None, initial=None) -> ScalarField:
+    """March the degenerate problem over the grid's time window by implicit
+    Euler.
 
-    f is the bottom Neumann flux datum (callable (t, x...) or array), F the
-    divergence forcing (callable returning n components or array with a zero
-    last component), lateral_dirichlet the Dirichlet datum g(t, x..., y) on
-    the lateral and top boundary, initial the slice at the first time node.
-    theta = 1 is implicit Euler, theta = 0.5 Crank-Nicolson.
+    The data are callables or None (zero): f the bottom Neumann flux datum
+    f(t, x...), F the divergence forcing F(t, x...) returning its n
+    tangential components, lateral_dirichlet the Dirichlet datum
+    g(t, x..., y) on the lateral and top boundary, initial(x..., y) the
+    slice at the first time node.
 
     Each step starts from the separable solve of A's reference (see
     `_assemble`).  Where A is its own reference to rounding (always at
     n = 1) that is the answer; otherwise conjugate gradients on the true
     step operator, preconditioned by the same solve (Concus and Golub 1973),
-    refine it to a componentwise backward error of rtol.  method "cg"
-    starts them from zero instead: a second route for `uniqueness_check`.
+    refine it to a componentwise backward error of `_RTOL`.
 
     The returned field's meta records the worst backward error, the
-    per-step mass balance, the route that ran ("separable", "pcg" or "cg")
-    and the CG iterations; a backward error above max(100 rtol, 1e-9)
-    raises.
+    per-step mass balance, the route that ran ("separable" or "pcg") and
+    the CG iterations; a backward error above `_BUDGET` raises.
     """
     if coeff.n != grid.n:
         raise ValueError("coefficient dimension mismatch")
-    if method not in ("auto", "cg"):
-        raise ValueError(f"unknown method {method!r}")
     (Kx, factors), x_area, ky, coupling, face_points = _assemble(grid, coeff)
     # unknowns x-major, y fastest
     L = (sp.kron(Kx, sp.diags(grid.w_y))
@@ -392,13 +373,12 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     mass = grid.weighted_cell_measures().ravel()
     nfull = mass.size
     dt = grid.dt
-    A_step = sp.csr_matrix(sp.diags(mass / dt) + theta * L)
-    B_step = sp.diags(mass / dt) - (1.0 - theta) * L
+    A_step = sp.csr_matrix(sp.diags(mass / dt) + L)
     A_abs = sp.csr_matrix((np.abs(A_step.data), A_step.indices, A_step.indptr),
                           shape=A_step.shape)
-    precond = _separable_solver(factors, ky, grid.w_y, theta, dt)
+    precond = _separable_solver(factors, ky, grid.w_y, dt)
     split = abs(Kx - _kron_form(factors)).max() <= 1e-14 * abs(Kx).max()
-    route = method if method == "cg" else ("separable" if split else "pcg")
+    route = "separable" if split else "pcg"
     maxiter = 0 if route == "separable" else _CG_MAXITER
 
     rhs_at = _step_rhs(grid, x_area, coupling, face_points, f, F,
@@ -406,37 +386,30 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
 
     if initial is None:
         u = np.zeros(nfull)
-    elif callable(initial):
-        axes = list(grid.x_centers) + [grid.y_centers]
-        mesh = np.meshgrid(*axes, indexing="ij")
+    else:
+        mesh = np.meshgrid(*grid.x_centers, grid.y_centers, indexing="ij")
         u = (np.asarray(initial(*mesh), dtype=float)
              * np.ones(grid.spatial_shape)).ravel()
-    else:
-        u = np.asarray(initial, dtype=float).reshape(-1).copy()
 
     out = np.empty((grid.nt + 1, nfull))
     out[0] = u
     worst_res = 0.0
     iterations = 0
     mass_hist = [float(np.dot(mass, u))]
-    rhs_prev = rhs_at(0)
     for m in range(grid.nt):
-        rhs_next = rhs_at(m + 1)
-        b = B_step @ u + theta * rhs_next + (1.0 - theta) * rhs_prev
-        start = np.zeros(nfull) if route == "cg" else precond(b)
-        u, res, its = _pcg(A_step, A_abs, b, start, precond, rtol, maxiter)
+        b = mass / dt * u + rhs_at(m + 1)
+        u, res, its = _pcg(A_step, A_abs, b, precond(b), precond, maxiter)
         if not np.all(np.isfinite(u)):
             raise RuntimeError("linear solve produced non-finite values")
         worst_res = max(worst_res, res)
         iterations += its
-        rhs_prev = rhs_next
         out[m + 1] = u
         mass_hist.append(float(np.dot(mass, u)))
-    if worst_res > max(rtol * 100.0, 1e-9):
+    if worst_res > _BUDGET:
         raise RuntimeError(f"linear solve residual {worst_res:.2e} exceeds budget")
     values = out.reshape((grid.nt + 1,) + grid.spatial_shape)
     return ScalarField(grid, values, meta={
-        "residual": worst_res, "theta": theta, "method": route,
+        "residual": worst_res, "method": route,
         "cg_iterations": iterations, "mass_history": np.asarray(mass_hist),
     })
 
@@ -553,17 +526,17 @@ def trace_poincare_check(v: ScalarField):
     return (math.isfinite(C_T), math.isfinite(C_P), C_T, C_P)
 
 
-def solve_constant_coeff_dirichlet(U: ScalarField, rho: float = 0.5,
-                                   t_range: tuple = (-0.5, 0.75),
+def solve_constant_coeff_dirichlet(U: ScalarField,
                                    shape: tuple | None = None) -> ScalarField:
     """Comparison solve: zero-flux constant-coefficient problem on the
-    subcylinder (t_range) x B_rho x (0, rho) with Dirichlet data taken from
-    U on the initial slice, lateral sides, and top."""
+    subcylinder (-1/2, 3/4) x B_(1/2) x (0, 1/2) with Dirichlet data taken
+    from U on the initial slice, lateral sides, and top."""
     g = U.grid
     if shape is None:
         shape = (g.nt, g.nx, g.ny)
     nt2, nx2, ny2 = shape
-    sub = ParabolicGrid(g.params, rho=rho, nt=nt2, nx=nx2, ny=ny2, q=g.q,
+    t_range = (-0.5, 0.75)
+    sub = ParabolicGrid(g.params, rho=0.5, nt=nt2, nx=nx2, ny=ny2, q=g.q,
                         center=g.center, t_range=t_range)
 
     def boundary(t, *coords):
@@ -593,8 +566,7 @@ def closeness_experiment(U: ScalarField, f=None, F=None,
     weighted squared L^2 of F, and the declared coefficient oscillation at
     scale 1) is checked against delta^2 and flagged."""
     g = U.grid
-    V = solve_constant_coeff_dirichlet(U, rho=0.5, t_range=(-0.5, 0.75),
-                                       shape=shape)
+    V = solve_constant_coeff_dirichlet(U, shape=shape)
     sub = V.grid
     pts_mesh = sub.meshgrid()
     pts = np.stack([m.ravel() for m in np.broadcast_arrays(*pts_mesh)], axis=-1)
@@ -684,14 +656,3 @@ def regularity_estimates_check(W: ScalarField) -> RegularityReport:
     C_y = float(np.max(ratios)) if ratios else 0.0
     return RegularityReport(C_derivative, C_max, C_y, r)
 
-
-def uniqueness_check(grid: ParabolicGrid, coeff: CoefficientField, f=None,
-                     F=None, lateral_dirichlet=None, initial=None) -> float:
-    """Weighted space-time L^2 distance between two solves that should
-    agree: the default route (the separable solve, corrected by
-    preconditioned CG where A does not split) and preconditioned CG from
-    zero.  Discretization uniqueness shows as a near-zero value."""
-    base = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial)
-    cg = solve_extension(grid, coeff, f, F, lateral_dirichlet, initial,
-                         method="cg")
-    return math.sqrt(grid.weighted_norm_sq(base.values - cg.values))

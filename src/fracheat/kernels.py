@@ -54,31 +54,27 @@ class FracParams:
         return 1.0 - 2.0 * self.s
 
 
+# The tau integral runs over [_TAU_LOW, _TAU_HIGH]; below _TAU_LOW it is
+# integrated analytically (`_frac_heat_core`).  The z integral is truncated
+# at |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
+# erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis, so the zeta weights sum
+# to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
+_TAU_LOW = 1e-6
+_TAU_HIGH = 1e10
+_Z_RADIUS = 8.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Discretization of the subordination integral.
+    """Discretization of the subordination integral: Gauss-Legendre panels
+    of order nodes_per_decade per decade in tau on [_TAU_LOW, _TAU_HIGH],
+    and a zeta rule whose order grows with it (`zeta_nodes`)."""
 
-    tau panels are Gauss-Legendre per decade on [tau_cutoff_low,
-    tau_cutoff_high]; the z integral is truncated at |z| <= z_radius *
-    sqrt(tau).  The truncation drops Gaussian mass erfc(z_radius / 2) per
-    axis: erfc(4) = 1.54e-8 for the default radius 8, so the zeta weights
-    sum to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
-    """
-
-    tau_cutoff_low: float = 1e-6
-    tau_cutoff_high: float = 1e10
     nodes_per_decade: int = 12
-    z_radius: float = 8.0
 
     def __post_init__(self):
-        if self.tau_cutoff_low <= 0:
-            raise ValueError("tau_cutoff_low must be positive")
-        if self.tau_cutoff_low >= self.tau_cutoff_high:
-            raise ValueError("tau_cutoff_low must be below tau_cutoff_high")
         if self.nodes_per_decade < 4:
             raise ValueError("nodes_per_decade must be at least 4")
-        if self.z_radius <= 0:
-            raise ValueError("z_radius must be positive")
 
     def coarsened(self) -> "QuadratureSpec":
         return replace(self, nodes_per_decade=max(4, self.nodes_per_decade // 2))
@@ -174,8 +170,8 @@ def tau_nodes(spec: QuadratureSpec):
     One Gauss panel of order `nodes_per_decade` per decade, mapped through
     tau = 10^u so the integrable endpoint behavior is resolved in log space.
     """
-    lo = math.log10(spec.tau_cutoff_low)
-    hi = math.log10(spec.tau_cutoff_high)
+    lo = math.log10(_TAU_LOW)
+    hi = math.log10(_TAU_HIGH)
     n_panels = max(1, int(math.ceil(hi - lo)))
     u, wu = _gauss_panels(lo, hi, n_panels, spec.nodes_per_decade)
     taus = 10.0 ** u
@@ -190,7 +186,7 @@ def zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
         int G(tau, z) h(z) dz = sum_i w_i h(sqrt(tau) * zeta_i)
 
     Weights absorb the Gaussian factor; the rule is a tensor Gauss grid on
-    [-z_radius, z_radius]^n.  `order_factor` multiplies the base order.  A
+    [-_Z_RADIUS, _Z_RADIUS]^n.  `order_factor` multiplies the base order.  A
     physical frequency xi of u is the frequency xi sqrt(tau) in zeta, so
     the subordination loop picks the factor per tau from `_ZETA_ORDER`:
     low while the rule still resolves every frequency the heat kernel has
@@ -201,7 +197,7 @@ def zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
     """
     order = max(24, 4 * spec.nodes_per_decade) * order_factor
     panels = max(1, order // 48)
-    x1, w1 = _gauss_panels(-spec.z_radius, spec.z_radius, panels,
+    x1, w1 = _gauss_panels(-_Z_RADIUS, _Z_RADIUS, panels,
                            int(math.ceil(order / panels)))
     g1 = (4.0 * math.pi) ** (-0.5) * np.exp(-x1 * x1 / 4.0)
     if n == 1:
@@ -341,10 +337,10 @@ def _frac_heat_core(u, p, q, pts):
     m = pts.shape[0]
     u_here = _eval_u(u, t0, x0, p.n)
 
-    # Below tau_cutoff_low the inner integral is the heat semigroup, so
+    # Below _TAU_LOW the inner integral is the heat semigroup, so
     # u - H(tau) = tau (u_t - Lap u) + O(tau^2); integrate that analytically.
     # This avoids the tau^(-s) amplification of float cancellation noise.
-    eps = q.tau_cutoff_low
+    eps = _TAU_LOW
     acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
 
     # hold only the current factor's grid: keeping every factor's n = 2 grid

@@ -140,8 +140,12 @@ def decreasing_rearrangement(f: SampledFunction) -> RearrangedProfile:
     group = np.cumsum(keep) - 1
     merged_m = np.bincount(group, weights=m)
     merged_v = v[keep]
-    breakpoints = np.concatenate([[0.0], np.cumsum(merged_m)])
-    return RearrangedProfile(breakpoints, merged_v)
+    running = np.cumsum(merged_m)
+    # a plateau whose width is lost to rounding in the running measure has
+    # no extent in the profile: drop it
+    grows = np.diff(running, prepend=0.0) > 0.0
+    return RearrangedProfile(np.concatenate([[0.0], running[grows]]),
+                             merged_v[grows])
 
 
 def lorentz_norm_forms(f: SampledFunction, p: float):

@@ -101,6 +101,10 @@ class ModulusPipelineConfig:
 # and its number of dyadic segments before the tail fit
 _DINI_TOL = 1e-10
 _DINI_SEGMENTS = 900
+# The segments stop at 1e-280, well above the subnormal range, so underflow
+# cannot fake decay.  Fewer segments than this cannot carry even omega(t) =
+# t's tail below _DINI_TOL: b 2^-k < _DINI_TOL b needs k >= 34.
+_DINI_MIN_SEGMENTS = 34
 
 
 def dini_integral(omega, b: float) -> float:
@@ -126,8 +130,11 @@ def dini_integral(omega, b: float) -> float:
     if not 0.0 < b <= 1.0 + 1e-12:
         raise ValueError("dini integral needs b in (0, 1]")
     xg, wg = _leggauss(16)
-    # stop well above the subnormal range so underflow cannot fake decay
     n_seg = min(_DINI_SEGMENTS, int(math.log2(b / 1e-280)))
+    if n_seg < _DINI_MIN_SEGMENTS:
+        raise ValueError(
+            f"dini integral at b = {b:.3g}: the 1e-280 underflow guard leaves "
+            f"{max(n_seg, 0)} dyadic segments, fewer than {_DINI_MIN_SEGMENTS}")
     his = b * 0.5 ** np.arange(n_seg)
     los = his * 0.5
     mids, halfs = 0.5 * (his + los), 0.5 * (his - los)

@@ -8,8 +8,19 @@ and estimate2_check on rough critical data.
 
 The first pass of `perfbench/run.py --seed <n>` builds its cases from
 np.random.default_rng(n); so do these tests.
+
+The same runs must reproduce the outputs pinned in first_pass_outputs.json.
+Counts and verdicts match exactly.  The DtN outputs move with rounding in
+the solve or the data, so they match at the tolerances ROADMAP declares:
+1e-7 relative at n = 2 and 1e-5 absolute on the n = 1 extension route.
+Every other float matches to 1e-12 relative; on the 2-core x86 host the
+file was recorded on, none of them moved between one and two OpenBLAS
+threads.  A change that moves an output on purpose declares the move and
+records the file again.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +31,36 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
+
+
+PINNED = json.loads(
+    (Path(__file__).with_name("first_pass_outputs.json")).read_text())
+
+# (absolute, relative) tolerance by workload and output key
+EXT_KEYS = ("sup_extension_vs_direct", "l2_extension_vs_direct",
+            "sup_extension_vs_closed", "l2_extension_vs_closed")
+TOLERANCE = {"dtn_dual_route": dict.fromkeys(EXT_KEYS, (1e-5, 0.0)),
+             "dtn_dual_route_2d": dict.fromkeys(EXT_KEYS, (0.0, 1e-7))}
+
+
+def assert_matches(got, want, tol, where):
+    """Exact for counts, verdicts and strings; floats within tol."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, tol, f"{where}[{i}]")
+    elif isinstance(want, float):
+        atol, rtol = tol.get(where.rsplit(".", 1)[-1].split("[")[0],
+                             (0.0, 1e-12))
+        assert math.isclose(got, want, rel_tol=rtol, abs_tol=atol), \
+            f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{where}: {got!r} != {want!r}"
 
 
 def run_first_pass(name, seed):
@@ -42,5 +83,8 @@ def run_first_pass(name, seed):
     ("regularity_probe", 4049),
 ])
 def test_first_pass_passes_every_check(name, seed):
-    for result in run_first_pass(name, seed):
+    results = run_first_pass(name, seed)
+    for result in results:
         assert result["failed"] == [], result["error"]
+    assert_matches([r["outputs"] for r in results], PINNED[f"{name}-{seed}"],
+                   TOLERANCE.get(name, {}), f"{name}-{seed}")

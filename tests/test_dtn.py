@@ -135,11 +135,12 @@ class TestExtractDtn:
         assert np.max(np.abs(ext.values)) < 1e-9
 
     def test_layer_guards(self):
+        # ny = 4 has 3 flux intervals, fewer than the fit's 4 layers
         p = FracParams(s=0.75)
-        g = ParabolicGrid(p, nt=4, nx=6, ny=8)
+        g = ParabolicGrid(p, nt=4, nx=6, ny=4)
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
-        with pytest.raises(ValueError):
-            extract_dtn(U, p, layers=2)
+        with pytest.raises(ValueError, match="flux layers"):
+            extract_dtn(U, p)
 
     @pytest.mark.parametrize("s,ny", [(0.6, 48), (0.9, 256)])
     def test_steady_cosine_recovers_symbol(self, s, ny):

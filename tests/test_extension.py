@@ -24,7 +24,6 @@ from fracheat.extension import (
     solve_constant_coeff_dirichlet,
     closeness_experiment,
     regularity_estimates_check,
-    uniqueness_check,
 )
 
 P = FracParams(s=0.75)
@@ -187,14 +186,12 @@ def _wrap_boundary(lateral):
 
 
 def _reference_march(grid, coeff, f=None, F=None, lateral_dirichlet=None,
-                     initial=None, theta=1.0):
-    """The SuperLU march on the assembled step matrix: one sparse LU, one
-    solve per step.  Reference for the separable solver."""
+                     initial=None):
+    """The implicit Euler SuperLU march on the assembled step matrix: one
+    sparse LU, one solve per step.  Reference for the separable solver."""
     L, mass, dirichlet = _reference_assemble(grid, coeff)
     dt = grid.dt
-    A_step = sp.csc_matrix(sp.diags(mass / dt) + theta * L)
-    B_step = sp.diags(mass / dt) - (1.0 - theta) * L
-    lu = spla.splu(A_step)
+    lu = spla.splu(sp.csc_matrix(sp.diags(mass / dt) + L))
     f_arr = _as_thin_array(grid, f)
     F_arr = _as_vector_array(grid, F)
     g = _wrap_boundary(lateral_dirichlet)
@@ -211,8 +208,7 @@ def _reference_march(grid, coeff, f=None, F=None, lateral_dirichlet=None,
         u = (initial(*mesh) * np.ones(grid.spatial_shape)).ravel()
     out = [u]
     for m in range(grid.nt):
-        b = B_step @ u + theta * rhs_at(m + 1) + (1.0 - theta) * rhs_at(m)
-        u = lu.solve(b)
+        u = lu.solve(mass / dt * u + rhs_at(m + 1))
         out.append(u)
     return np.reshape(out, grid.shape)
 
@@ -292,23 +288,19 @@ class TestSolveExtension:
         assert U.meta["residual"] < 1e-12
 
     def test_time_stepping_orders(self):
-        # implicit Euler converges at first order, Crank-Nicolson at second
+        # implicit Euler converges at first order
         data = smooth_random_data(3)
         g_ref = small_grid(nt=768)
-        ref = solve_extension(g_ref, CoefficientField.identity(1), f=data,
-                              theta=1.0).values[-1]
-        errs = {}
-        for theta in (1.0, 0.5):
-            e = []
-            for nt in (24, 96):
-                g = small_grid(nt=nt)
-                sol = solve_extension(g, CoefficientField.identity(1),
-                                      f=data, theta=theta).values[-1]
-                wm = g.weighted_cell_measures()
-                e.append(math.sqrt(float(np.sum(wm * (sol - ref) ** 2))))
-            errs[theta] = math.log(e[0] / e[1]) / math.log(4.0)
-        assert errs[1.0] > 0.8
-        assert errs[0.5] > 1.5
+        ref = solve_extension(g_ref, CoefficientField.identity(1),
+                              f=data).values[-1]
+        e = []
+        for nt in (24, 96):
+            g = small_grid(nt=nt)
+            sol = solve_extension(g, CoefficientField.identity(1),
+                                  f=data).values[-1]
+            wm = g.weighted_cell_measures()
+            e.append(math.sqrt(float(np.sum(wm * (sol - ref) ** 2))))
+        assert math.log(e[0] / e[1]) / math.log(4.0) > 0.8
 
     def test_coefficient_dimension_guard(self):
         g = small_grid()
@@ -375,21 +367,17 @@ class TestSeparableSolve:
             np.testing.assert_allclose(rhs_at(level), ref, rtol=0,
                                        atol=1e-13 * np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("coeff, theta", [
-        (CoefficientField.identity(1), 1.0),
-        (CoefficientField.identity(1), 0.5),
-        (_dini_bump(), 1.0),
-        (_dini_bump(), 0.5),
-    ], ids=["identity-euler", "identity-cn", "dini_bump-euler",
-            "dini_bump-cn"])
-    def test_matches_superlu_march_n1(self, coeff, theta):
+    @pytest.mark.parametrize("coeff", [
+        CoefficientField.identity(1), _dini_bump(),
+    ], ids=["identity-euler", "dini_bump-euler"])
+    def test_matches_superlu_march_n1(self, coeff):
         g = small_grid(nt=10, nx=14, ny=12)
         data = dict(f=smooth_random_data(2),
                     F=lambda t, x: (0.3 * np.sin(2.0 * x) * np.cos(t),),
                     lateral_dirichlet=lambda t, x, y: np.cos(x + t) * (1.0 + y),
                     initial=lambda x, y: np.cos(x - 1.0) * (1.0 + y))
-        U = solve_extension(g, coeff, theta=theta, **data)
-        ref = _reference_march(g, coeff, theta=theta, **data)
+        U = solve_extension(g, coeff, **data)
+        ref = _reference_march(g, coeff, **data)
         assert U.meta["method"] == "separable"
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -417,37 +405,32 @@ class TestSeparableSolve:
             gap = abs(Kx - _kron_form(factors)).max() / abs(Kx).max()
             assert (gap <= 1e-14) == splits
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5], ids=["euler", "cn"])
     @pytest.mark.parametrize("coeff", [CoefficientField.identity(2),
                                        _separable_2d()],
-                             ids=["identity", "diag_a1_a2"])
-    def test_matches_superlu_march_n2_separable(self, coeff, theta):
+                             ids=["identity-euler", "diag_a1_a2-euler"])
+    def test_matches_superlu_march_n2_separable(self, coeff):
         g = ParabolicGrid(FracParams(s=0.6, n=2), nt=6, nx=10, ny=9)
-        U = solve_extension(g, coeff, theta=theta, **_N2_DATA)
-        ref = _reference_march(g, coeff, theta=theta, **_N2_DATA)
+        U = solve_extension(g, coeff, **_N2_DATA)
+        ref = _reference_march(g, coeff, **_N2_DATA)
         assert U.meta["method"] == "separable"
         assert U.meta["cg_iterations"] == 0
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5], ids=["euler", "cn"])
     @pytest.mark.parametrize("coeff", [
         _checkerboard_2d(),
         coefficient_generator("dini_bump", n=2, eps=0.2, modulus="inv_log_sq"),
-    ], ids=["checkerboard", "dini_bump"])
-    def test_matches_superlu_march_n2_pcg(self, coeff, theta):
+    ], ids=["checkerboard-euler", "dini_bump-euler"])
+    def test_matches_superlu_march_n2_pcg(self, coeff):
         # CG on the true operator, started from and preconditioned by the
         # separable solve: 12 iterations a step for the checkerboard and 8
         # for dini_bump here
         g = ParabolicGrid(FracParams(s=0.75, n=2), nt=6, nx=10, ny=12)
-        U = solve_extension(g, coeff, theta=theta, **_N2_DATA)
-        ref = _reference_march(g, coeff, theta=theta, **_N2_DATA)
+        U = solve_extension(g, coeff, **_N2_DATA)
+        ref = _reference_march(g, coeff, **_N2_DATA)
         assert U.meta["method"] == "pcg"
         assert 0 < U.meta["cg_iterations"] <= 20 * g.nt
         assert U.meta["residual"] <= 1e-12
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
-        cg = solve_extension(g, coeff, theta=theta, method="cg", **_N2_DATA)
-        assert cg.meta["method"] == "cg" and cg.meta["residual"] <= 1e-12
-        assert np.max(np.abs(cg.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_graded_y_mesh_backward_error(self):
         # At s = 3/4 the y resistances of ny = 100 span 16 decades.  A solve
@@ -459,14 +442,6 @@ class TestSeparableSolve:
                             lateral_dirichlet=data["lateral"],
                             initial=data["initial"])
         assert U.meta["residual"] <= 1e-12
-
-    def test_cg_path_reported(self):
-        g = small_grid(nt=4, nx=8, ny=8)
-        U = solve_extension(g, CoefficientField.identity(1), method="cg",
-                            f=lambda t, x: np.cos(x) + 0.0 * t)
-        assert U.meta["method"] == "cg"
-        with pytest.raises(ValueError):
-            solve_extension(g, CoefficientField.identity(1), method="drect")
 
 
 class TestCoefficientField:
@@ -744,15 +719,24 @@ class TestRegularityEstimates:
 
 
 class TestUniqueness:
+    """Two independent solvers of the same discrete problem agree: the
+    separable solve and the SuperLU march on the assembled operator.
+    Discretization uniqueness shows as a near-zero weighted space-time L^2
+    distance."""
+
+    @staticmethod
+    def distance(g, **data):
+        U = solve_extension(g, CoefficientField.identity(1), **data)
+        ref = _reference_march(g, CoefficientField.identity(1), **data)
+        return math.sqrt(g.weighted_norm_sq(U.values - ref))
+
     def test_zero_data(self):
-        g = small_grid(nt=6, nx=8, ny=8)
-        assert uniqueness_check(g, CoefficientField.identity(1)) == 0.0
+        assert self.distance(small_grid(nt=6, nx=8, ny=8)) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_instances(self, seed):
-        g = small_grid(nt=6, nx=10, ny=10)
-        data = smooth_random_data(seed)
-        d = uniqueness_check(g, CoefficientField.identity(1), f=data,
-                             lateral_dirichlet=lambda t, x, y: 0.1 * x + 0.0 * t,
-                             initial=lambda x, y: 0.1 * x + 0.0 * y)
+        d = self.distance(small_grid(nt=6, nx=10, ny=10),
+                          f=smooth_random_data(seed),
+                          lateral_dirichlet=lambda t, x, y: 0.1 * x + 0.0 * t,
+                          initial=lambda x, y: 0.1 * x + 0.0 * y)
         assert d <= 1e-9

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fracheat.kernels import FracParams
-from fracheat.extension import CoefficientField, solve_extension
 from fracheat.grids import (
     ThinGrid,
     ParabolicGrid,
@@ -305,12 +304,6 @@ class TestFields:
     def test_scalar_shape_guard(self, grid):
         with pytest.raises(ValueError):
             ScalarField(grid, np.zeros((2, 2)))
-
-    def test_vector_normal_component_guard(self, grid):
-        bad = np.zeros((grid.nt + 1, grid.nx, grid.n + 1))
-        bad[..., -1] = 1.0
-        with pytest.raises(ValueError, match="normal component"):
-            solve_extension(grid, CoefficientField.identity(1), F=bad)
 
     def test_sample_thin_shape(self, grid):
         f = sample_thin(grid, lambda t, x: np.cos(x) * np.exp(t))

@@ -219,7 +219,7 @@ def _row_major_core(u, p, q, pts):
     t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
     u_here = kernels._eval_u(u, t0, x0, p.n)
     acc = (kernels._heat_residual_fd(u, pts, p.n)
-           * q.tau_cutoff_low ** (1.0 - p.s) / (1.0 - p.s))
+           * kernels._TAU_LOW ** (1.0 - p.s) / (1.0 - p.s))
     for tau, wt in zip(taus, tw):
         f = kernels._order_bucket(tau)
         zeta, zw = _row_major_zeta(q, p.n, f), zeta_nodes(q, p.n, f)[1]

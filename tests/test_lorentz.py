@@ -55,6 +55,37 @@ class TestRearrangement:
         mids = 0.5 * (cums[1:] + cums[:-1])
         assert np.allclose(g.g_star(mids), np.abs(vals)[order])
 
+    def test_plateau_lost_to_rounding_dropped(self):
+        # 1 + 1e-17 rounds to 1, so the last plateau has no width; it used
+        # to raise "breakpoints must start at 0 and increase"
+        g = decreasing_rearrangement(SampledFunction([1.0, 1e-17], [2.0, 1.0]))
+        np.testing.assert_array_equal(g.breakpoints, [0.0, 1.0])
+        np.testing.assert_array_equal(g.plateaus, [2.0])
+        assert g.measure_above(0.5) == 1.0
+
+    def test_tiny_cell_mid_profile_dropped(self):
+        f = SampledFunction([1.0, 1.0, 1e-17, 0.5], [1.0, 3.0, -2.0, 0.25])
+        g = decreasing_rearrangement(f)
+        np.testing.assert_array_equal(g.breakpoints, [0.0, 1.0, 2.0, 2.5])
+        np.testing.assert_array_equal(g.plateaus, [3.0, 1.0, 0.25])
+        for level in (0.0, 0.5, 1.5, 2.5):
+            assert g.measure_above(level) == brute_distribution_measure(f, level)
+
+    def test_uniform_grid_profile_unchanged(self):
+        # the plain construction: merged plateaus, breakpoints the running
+        # measure from 0
+        tg = ThinGrid(1, 1.0, 32, 64)
+        T, X = tg.meshgrid()
+        f = gridded_to_sampled(tg, np.cos(3.0 * X) ** 2 + 0.1 * T + 0.0 * X)
+        g = decreasing_rearrangement(f)
+        v = np.abs(f.values)
+        order = np.argsort(-v, kind="stable")
+        keep = np.concatenate([[True], np.diff(v[order]) != 0.0])
+        merged = np.bincount(np.cumsum(keep) - 1, weights=f.measures[order])
+        np.testing.assert_array_equal(
+            g.breakpoints, np.concatenate([[0.0], np.cumsum(merged)]))
+        np.testing.assert_array_equal(g.plateaus, v[order][keep])
+
     @given(st.lists(st.tuples(pos_measures, finite_vals), min_size=1, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_equimeasurable(self, cells):

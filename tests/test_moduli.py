@@ -134,6 +134,23 @@ class TestDiniIntegral:
         with pytest.raises(ValueError):
             dini_integral(identity_mod(), 1.5)
 
+    @pytest.mark.parametrize("b", [1e-300, 1e-279])
+    def test_underflow_guard_names_itself(self, b):
+        # 1e-300 left no segment (IndexError), 1e-279 three, which
+        # returned 0.875 b for omega(t) = t
+        with pytest.raises(ValueError, match="1e-280 underflow guard"):
+            dini_integral(identity_mod(), b)
+
+    def test_tiny_b_above_guard_unchanged(self):
+        # 1e-250 keeps 99 segments, and its value is the rule's bit for bit
+        for make in (identity_mod, log_dini_mod):
+            omega = make()
+            for b in (1e-250, 1e-200, 4e-20):
+                assert dini_integral(omega, b) \
+                    == self.reference_dini_from_zero(omega, b)
+        assert dini_integral(identity_mod(), 1e-250) == pytest.approx(
+            1e-250, rel=1e-10)
+
 
 def brute_majorant_at_samples(r, w):
     """O(N^3) oracle: value of the least concave majorant at each sample is
