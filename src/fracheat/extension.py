@@ -21,8 +21,8 @@ reference is solved by fast diagonalization: one nx x nx eigenbasis per
 x-axis decouples each step into one tridiagonal y-problem per x-eigenmode
 (see `_separable_solver`).  Where A does not split, conjugate gradients run
 on the true step operator, started from and preconditioned by that solve.
-Memory is linear in the unknowns.  Every step's componentwise backward
-error on the assembled operator is checked against the budget.
+Memory is linear in the unknowns.  The step operator is applied as a
+stencil, never assembled; every step's backward error is checked on it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 
 from .grids import ParabolicGrid, ScalarField, sample_thin
 
@@ -126,81 +125,91 @@ def _harmonic(a):
 
 
 def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
-    """Tensor factors of the stiffness operator L = Kx (x) Wy + Mx (x) Ky,
-    and the Dirichlet coupling.
+    """Stencil of the stiffness operator L = Kx (x) Wy + Mx (x) Ky, its
+    axis-separable reference, and where the Dirichlet datum enters.
 
-    Returns ((Kx, factors), x_area, ky, coupling, face_points): Kx the
-    sparse x-stiffness per unit y-weight (x faces and lateral Dirichlet
-    terms), x_area the x-cell measures (Mx's diagonal), ky = (main, off) the
-    diagonals of the tridiagonal y-stiffness per unit x-area (y faces and
-    the top Dirichlet term), Wy = diag(grid.w_y); face_points (P, n+1) are
-    the Dirichlet face points of every boundary patch (lateral faces, then
-    the top face), and the sparse (unknowns, P) coupling maps the datum at
-    those points to the right-hand side.  factors holds, per axis d, the
-    reference's dense 1-D stiffness K_d and cell widths w_d (`_kron_form`).
+    Returns (weights, diag, factors, separable, x_area, ky, dirichlet):
+    weights[k] (spatial shape, x-major, y fastest) couples each cell to its
+    successor along axis k (0 at the last cell), an x face's transmissibility
+    times w_y or x_area / res_y, x_area the x-cell measures; diag is L's
+    flat diagonal; factors[d] = (K_d, w_d), the reference's dense 1-D
+    stiffness and cell widths; separable: every x face, lateral Dirichlet
+    faces included, matches the reference to 1e-14 relative; ky = (main,
+    off), the tridiagonal y-stiffness per unit x-area; dirichlet = (cells,
+    T, face_points) for each Dirichlet face point, lateral patches first.
     """
     n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
     xidx = np.arange(nx ** n).reshape((nx,) * n)
     xc = _lattice_points(grid.x_centers)                # (nx^n, n)
     x_area = grid.x_cell_measures()                     # (nx,)*n
     face = dx ** (n - 1)                                # x-face area
+    widths = [np.diff(f) for f in grid.x_faces]
 
-    rows, cols, vals = [], [], []
-    dirichlet, factors = [], []
+    weights, factors, dirichlet = [], [], []
+    kx_diag, gap, scale = np.zeros(x_area.shape), 0.0, 0.0
     for axis in range(n):
         a_cell = np.moveaxis(coeff.axis_values(xc, axis).reshape((nx,) * n),
                              axis, 0)
-        T = (_harmonic(a_cell) * face / dx).ravel()
         c = np.moveaxis(xidx, axis, 0)
-        c1, c2 = c[:-1].ravel(), c[1:].ravel()
-        rows += [c1, c2, c1, c2]
-        cols += [c2, c1, c1, c2]
-        vals += [-T, -T, T, T]
-        T_ref = _harmonic(a_cell.reshape(nx, -1).mean(axis=1)) / dx
-        k_diag = np.append(T_ref, 0.0) + np.append(0.0, T_ref)
+        Tb, tb = [], []                 # lateral faces of A, of the reference
         for side in (0, -1):
             axes = list(grid.x_centers)
             axes[axis] = np.array([grid.x_faces[axis][side]])
             a_face = coeff.axis_values(_lattice_points(axes), axis)
-            Tb = a_face * face / (dx / 2.0)
-            k_diag[side] += a_face.mean() / (dx / 2.0)
-            xcells = c[side].ravel()
-            rows.append(xcells)
-            cols.append(xcells)
-            vals.append(Tb)
-            dirichlet.append(((xcells[:, None] * ny + np.arange(ny)).ravel(),
-                              np.multiply.outer(Tb, grid.w_y).ravel(),
+            Tb.append(a_face.reshape(c[:1].shape) * face / (dx / 2.0))
+            tb.append([a_face.mean() / (dx / 2.0)])
+            dirichlet.append(((c[side].ravel()[:, None] * ny
+                               + np.arange(ny)).ravel(),
+                              np.multiply.outer(Tb[-1], grid.w_y).ravel(),
                               _lattice_points(axes + [grid.y_centers])))
-        factors.append((np.diag(k_diag) - np.diag(T_ref, 1) - np.diag(T_ref, -1),
-                        np.diff(grid.x_faces[axis])))
-    Kx = sp.csr_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(nx ** n, nx ** n))
+        # the nx + 1 faces of axis d, along the first axis
+        T = np.concatenate([Tb[0], _harmonic(a_cell) * face / dx, Tb[1]])
+        t_in = _harmonic(a_cell.reshape(nx, -1).mean(axis=1)) / dx
+        t = np.concatenate([tb[0], t_in, tb[1]])
+        ref = reduce(np.multiply.outer, [t] + widths[:axis] + widths[axis+1:])
+        gap, scale = max(gap, np.abs(T - ref).max()), max(scale, T.max())
+        kx_diag += np.moveaxis(T[:-1] + T[1:], 0, axis)
+        succ = T[1:].copy()
+        succ[-1] = 0.0                              # the last cell has none
+        weights.append(np.multiply.outer(np.moveaxis(succ, 0, axis), grid.w_y))
+        factors.append((np.diag(t[:-1] + t[1:]) - np.diag(t[1:-1], 1)
+                        - np.diag(t[1:-1], -1), widths[axis]))
 
     # y faces: coefficient 1, exact resistances; top face (y = rho) Dirichlet
     ky_main = np.zeros(ny)
     ky_main[:-1] += 1.0 / grid.res_y
     ky_main[1:] += 1.0 / grid.res_y
     ky_main[-1] += 1.0 / grid.res_top
+    weights.append(np.multiply.outer(x_area, np.append(1.0 / grid.res_y, 0.0)))
+    diag = (np.multiply.outer(kx_diag, grid.w_y)
+            + np.multiply.outer(x_area, ky_main)).ravel()
     dirichlet.append((xidx.ravel() * ny + ny - 1,
                       x_area.ravel() / grid.res_top,
                       _lattice_points(list(grid.x_centers)
                                       + [np.array([grid.rho])])))
-    cells, T, face_points = (np.concatenate(part) for part in zip(*dirichlet))
-    # one column per face point, in patch order, so a cell on two patches
-    # sums its terms in that order
-    coupling = sp.csr_matrix((T, (cells, np.arange(T.size))),
-                             shape=(nx ** n * ny, T.size))
-    return ((Kx, factors), x_area, (ky_main, -1.0 / grid.res_y), coupling,
-            face_points)
+    dirichlet = tuple(np.concatenate(part) for part in zip(*dirichlet))
+    return (weights, diag, factors, gap <= 1e-14 * scale, x_area,
+            (ky_main, -1.0 / grid.res_y), dirichlet)
 
 
-def _kron_form(factors):
-    """The reference's x-stiffness sum_d M_0 (x) ... K_d ... (x) M_(n-1),
-    M_e = diag(w_e).  It is Kx whenever a_dd depends on x_d only."""
-    return sum(reduce(sp.kron, [sp.csr_matrix(K) if e == d else sp.diags(w)
-                                for e, (K, w) in enumerate(factors)])
-               for d in range(len(factors)))
+def _step_operator(D, weights):
+    """The maps u -> A u and u -> |A| u of the step operator A = diag(D) - N
+    on the flat unknowns, N >= 0 the neighbour sum of `_assemble`'s weights,
+    so |A| = diag(D) + N.  A cell's successor on axis k is a stride on."""
+    shape = weights[0].shape
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+
+    def stencil(sign):
+        offsets = [(k, sign * w.ravel()[:-k])
+                   for k, w in zip(strides, weights)]
+        def apply(u):
+            out = D * u
+            for k, w in offsets:
+                out[:-k] += w * u[k:]
+                out[k:] += w * u[:-k]
+            return out
+        return apply
+    return stencil(-1.0), stencil(1.0)
 
 
 def _separable_solver(factors, ky, w_y, dt):
@@ -260,15 +269,16 @@ _BUDGET = 1e-9
 def _pcg(A, A_abs, b, u, precond, maxiter):
     """Preconditioned CG on A u = b from u until the componentwise backward
     error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or maxiter
-    iterations; returns (u, backward error, iterations).  maxiter = 0 only
-    measures u.  CG restarts from the true residual b - A u whenever its
-    recurrence has shrunk by 1e-6: the two drift apart by rounding, and on
-    the graded y-mesh the true one stalled near 1e-11 while the recurrence
-    went on (recomputing it every iteration instead diverged)."""
+    iterations; A and A_abs apply A and |A|.  Returns (u, backward error,
+    iterations); maxiter = 0 only measures u.  CG restarts from the true
+    residual b - A u whenever its recurrence has shrunk by 1e-6: the two
+    drift apart by rounding, and on the graded y-mesh the true one stalled
+    near 1e-11 while the recurrence went on (recomputing it every iteration
+    instead diverged)."""
     its = 0
     while True:
-        r = b - A @ u
-        res = float(np.max(np.abs(r) / np.maximum(A_abs @ np.abs(u)
+        r = b - A(u)
+        res = float(np.max(np.abs(r) / np.maximum(A_abs(np.abs(u))
                                                   + np.abs(b), 1e-300)))
         if res <= _RTOL or its >= maxiter:
             return u, res, its
@@ -277,7 +287,7 @@ def _pcg(A, A_abs, b, u, precond, maxiter):
             z = precond(r)
             rz, rz_old = float(r @ z), rz
             p = z + (rz / rz_old) * p
-            Ap = A @ p
+            Ap = A(p)
             alpha = rz / float(p @ Ap)
             u = u + alpha * p
             r = r - alpha * Ap
@@ -317,28 +327,33 @@ def _face_divergence(grid, F_arr, x_area):
     return div.reshape(grid.nt + 1, -1)
 
 
-def _step_rhs(grid, x_area, coupling, face_points, f, F, lateral):
+def _step_rhs(grid, x_area, dirichlet, f, F, lateral):
     """level -> the right-hand side of the step equations at that time level.
 
-    The bottom Neumann flux + int_face f (y = 0 cells) and the divergence
-    forcing - (x-face flux of F) w_y (every cell) are evaluated once for
-    all levels and kept as thin arrays.  The Dirichlet datum g is evaluated
-    per level, at every face point in one call, and enters through the
-    coupling matrix.  One call for all levels would make temporaries of
-    (nt+1) x (face points); at 128^3 they raised the solve's peak RSS by
-    about 1.8 MB.
+    The bottom Neumann flux + int_face f (y = 0 cells) and, unless F is
+    None, the divergence forcing - (x-face flux of F) w_y (every cell) are
+    evaluated once for all levels and kept as thin arrays.  The Dirichlet
+    datum g is evaluated per level, at every face point in one call; a cell
+    sums its terms T g in patch order.  One call for all levels would make
+    temporaries of (nt+1) x (face points); at 128^3 they raised the solve's
+    peak RSS by about 1.8 MB.
     """
     bottom = _as_thin_array(grid, f).reshape(grid.nt + 1, -1) * x_area.ravel()
-    div = _face_divergence(grid, _as_vector_array(grid, F), x_area)
+    div = None if F is None else _face_divergence(
+        grid, _as_vector_array(grid, F), x_area)
+    cells, T, face_points = dirichlet
     cols = [face_points[:, d] for d in range(face_points.shape[1])]
 
     def rhs_at(level):
-        rhs = np.multiply.outer(-div[level], grid.w_y)
+        rhs = (np.zeros((x_area.size, grid.ny)) if div is None
+               else np.multiply.outer(-div[level], grid.w_y))
         rhs[:, 0] += bottom[level]
-        t = np.full(face_points.shape[0], grid.t_nodes[level])
-        g = (np.zeros(t.size) if lateral is None
-             else np.asarray(lateral(t, *cols), dtype=float) * np.ones(t.size))
-        return rhs.ravel() + coupling @ g
+        rhs = rhs.ravel()
+        if lateral is not None:
+            t = np.full(T.size, grid.t_nodes[level])
+            g = np.asarray(lateral(t, *cols), dtype=float) * np.ones(T.size)
+            rhs += np.bincount(cells, weights=T * g, minlength=rhs.size)
+        return rhs
     return rhs_at
 
 
@@ -365,24 +380,14 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     """
     if coeff.n != grid.n:
         raise ValueError("coefficient dimension mismatch")
-    (Kx, factors), x_area, ky, coupling, face_points = _assemble(grid, coeff)
-    # unknowns x-major, y fastest
-    L = (sp.kron(Kx, sp.diags(grid.w_y))
-         + sp.kron(sp.diags(x_area.ravel()), sp.diags([ky[1], ky[0], ky[1]],
-                                                     [-1, 0, 1])))
+    weights, diag, factors, split, x_area, ky, bc = _assemble(grid, coeff)
     mass = grid.weighted_cell_measures().ravel()
     nfull = mass.size
     dt = grid.dt
-    A_step = sp.csr_matrix(sp.diags(mass / dt) + L)
-    A_abs = sp.csr_matrix((np.abs(A_step.data), A_step.indices, A_step.indptr),
-                          shape=A_step.shape)
+    A_step, A_abs = _step_operator(mass / dt + diag, weights)
     precond = _separable_solver(factors, ky, grid.w_y, dt)
-    split = abs(Kx - _kron_form(factors)).max() <= 1e-14 * abs(Kx).max()
-    route = "separable" if split else "pcg"
-    maxiter = 0 if route == "separable" else _CG_MAXITER
-
-    rhs_at = _step_rhs(grid, x_area, coupling, face_points, f, F,
-                       lateral_dirichlet)
+    route, maxiter = ("separable", 0) if split else ("pcg", _CG_MAXITER)
+    rhs_at = _step_rhs(grid, x_area, bc, f, F, lateral_dirichlet)
 
     if initial is None:
         u = np.zeros(nfull)
@@ -437,12 +442,6 @@ def steklov_average(fld: ScalarField, h: float) -> ScalarField:
                        meta={"steklov_h": h})
 
 
-def _space_contract(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contract a (nt+1, *spatial) array against spatial weights -> (nt+1,)."""
-    return np.tensordot(vals, w, axes=(tuple(range(1, vals.ndim)),
-                                       tuple(range(w.ndim))))
-
-
 @dataclass
 class EnergyReport:
     lhs_sup: float
@@ -481,7 +480,7 @@ def energy_report(U: ScalarField, f=None, F=None, cutoff=None,
     f_arr = _as_thin_array(grid, f)
     F_arr = _as_vector_array(grid, F)
 
-    spatial = lambda vals: _space_contract(vals, wmeas)
+    spatial = lambda vals: np.tensordot(vals, wmeas, axes=wmeas.ndim)
     in_window = (grid.t_nodes >= t1 - 1e-14) & (grid.t_nodes <= t2 + 1e-14)
     lhs_sup = float(np.max(spatial(U.values ** 2 * phi ** 2)[in_window]))
     lhs_grad = 0.0

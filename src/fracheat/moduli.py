@@ -155,15 +155,16 @@ def dini_integral(omega, b: float) -> float:
         return float(partial[k] + tail)
     if small.size:                        # a small segment among the first two
         return float(partial[-1])
-    # extrapolate: fit segment decay s_k ~ c k^-p on the last stretch
+    # extrapolate: fit s_k ~ c j^-p on the last stretch, j counted from t = 1
     k1, k2 = n_seg // 2, n_seg - 1
+    j1, j2 = (k + math.log2(1.0 / b) + 1.0 for k in (k1, k2))
     p_exp = (math.log(max(segs[k1], 1e-300) / max(segs[k2], 1e-300))
-             / math.log(k2 / k1))
+             / math.log(j2 / j1))
     if p_exp <= 1.05:
         raise DiniDivergenceError(
             f"omega(t)/t integral not Cauchy: segment decay exponent "
             f"{p_exp:.3f} <= 1 after {n_seg} dyadic refinements", partial)
-    return float(partial[-1] + segs[k2] * k2 / (p_exp - 1.0))
+    return float(partial[-1] + segs[k2] * j2 / (p_exp - 1.0))
 
 
 def least_concave_majorant(r, w) -> ModulusOfContinuity:
@@ -181,7 +182,7 @@ def least_concave_majorant(r, w) -> ModulusOfContinuity:
     r, first = np.unique(r, return_index=True)
     w = np.maximum.reduceat(w, first)
     hull = []
-    for pt in zip(r, w):
+    for pt in zip(r.tolist(), w.tolist()):     # Python floats: same IEEE sums
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             if (ax - ox) * (pt[1] - oy) - (ay - oy) * (pt[0] - ox) >= 0.0:

@@ -13,8 +13,8 @@ from fracheat.extension import (
     _as_thin_array,
     _as_vector_array,
     _assemble,
-    _kron_form,
     _lattice_points,
+    _step_operator,
     _step_rhs,
     CoefficientField,
     solve_extension,
@@ -354,8 +354,8 @@ class TestSeparableSolve:
                         lateral=lambda t, x1, x2, y:
                             np.cos(x1 - x2 + t) * (1.0 + y))
         coeff = _dini_bump() if n == 1 else CoefficientField.identity(2)
-        _, x_area, _, coupling, pts = _assemble(g, coeff)
-        rhs_at = _step_rhs(g, x_area, coupling, pts, data["f"], data["F"],
+        *_, x_area, _, bc = _assemble(g, coeff)
+        rhs_at = _step_rhs(g, x_area, bc, data["f"], data["F"],
                            data["lateral"])
         _, _, dirichlet = _reference_assemble(g, coeff)
         f_arr = _as_thin_array(g, data["f"])
@@ -392,18 +392,45 @@ class TestSeparableSolve:
         ref = _reference_march(g, coeff, **data)
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_kron_form_reproduces_assembled_kx(self):
-        # the per-axis factors rebuild Kx for an axis-separable A, and do
-        # not for a checkerboard, whose a_11 varies along x2
+    def test_route_follows_face_transmissibilities(self):
+        # every face of an axis-separable A matches the axis-averaged
+        # reference, and not for a checkerboard, whose a_11 varies along x2
         g = ParabolicGrid(FracParams(s=0.6, n=2), nt=2, nx=9, ny=4)
         for coeff, splits in ((_separable_2d(), True),
                               (_checkerboard_2d(), False)):
-            (Kx, factors), x_area, *_ = _assemble(g, coeff)
+            _, _, factors, separable, x_area, *_ = _assemble(g, coeff)
             assert [K.shape for K, _ in factors] == [(9, 9), (9, 9)]
             np.testing.assert_array_equal(
                 np.multiply.outer(factors[0][1], factors[1][1]), x_area)
-            gap = abs(Kx - _kron_form(factors)).max() / abs(Kx).max()
-            assert (gap <= 1e-14) == splits
+            assert separable == splits
+            U = solve_extension(g, coeff, **_N2_DATA)
+            assert U.meta["method"] == ("separable" if splits else "pcg")
+        separable = _assemble(small_grid(nx=9, ny=4), _dini_bump())[3]
+        assert separable                                # always at n = 1
+
+    @pytest.mark.parametrize("n, coeff", [
+        (1, CoefficientField.identity(1)), (1, _dini_bump()),
+        (2, CoefficientField.identity(2)), (2, _separable_2d()),
+        (2, _checkerboard_2d()),
+        (2, coefficient_generator("dini_bump", n=2, eps=0.2,
+                                  modulus="inv_log_sq")),
+    ], ids=["identity-1", "dini_bump-1", "identity-2", "diag_a1_a2-2",
+            "checkerboard-2", "dini_bump-2"])
+    def test_stencil_matches_assembled_operator(self, n, coeff):
+        # A u and |A| |u| from the stencil against the face-by-face sparse
+        # step matrix, componentwise to 1e-14 of |A| |u|
+        g = ParabolicGrid(FracParams(s=0.75, n=n), nt=4, nx=11, ny=9)
+        weights, diag, *_ = _assemble(g, coeff)
+        L, mass, _ = _reference_assemble(g, coeff)
+        A = sp.diags(mass / g.dt) + L
+        A_step, A_abs = _step_operator(mass / g.dt + diag, weights)
+        rng = np.random.default_rng(7)
+        for u in (rng.normal(size=mass.size), np.ones(mass.size)):
+            want = abs(A) @ np.abs(u)
+            np.testing.assert_array_less(np.abs(A_step(u) - A @ u),
+                                         1e-14 * want)
+            np.testing.assert_array_less(np.abs(A_abs(np.abs(u)) - want),
+                                         1e-14 * want)
 
     @pytest.mark.parametrize("coeff", [CoefficientField.identity(2),
                                        _separable_2d()],
