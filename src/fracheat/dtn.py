@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .kernels import FracParams, QuadratureSpec, dtn_constant, frac_heat_apply
-from .grids import ParabolicGrid, ScalarField
+from .grids import ParabolicGrid, ScalarField, _grading_exponent
 from .extension import CoefficientField, solve_extension
 
 __all__ = [
@@ -42,7 +42,6 @@ class DtnExtract:
     values: np.ndarray
     residual: np.ndarray
     flagged: np.ndarray
-    c_s: float
     etas: np.ndarray
     fluxes: np.ndarray
 
@@ -114,22 +113,22 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
         flagged[tuple(sl)] = True
         sl[axis] = -1
         flagged[tuple(sl)] = True
-    return DtnExtract(values, residual, flagged, c_s, etas, fluxes)
+    return DtnExtract(values, residual, flagged, etas, fluxes)
 
 
 def steady_profile(p: FracParams, xi: float):
     """Decaying radial profile phi of the steady extension of cos(xi x):
     (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a graded
-    1-d mesh of 4000 cells over (0, 14 / xi) with the same resistance scheme
-    as the main solver.
+    1-d mesh of 4000 cells over (0, 14 / xi) with the grading and resistance
+    scheme of the main solver.  Its 1e-16 resistance floor is left out: on
+    this mesh it would bind and move the profile.
 
     Returns (phi, flux0): a vectorized interpolant and the flux limit
     lim_(y->0) y^a phi'(y)  (negative; -c_s * flux0 ~ xi^(2s))."""
     a = p.a
     n_cells = 4000
     ymax = 14.0 / max(xi, 1e-6)
-    q = min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
-    faces = ymax * (np.arange(n_cells + 1) / n_cells) ** q
+    faces = ymax * (np.arange(n_cells + 1) / n_cells) ** _grading_exponent(a)
     centers = 0.5 * (faces[1:] + faces[:-1])
     w = np.diff(faces ** (1.0 + a)) / (1.0 + a)
     b = 1.0 - a

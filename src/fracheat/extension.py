@@ -52,14 +52,14 @@ __all__ = [
 
 @dataclass
 class CoefficientField:
-    """Symmetric uniformly elliptic x -> A(x) with declared ellipticity
+    """Diagonal uniformly elliptic x -> A(x) with declared ellipticity
     bounds and (optionally) a declared oscillation modulus.
 
-    fn maps stacked points (m, n) to (m, n, n).  The extension problem's
-    block coefficient diag(A, 1) is implicit: the y direction always carries
-    coefficient 1.  The two-point flux assembly uses the diagonal of A;
-    off-diagonal entries are rejected (n = 2 runs are restricted to diagonal
-    anisotropy at desk scale).
+    fn maps stacked points (m, n) to the diagonal of A, shape (m, n): the
+    two-point flux assembly reads nothing else, so n = 2 runs are restricted
+    to diagonal anisotropy at desk scale.  The extension problem's block
+    coefficient diag(A, 1) is implicit: the y direction always carries
+    coefficient 1.
     """
 
     fn: object
@@ -72,43 +72,36 @@ class CoefficientField:
     @classmethod
     def identity(cls, n: int = 1) -> "CoefficientField":
         def fn(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.broadcast_to(np.eye(n), (x.shape[0], n, n)).copy()
+            return np.ones(np.atleast_2d(x).shape)
         return cls(fn=fn, n=n, lam_ell=1.0, Lam_ell=1.0, name="identity")
 
-    def matrices(self, x_points: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x_points, dtype=float))
-        if x.shape[1] != self.n:
-            x = x.reshape(-1, self.n)
+    def _diagonal(self, x_points: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x_points, dtype=float)).reshape(-1, self.n)
         A = np.asarray(self.fn(x), dtype=float)
-        if A.shape != (x.shape[0], self.n, self.n):
+        if A.shape != x.shape:
             raise ValueError(f"coefficient fn returned shape {A.shape}")
         return A
 
     def axis_values(self, x_points: np.ndarray, axis: int) -> np.ndarray:
-        A = self.matrices(x_points)
-        off = A - A * np.eye(self.n)[None, :, :]
-        if np.max(np.abs(off)) > 1e-12:
-            raise ValueError("two-point flux assembly needs diagonal A")
-        return A[:, axis, axis]
+        return self._diagonal(x_points)[:, axis]
 
     def verify_ellipticity(self, x_points: np.ndarray) -> bool:
-        """lam_ell <= eig(sym A) <= Lam_ell at the points, to 1e-10."""
-        A = self.matrices(x_points)
-        eig = np.linalg.eigvalsh(0.5 * (A + np.transpose(A, (0, 2, 1))))
+        """lam_ell <= eig(A) <= Lam_ell at the points, to 1e-10."""
+        eig = self._diagonal(x_points)
         return bool(np.all(eig >= self.lam_ell - 1e-10)
                     and np.all(eig <= self.Lam_ell + 1e-10))
 
     def oscillation_check(self, x_points: np.ndarray, radii) -> bool:
-        """Measured sup_(|x-x'| <= r) |A(x) - A(x')| <= modulus(r) on pairs."""
+        """Measured sup_(|x-x'| <= r) |A(x) - A(x')| <= modulus(r) on pairs,
+        |.| the Frobenius norm."""
         if self.modulus is None:
             return True
         x = np.atleast_2d(np.asarray(x_points, dtype=float))
-        A = self.matrices(x)
+        A = self._diagonal(x)
         ok = True
         for r in np.atleast_1d(radii):
             d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-            osc = np.linalg.norm(A[:, None] - A[None, :], axis=(-2, -1))
+            osc = np.linalg.norm(A[:, None] - A[None, :], axis=-1)
             mask = d <= r
             if np.any(mask):
                 ok &= bool(np.max(osc[mask]) <= float(self.modulus(r)) + 1e-12)
@@ -480,7 +473,9 @@ def energy_report(U: ScalarField, f=None, F=None, cutoff=None,
     f_arr = _as_thin_array(grid, f)
     F_arr = _as_vector_array(grid, F)
 
-    spatial = lambda vals: np.tensordot(vals, wmeas, axes=wmeas.ndim)
+    # einsum, not a threaded BLAS gemv (see time_integral_product)
+    spatial = lambda vals: np.einsum("ti,i->t", vals.reshape(len(vals), -1),
+                                     wmeas.ravel())
     in_window = (grid.t_nodes >= t1 - 1e-14) & (grid.t_nodes <= t2 + 1e-14)
     lhs_sup = float(np.max(spatial(U.values ** 2 * phi ** 2)[in_window]))
     lhs_grad = 0.0

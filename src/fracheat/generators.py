@@ -41,7 +41,6 @@ def modulus_generator(name: str, **params) -> ModulusOfContinuity:
     log_dini      L r log(e/r)        (Dini, not Lipschitz)
     inv_log_sq    c / log(e/r)^2      (Dini, not Hoelder)
     power         c r^alpha
-    constant      c                   (not a modulus; divergence probes)
     """
     L = params.get("L", 1.0)
     c = params.get("c", 1.0)
@@ -61,8 +60,6 @@ def modulus_generator(name: str, **params) -> ModulusOfContinuity:
             c * np.log(np.e / np.maximum(r, _EPS_FLOOR)) ** -2.0, 0.0)
     elif name == "power":
         fn = lambda r: c * np.asarray(r, dtype=float) ** alpha
-    elif name == "constant":
-        fn = lambda r: c * np.ones_like(np.asarray(r, dtype=float))
     else:
         raise KeyError(f"unknown modulus generator '{name}'")
     return ModulusOfContinuity(fn, name=name)
@@ -76,55 +73,46 @@ def _bump_profile(modulus, eps):
 
 
 def coefficient_generator(name: str, n: int = 1, **params) -> CoefficientField:
-    """Coefficient families:
+    """Coefficient families, diagonal (see CoefficientField):
 
     identity       A = I
-    dini_bump      A = I + eps eta(|x|) M, eta from a modulus family
-    checkerboard   A = I + eps * smoothed checkerboard * M
+    dini_bump      A = I + eps eta(|x|) I, eta = modulus_generator(modulus)
+                   (default "log_dini") at min(|x|, 1)
+    checkerboard   A = I + eps prod_d sin(3 pi x_d) I
     """
     eps = params.get("eps", 0.1)
     if name == "identity":
         return CoefficientField.identity(n)
 
-    M = np.asarray(params.get("M", np.eye(n)), dtype=float).reshape(n, n)
-    if np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-14:
-        raise ValueError("desk-scale coefficients are diagonal")
-    m_norm = float(np.max(np.abs(np.diag(M))))
-
     if name == "dini_bump":
-        mod = modulus_generator(params.get("modulus", "log_dini"),
-                                **params.get("modulus_params", {}))
+        mod = modulus_generator(params.get("modulus", "log_dini"))
         eta = _bump_profile(mod, eps)
 
         def fn(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
             r = np.linalg.norm(x, axis=1)
-            return np.eye(n)[None] + eta(r)[:, None, None] * M[None]
+            return np.repeat(1.0 + eta(r)[:, None], n, axis=1)
 
         osc = ModulusOfContinuity(
-            lambda r: 2.0 * eps * m_norm
-            * np.asarray(mod(np.minimum(r, 1.0)), dtype=float),
+            lambda r: 2.0 * eps * np.asarray(mod(np.minimum(r, 1.0)), dtype=float),
             name=f"osc_{name}")
-        amp = eps * m_norm * float(mod(1.0))
+        amp = eps * float(mod(1.0))
         return CoefficientField(fn=fn, n=n, lam_ell=1.0 - amp,
                                 Lam_ell=1.0 + amp, modulus=osc,
                                 name=name)
 
     if name == "checkerboard":
-        k = params.get("waves", 3.0)
+        k = 3.0
 
         def fn(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
             pattern = np.prod(np.sin(math.pi * k * x), axis=1)
-            return np.eye(n)[None] + eps * pattern[:, None, None] * M[None]
+            return np.repeat(1.0 + eps * pattern[:, None], n, axis=1)
 
         osc = ModulusOfContinuity(
-            lambda r: 2.0 * eps * m_norm
+            lambda r: 2.0 * eps
             * np.minimum(math.pi * k * np.asarray(r, dtype=float), 1.0),
             name=f"osc_{name}")
-        return CoefficientField(fn=fn, n=n, lam_ell=1.0 - eps * m_norm,
-                                Lam_ell=1.0 + eps * m_norm, modulus=osc,
-                                name=name)
+        return CoefficientField(fn=fn, n=n, lam_ell=1.0 - eps,
+                                Lam_ell=1.0 + eps, modulus=osc, name=name)
 
     raise KeyError(f"unknown coefficient generator '{name}'")
 
@@ -132,27 +120,17 @@ def coefficient_generator(name: str, n: int = 1, **params) -> CoefficientField:
 def thin_data_generator(name: str, p: FracParams | None = None, **params):
     """Forcing families on the thin space, as callables f(t, x...):
 
-    zero, constant(c), cosine(amp, xi), indicator(amp, r0),
-    truncated_power(amp, trunc, theta = critical), random_fourier(seed,
-    modes, amp), exp_time(scale).
+    cosine(amp, xi)                    amp cos(xi x_1)
+    truncated_power(amp, trunc, theta) amp max(|x|, trunc)^-theta, theta by
+                                       default the critical exponent of p
+    random_fourier(seed, modes, amp)   a seeded sum of cos(pi w x_1 + phase)
+                                       cos(nu t + phase) modes
     """
     n = p.n if p is not None else params.get("n", 1)
     amp = params.get("amp", 1.0)
-    if name == "zero":
-        return lambda t, *x: 0.0 * np.asarray(t, dtype=float)
-    if name == "constant":
-        c = params.get("c", 1.0)
-        return lambda t, *x: c + 0.0 * np.asarray(t, dtype=float)
     if name == "cosine":
         xi = params.get("xi", 1.0)
         return lambda t, *x: amp * np.cos(xi * x[0]) + 0.0 * np.asarray(t)
-    if name == "indicator":
-        r0 = params.get("r0", 0.25)
-
-        def f(t, *x):
-            r = np.sqrt(sum(np.asarray(xd, dtype=float) ** 2 for xd in x))
-            return amp * ((r < r0) & (np.abs(np.asarray(t)) < r0 ** 2))
-        return f
     if name == "truncated_power":
         theta = params.get("theta")
         if theta is None:
@@ -183,9 +161,4 @@ def thin_data_generator(name: str, p: FracParams | None = None, **params):
                 out = out + coefs[k] * sp * np.cos(nus[k] * t + phs[1, k])
             return out
         return f
-    if name == "exp_time":
-        scale = params.get("scale", 1.0)
-        return lambda t, *x: scale * np.exp(np.asarray(t, dtype=float)) \
-            + 0.0 * np.asarray(x[0])
     raise KeyError(f"unknown thin data generator '{name}'")
-

@@ -21,7 +21,6 @@ __all__ = [
     "ThinGrid",
     "ParabolicGrid",
     "ScalarField",
-    "sample_scalar",
     "sample_thin",
 ]
 
@@ -105,6 +104,14 @@ def _derivative_at(values, cells, axis, coords):
     return a * f0 + b * f1 + c * f2
 
 
+def _grading_exponent(a: float) -> float:
+    """Default q of the y-mesh y_j = rho (j / ny)^q: measure-equidistributing,
+    capped so the inter-center resistance spread (1/ny)^(q(1-a)) stays
+    bounded, since cells coupled far more stiffly than their neighbours are
+    numerically identical at float64 (ROADMAP item 2 re-measures the cap)."""
+    return min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
+
+
 @dataclass
 class ThinGrid:
     """Cell-based grid over the thin cylinder Q_rho(center)."""
@@ -138,11 +145,6 @@ class ThinGrid:
         for f in self.x_faces:
             m = np.multiply.outer(m, np.diff(f))
         return m
-
-    @property
-    def total_measure(self) -> float:
-        return float((self.t_faces[-1] - self.t_faces[0])
-                     * (2.0 * self.rho) ** self.n)
 
     def min_radius(self) -> float:
         """Smallest cylinder radius resolvable by at least one full cell."""
@@ -213,11 +215,7 @@ class ParabolicGrid:
     def __post_init__(self):
         a = self.params.a
         if self.q is None:
-            # measure-equidistributing grading, capped so the inter-center
-            # resistance spread (1/ny)^(q(1-a)) stays bounded: cells coupled
-            # far more stiffly than their neighbours are numerically
-            # identical at float64 (ROADMAP item 2 re-measures the cap)
-            self.q = min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
+            self.q = _grading_exponent(a)
         if self.q < 1.0:
             raise ValueError("grading exponent q must be >= 1")
         if len(self.center) == 1:
@@ -275,12 +273,6 @@ class ParabolicGrid:
         """Space-only weighted measures int_cell y^a dX, shape spatial_shape."""
         return np.multiply.outer(self.x_cell_measures(), self.w_y)
 
-    def weighted_measure(self) -> float:
-        """Weighted measure of the full cylinder (exact closed form)."""
-        a = self.params.a
-        return float((2.0 * self.rho) ** self.n
-                     * self.rho ** (1.0 + a) / (1.0 + a))
-
     def meshgrid(self):
         """Node-time, cell-space coordinate arrays broadcastable to shape."""
         axes = [self.t_nodes] + self.x_centers + [self.y_centers]
@@ -323,7 +315,9 @@ class ParabolicGrid:
 
         The hat functions' Gram matrix int phi_k phi_j is tridiagonal with a
         closed form per step; only the steps the window meets are read.
-        u and v may hold every time node or only the `window_nodes`."""
+        u and v may hold every time node or only the `window_nodes`.  The
+        time axis is contracted by einsum: np.tensordot's threaded BLAS gemv
+        ran 8x slower on a (129, 128 x 64) product on a 2-core host."""
         nodes = self.window_nodes(t_lo, t_hi)
         k0, k1 = nodes.start, nodes.stop - 1
         if k1 <= k0:
@@ -335,9 +329,9 @@ class ParabolicGrid:
         diag[:-1] += h * ((1.0 - u0) ** 3 - (1.0 - u1) ** 3) / 3.0
         diag[1:] += h * cube
         off = h * ((u1 ** 2 - u0 ** 2) / 2.0 - cube)
-        return (np.tensordot(diag, a * b, axes=1)
-                + np.tensordot(off, a[:-1] * b[1:], axes=1)
-                + np.tensordot(off, a[1:] * b[:-1], axes=1))
+        return (np.einsum("t,t...->...", diag, a * b)
+                + np.einsum("t,t...->...", off, a[:-1] * b[1:])
+                + np.einsum("t,t...->...", off, a[1:] * b[:-1]))
 
     def window_nodes(self, t_lo: float | None = None,
                      t_hi: float | None = None) -> slice:
@@ -435,19 +429,9 @@ class ScalarField:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
 
-    def trace(self) -> np.ndarray:
-        return self.grid.trace_at_zero(self.values)
-
     def weighted_norm(self) -> float:
         """Weighted L^2 norm over the whole cylinder."""
         return math.sqrt(self.grid.weighted_norm_sq(self.values))
-
-
-def sample_scalar(grid: ParabolicGrid, fn) -> ScalarField:
-    """Evaluate fn(t, x..., y) on the grid lattice."""
-    mesh = grid.meshgrid()
-    return ScalarField(grid, np.asarray(fn(*mesh), dtype=float)
-                       * np.ones(grid.shape))
 
 
 def sample_thin(grid: ParabolicGrid, fn) -> np.ndarray:

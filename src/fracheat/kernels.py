@@ -68,7 +68,7 @@ _Z_RADIUS = 8.0
 class QuadratureSpec:
     """Discretization of the subordination integral: Gauss-Legendre panels
     of order nodes_per_decade per decade in tau on [_TAU_LOW, _TAU_HIGH],
-    and a zeta rule whose order grows with it (`zeta_nodes`)."""
+    and a zeta rule whose order grows with it (`_zeta_nodes`)."""
 
     nodes_per_decade: int = 12
 
@@ -88,7 +88,6 @@ class FracHeatDiagnostics:
     values: np.ndarray
     coarse_values: np.ndarray
     max_difference: float
-    tolerance: float
     converged: bool
 
 
@@ -96,9 +95,6 @@ class FracHeatDiagnostics:
 class MasterBoundReport:
     """Empirical two-sided kernel bounds in the heat case beta = 2."""
 
-    beta: float
-    c1: float
-    c2: float
     lambda_lower: float
     Lambda_upper: float
     holds: bool
@@ -164,7 +160,7 @@ def _gauss_panels(lo, hi, n_panels: int, order: int):
     return nodes, wts
 
 
-def tau_nodes(spec: QuadratureSpec):
+def _tau_nodes(spec: QuadratureSpec):
     """Log-spaced Gauss-Legendre nodes and weights for the tau integral.
 
     One Gauss panel of order `nodes_per_decade` per decade, mapped through
@@ -179,7 +175,7 @@ def tau_nodes(spec: QuadratureSpec):
     return taus, wts
 
 
-def zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
+def _zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
     """Nodes/weights for int G(tau, z) h(z) dz written in the self-similar
     variable z = sqrt(tau) * zeta:
 
@@ -256,8 +252,7 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
         warnings.warn(
             f"subordination quadrature not converged: refinement delta "
             f"{diff:.3e} exceeds {_REFINE_TOL:.1e} * scale", RuntimeWarning)
-    return values, FracHeatDiagnostics(values, coarse, diff, _REFINE_TOL,
-                                       converged)
+    return values, FracHeatDiagnostics(values, coarse, diff, converged)
 
 
 def _heat_residual_fd(u, pts, n):
@@ -331,7 +326,7 @@ def _pow(x, p: float) -> np.ndarray:
 
 
 def _frac_heat_core(u, p, q, pts):
-    taus, tw = tau_nodes(q)
+    taus, tw = _tau_nodes(q)
     t0 = pts[:, 0]
     x0 = pts[:, 1:]
     m = pts.shape[0]
@@ -353,7 +348,7 @@ def _frac_heat_core(u, p, q, pts):
             # release the previous grid and the last batch (z, w are views
             # of the grid) before the next grid is built
             zeta = zw = z = w = xs = ts = shifted = None
-            zeta, zw = zeta_nodes(q, p.n, fac)
+            zeta, zw = _zeta_nodes(q, p.n, fac)
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, _BATCH // m)
@@ -436,4 +431,4 @@ def check_master_bounds(p: FracParams, c1: float, c2: float,
         Lam = max(Lam, float(np.max(K * bound)))
 
     holds = lam > 0.0 and math.isfinite(Lam)
-    return MasterBoundReport(beta, c1, c2, lam, Lam, holds)
+    return MasterBoundReport(lam, Lam, holds)

@@ -20,6 +20,7 @@ __all__ = [
     "SampledFunction",
     "RearrangedProfile",
     "PotentialSpec",
+    "Estimate1Report",
     "cylinder_measure_constant",
     "decreasing_rearrangement",
     "lorentz_norm",
@@ -60,13 +61,6 @@ class SampledFunction:
         if np.any(self.measures <= 0):
             raise ValueError("cell measures must be positive")
 
-    @property
-    def total_measure(self) -> float:
-        return float(np.sum(self.measures))
-
-    def scaled(self, alpha: float) -> "SampledFunction":
-        return SampledFunction(self.measures.copy(), alpha * self.values)
-
 
 @dataclass
 class RearrangedProfile:
@@ -94,14 +88,6 @@ class RearrangedProfile:
     def total_measure(self) -> float:
         return float(self.breakpoints[-1])
 
-    def g_star(self, rho) -> np.ndarray:
-        """Right-continuous step evaluation of g*."""
-        rho = np.asarray(rho, dtype=float)
-        idx = np.searchsorted(self.breakpoints, rho, side="right") - 1
-        out = np.where((idx >= 0) & (idx < len(self.plateaus)),
-                       self.plateaus[np.clip(idx, 0, len(self.plateaus) - 1)], 0.0)
-        return float(out) if np.ndim(out) == 0 else out
-
     def integral_g_star(self, rho):
         """Exact int_0^rho g*(tau) dtau, elementwise for an array rho."""
         rho = np.asarray(rho, dtype=float)
@@ -119,14 +105,6 @@ class RearrangedProfile:
             raise ValueError("double_star needs rho > 0")
         out = self.integral_g_star(rho) / rho
         return float(out) if np.ndim(out) == 0 else out
-
-    def measure_above(self, level: float) -> float:
-        """mu({g* > level}), exact from the step structure."""
-        mask = self.plateaus > level
-        if not np.any(mask):
-            return 0.0
-        k = int(np.max(np.nonzero(mask)))
-        return float(self.breakpoints[k + 1])
 
 
 def decreasing_rearrangement(f: SampledFunction) -> RearrangedProfile:
@@ -299,13 +277,6 @@ def _plateau_integrals(profile: RearrangedProfile, alpha: float,
     return out
 
 
-def profile_power_integral(profile: RearrangedProfile, alpha: float,
-                           upper: float) -> float:
-    """int_0^upper u^(alpha-1) (g**(u))^(1/2) du (see _power_integral_table,
-    of which this is the case of one upper limit)."""
-    return float(_power_integral_table(profile, alpha)(upper))
-
-
 def _power_integral_table(profile: RearrangedProfile, alpha: float):
     """The map upper -> int_0^upper u^(alpha-1) (g**(u))^(1/2) du for an
     array of upper limits: exact on the first plateau and beyond the
@@ -361,7 +332,7 @@ def estimate2_check(thin_grid, f_values: np.ndarray, center, r: float,
                                                     np.asarray(f_values) ** 2))
     C = cylinder_measure_constant(n)
     alpha = (2.0 * s - 1.0) / (n + 2.0)
-    integral = profile_power_integral(g, alpha, C * r ** (n + 2.0))
+    integral = float(_power_integral_table(g, alpha)(C * r ** (n + 2.0)))
     rhs = integral / ((n + 2.0) * C ** alpha)
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-8)
 

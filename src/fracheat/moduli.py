@@ -319,7 +319,8 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
                 + dini_integral(omega_coeff, g) / ((-math.log(math.sqrt(lam))) * dt))
 
     for _ in range(60):
-        if data_part_bound(gamma) <= 1.0:
+        b1_data = data_part_bound(gamma)
+        if b1_data <= 1.0:
             break
         gamma *= 0.5
     else:
@@ -340,7 +341,6 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
     geo_half = 1.0 / (1.0 - math.sqrt(lam))
 
     s1_data = float(np.sum(np.asarray(omega_coeff(gamma * lam ** (ks / 2.0))) / dt))
-    b1_data = data_part_bound(gamma)
     b1 = 2.0 * b1_data + geo_half
     r_est = 2.0 * gamma
     spec1 = PotentialSpec(thin_grid.center, min(r_est, 0.45), lam, p.s, p.n)
@@ -418,6 +418,9 @@ def build_K(omega1: ModulusOfContinuity, g_profile: RearrangedProfile,
     lorentz._power_integral_table): each radius adds only the Gauss panels
     of its partial plateau.  K and its components (.components["K1"],
     ["K2"], ["K3"]) take an array of radii of any shape.
+
+    cfg is unused: K depends on the pipeline constants only through omega1.
+    It stays in the signature because perfbench/workloads.py passes it.
     """
     dini = _sqrt_interp_dini(omega1)
     if dini is None:

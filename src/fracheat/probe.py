@@ -40,8 +40,8 @@ __all__ = [
     "ModulusProbeReport",
     "parabolic_distance",
     "best_linear_fit",
-    "excess_with_fit",
     "excess_sequence",
+    "combined_norm",
     "one_step_improvement",
     "campanato_excess_profile",
     "gradient_modulus_probe",
@@ -72,23 +72,14 @@ def parabolic_distance(p1, p2):
 
 @dataclass
 class LinearFit:
-    """l(x) = a + b.(x - center) with its combined weighted excess."""
+    """l(x) = a + b.(x - x0) with its combined weighted excess."""
 
     a: float
     b: np.ndarray
     excess: float
     excess_thin: float
     excess_thick: float
-    center: tuple
-    radius: float
     normal_residual: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        c = np.asarray(self.center[1:], dtype=float)
-        if x.ndim <= 1 and c.size == 1:
-            return self.a + self.b[0] * (x - c[0])
-        return self.a + (x - c) @ self.b
 
 
 def _columns(axes) -> np.ndarray:
@@ -149,27 +140,13 @@ def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
         center = (grid.center[0],) + tuple(grid.center[1:]) + (0.0,)
     coef, (e_thin, e_thick), nres = _fit(grid, _pieces(U, center, radius))
     return LinearFit(float(coef[0]), coef[1:].copy(), e_thin + e_thick,
-                     e_thin, e_thick, tuple(center), radius, nres)
-
-
-def excess_with_fit(U: ScalarField, radius: float, fit: LinearFit,
-                    center=None) -> float:
-    """Combined excess of a GIVEN linear function on the radius-r cylinder
-    pair (used to assert minimality of the fitted one)."""
-    grid = U.grid
-    if center is None:
-        center = fit.center
-    shift = np.asarray(center[1:1 + grid.n]) - np.asarray(fit.center[1:1 + grid.n])
-    base = fit.a + float(np.dot(fit.b, shift)) if np.any(shift) else fit.a
-    coef = np.concatenate([[base], fit.b])
-    return sum(_fit(grid, _pieces(U, center, radius), coef)[1])
+                     e_thin, e_thick, nres)
 
 
 @dataclass
 class ExcessSequence:
     """Per-scale excess records against the modulus bound."""
 
-    lam: float
     ks: np.ndarray
     radii: np.ndarray
     excess_thin: np.ndarray
@@ -187,7 +164,7 @@ class ExcessSequence:
         return self.excess_thin + self.excess_thick
 
 
-def resolvable_kmax(grid: ParabolicGrid, lam: float, kmax: int) -> int:
+def _resolvable_kmax(grid: ParabolicGrid, lam: float, kmax: int) -> int:
     """Largest k <= kmax whose radius lam^k spans CELLS_PER_RADIUS x-cells,
     so the cell-sampled excess of a quadratic residual is within about 8%.
     Time sets no floor: the excess is exact in time on any window."""
@@ -204,7 +181,7 @@ def excess_sequence(U: ScalarField, lam: float, kmax: int, omega,
     drifts |a_(k+1) - a_k| / (lam^k omega(lam^k)) and
     |b_(k+1) - b_k| / omega(lam^k)."""
     grid = U.grid
-    k_eff = resolvable_kmax(grid, lam, kmax)
+    k_eff = _resolvable_kmax(grid, lam, kmax)
     ks = np.arange(k_eff + 1)
     radii = lam ** ks
     fits = [best_linear_fit(U, r, center) for r in radii]
@@ -217,7 +194,7 @@ def excess_sequence(U: ScalarField, lam: float, kmax: int, omega,
                    for k in range(k_eff)])
     db = np.array([np.linalg.norm(fits[k + 1].b - fits[k].b) / om[k]
                    for k in range(k_eff)])
-    return ExcessSequence(lam, ks, radii, e_thin, e_thick, bounds, ratios,
+    return ExcessSequence(ks, radii, e_thin, e_thick, bounds, ratios,
                           fits, da, db, k_eff, kmax)
 
 
@@ -290,7 +267,6 @@ class ModulusProbeReport:
     n_boundary: int
     n_time: int
     geometry_ok: bool
-    seed: int
     pair_distances: np.ndarray
     pair_ratios: np.ndarray
     pair_cases: np.ndarray
@@ -402,7 +378,7 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
         float(ratios[~interior].max(initial=0.0)),
         float(t_ratios.max(initial=0.0)),
         int(np.sum(interior)), int(np.sum(~interior)), int(rdts.size),
-        geometry_ok, seed, dists, ratios, np.where(interior, 0, 1))
+        geometry_ok, dists, ratios, np.where(interior, 0, 1))
 
 
 def interior_probe(U: ScalarField, center, side: float, lam: float,

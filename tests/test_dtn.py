@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fracheat.kernels import FracParams, QuadratureSpec, dtn_constant
-from fracheat.grids import ParabolicGrid, sample_scalar
+from fracheat.grids import ParabolicGrid
 from fracheat.extension import CoefficientField, solve_extension
 from fracheat.dtn import (
     extract_dtn,
@@ -14,6 +14,8 @@ from fracheat.dtn import (
     exponential_extension_data,
     dtn_vs_direct,
 )
+
+from fields import sample_scalar
 
 
 def shooting_profile_oracle(s, xi, ymax=None):

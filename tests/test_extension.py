@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracheat.kernels import FracParams
-from fracheat.grids import ParabolicGrid, sample_scalar
+from fracheat.grids import ParabolicGrid
 from fracheat.dtn import cosine_extension_data
 from fracheat.generators import coefficient_generator
 from fracheat.extension import (
@@ -25,6 +25,8 @@ from fracheat.extension import (
     closeness_experiment,
     regularity_estimates_check,
 )
+
+from fields import sample_scalar
 
 P = FracParams(s=0.75)
 
@@ -233,7 +235,7 @@ class TestSolveExtension:
         # use a piecewise test with A = 2 I instead
         g = small_grid()
         two = CoefficientField(
-            fn=lambda x: 2.0 * np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+            fn=lambda x: 2.0 * np.ones((np.atleast_2d(x).shape[0], 1)),
             n=1, lam_ell=2.0, Lam_ell=2.0)
         lin = lambda t, x, y: 1.0 - 0.5 * x + 0.0 * y
         U = solve_extension(g, two, lateral_dirichlet=lin,
@@ -319,7 +321,7 @@ def _separable_2d():
         x = np.atleast_2d(x)
         a = np.stack([1.0 + 0.3 * np.sin(2.0 * x[:, 0]),
                       1.5 + 0.4 * np.cos(3.0 * x[:, 1])], axis=1)
-        return a[:, :, None] * np.eye(2)[None]
+        return a
     return CoefficientField(fn=fn, n=2, lam_ell=0.7, Lam_ell=1.9)
 
 
@@ -478,19 +480,20 @@ class TestCoefficientField:
         xc = g.x_centers[0][:, None]
         assert c.verify_ellipticity(xc)
 
-    def test_off_diagonal_rejected(self):
+    def test_full_matrix_shape_rejected(self):
+        # fn returns the diagonal, (m, n); an (m, n, n) matrix is refused
         c = CoefficientField(
             fn=lambda x: np.broadcast_to(np.array([[1.0, 0.3], [0.3, 1.0]]),
                                          (np.atleast_2d(x).shape[0], 2, 2)).copy(),
             n=2, lam_ell=0.7, Lam_ell=1.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape"):
             c.axis_values(np.zeros((3, 2)), 0)
 
     def test_oscillation_check_against_declared_modulus(self):
         from fracheat.moduli import ModulusOfContinuity
         eps = 0.05
         c = CoefficientField(
-            fn=lambda x: (1.0 + eps * np.sin(np.atleast_2d(x)[:, 0]))[:, None, None],
+            fn=lambda x: (1.0 + eps * np.sin(np.atleast_2d(x)[:, 0]))[:, None],
             n=1, lam_ell=1 - eps, Lam_ell=1 + eps,
             modulus=ModulusOfContinuity(lambda r: eps * np.minimum(r, 2.0)))
         pts = np.linspace(-1, 1, 41)[:, None]
@@ -618,7 +621,7 @@ class TestTracePoincare:
         wm = g.weighted_cell_measures()
         thick_v = np.sum(wm * exact_sq(v.values))
         thick_g = sum(np.sum(wm * exact_sq(d)) for d in g.gradient(v.values))
-        thin_v = np.sum(g.x_cell_measures() * exact_sq(v.trace()))
+        thin_v = np.sum(g.x_cell_measures() * exact_sq(g.trace_at_zero(v.values)))
         _, _, C_T, C_P = trace_poincare_check(v)
         assert C_T == pytest.approx(thin_v / (thick_v + thick_g), rel=1e-12)
         assert C_P == pytest.approx(thick_v / thick_g, rel=1e-12)
@@ -727,6 +730,17 @@ class TestRegularityEstimates:
         W = sample_scalar(g, lambda t, x, y: 3.0 + 0.0 * t)
         rep = regularity_estimates_check(W)
         assert all(v == 0.0 for v in rep.C_derivative.values())
+
+    @pytest.mark.parametrize("c", [3.0, -0.5])
+    def test_max_vs_l2_constant_closed_form(self, c):
+        # |W| = |c| everywhere, and the weighted L^2 norm over Q*_(1/2) is
+        # |c| sqrt(0.5 * 1 * int_0^(1/2) y^a dy), exact on the grid
+        g = small_grid()
+        a = g.params.a
+        W = sample_scalar(g, lambda t, x, y: c + 0.0 * t)
+        rep = regularity_estimates_check(W)
+        expect = 1.0 / math.sqrt(0.5 * 1.0 * 0.5 ** (1.0 + a) / (1.0 + a))
+        assert rep.C_max_vs_l2 == pytest.approx(expect, rel=1e-12)
 
     def test_linear_solution_has_zero_normal_derivative(self):
         g = small_grid()

@@ -14,7 +14,7 @@ from fracheat.kernels import (
     frac_heat_apply,
     marchaud_normalization,
     check_master_bounds,
-    zeta_nodes,
+    _zeta_nodes,
     _ZETA_ORDER,
     _leggauss,
 )
@@ -201,13 +201,13 @@ class TestZetaRule:
         # |z| <= 8 sqrt(tau) drops erfc(4) of the heat kernel's mass per axis
         tail = 1.0 - (1.0 - math.erfc(4.0)) ** n
         for factor in sorted({f for _, f in _ZETA_ORDER}):
-            _, w = zeta_nodes(QuadratureSpec(), n, factor)
+            _, w = _zeta_nodes(QuadratureSpec(), n, factor)
             assert 1.0 - w.sum() == pytest.approx(tail, rel=1e-6)
 
 
 def _row_major_zeta(q, n, factor):
     """The zeta grid as a row-major (k, n) stack of the 1-d nodes."""
-    x1 = zeta_nodes(q, 1, factor)[0][:, 0]
+    x1 = _zeta_nodes(q, 1, factor)[0][:, 0]
     grids = np.meshgrid(*([x1] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -215,14 +215,14 @@ def _row_major_zeta(q, n, factor):
 def _row_major_core(u, p, q, pts):
     """The subordination sum with the shifted points formed as one row-major
     (m, k, n) array: the same nodes, weights, batches and reduction."""
-    taus, tw = kernels.tau_nodes(q)
+    taus, tw = kernels._tau_nodes(q)
     t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
     u_here = kernels._eval_u(u, t0, x0, p.n)
     acc = (kernels._heat_residual_fd(u, pts, p.n)
            * kernels._TAU_LOW ** (1.0 - p.s) / (1.0 - p.s))
     for tau, wt in zip(taus, tw):
         f = kernels._order_bucket(tau)
-        zeta, zw = _row_major_zeta(q, p.n, f), zeta_nodes(q, p.n, f)[1]
+        zeta, zw = _row_major_zeta(q, p.n, f), _zeta_nodes(q, p.n, f)[1]
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, kernels._BATCH // m)
@@ -243,7 +243,7 @@ class TestColumnLayout:
     @pytest.mark.parametrize("n", [1, 2])
     def test_zeta_grid_values_and_layout(self, n):
         for factor in sorted({f for _, f in _ZETA_ORDER}):
-            zeta, _ = zeta_nodes(QuadratureSpec(), n, factor)
+            zeta, _ = _zeta_nodes(QuadratureSpec(), n, factor)
             assert np.array_equal(zeta, _row_major_zeta(QuadratureSpec(), n,
                                                          factor))
             assert zeta.T.flags.c_contiguous

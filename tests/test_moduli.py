@@ -14,7 +14,6 @@ from fracheat.lorentz import (
     _power_integral_table,
     decreasing_rearrangement,
     gridded_to_sampled,
-    profile_power_integral,
 )
 from fracheat.moduli import (
     ModulusOfContinuity,
@@ -568,7 +567,7 @@ class TestBuildK:
         one Gauss integral per shift and a scalar g** per node.  Oracle for
         the closed-form K, which takes each sup at a = 0: a shift that beat
         a = 0 would show here."""
-        from fracheat.lorentz import cylinder_measure_constant, profile_power_integral
+        from fracheat.lorentz import cylinder_measure_constant
         C = cylinder_measure_constant(p.n)
         alpha = (2.0 * p.s - 1.0) / (p.n + 2.0)
         a_scan = np.geomspace(1e-6, 2.0, scan_points)
@@ -588,7 +587,7 @@ class TestBuildK:
                 k1 = max(k1, shifted(
                     lambda t: np.asarray(omega1(np.minimum(t, 1.0))) / t, a, h1))
             h3 = C * r
-            k3 = profile_power_integral(prof, alpha, h3)
+            k3 = float(_power_integral_table(prof, alpha)(h3))
             for a in a_scan:
                 k3 = max(k3, shifted(
                     lambda u: u ** (alpha - 1.0) * np.sqrt(np.maximum(
@@ -612,7 +611,8 @@ class TestBuildK:
 
     @staticmethod
     def reference_power_integral(prof, alpha, upper):
-        """profile_power_integral as it was computed plateau by plateau."""
+        """int_0^upper u^(alpha-1) (g**(u))^(1/2) du as it was computed
+        plateau by plateau."""
         from fracheat.kernels import _gauss_panels
         bps = prof.breakpoints
         total = math.sqrt(max(prof.plateaus[0], 0.0)) \
@@ -644,7 +644,8 @@ class TestBuildK:
         np.testing.assert_allclose(_power_integral_table(prof, 0.2)(upper), ref,
                                    rtol=1e-12, atol=0)
         # the scalar path estimate2_check uses is the reference bit for bit
-        assert [profile_power_integral(prof, 0.2, u) for u in upper] == ref
+        table = _power_integral_table(prof, 0.2)
+        assert [float(table(u)) for u in upper] == ref
 
     @staticmethod
     def per_radius_K(omega1, prof, p, scan_points=21):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat.kernels import FracParams
-from fracheat.grids import ParabolicGrid, ScalarField, sample_scalar
+from fracheat.grids import ParabolicGrid, ScalarField
 from fracheat.extension import CoefficientField, solve_extension
 from fracheat.generators import (
     coefficient_generator,
@@ -14,14 +14,17 @@ from fracheat.moduli import ModulusOfContinuity
 from fracheat.probe import (
     parabolic_distance,
     best_linear_fit,
-    excess_with_fit,
     excess_sequence,
     one_step_improvement,
     campanato_excess_profile,
     gradient_modulus_probe,
     interior_probe,
     combined_norm,
+    _fit,
+    _pieces,
 )
+
+from fields import sample_scalar
 
 P = FracParams(s=0.75)
 
@@ -195,7 +198,9 @@ class TestBestLinearFit:
         fit_small = best_linear_fit(U, 0.25)
         fit_big = best_linear_fit(U, 0.5)
         e_optimal = fit_small.excess
-        e_other = excess_with_fit(U, 0.25, fit_big)
+        center = (g.center[0],) + tuple(g.center[1:]) + (0.0,)
+        coef_big = np.concatenate([[fit_big.a], fit_big.b])
+        e_other = sum(_fit(g, _pieces(U, center, 0.25), coef_big)[1])
         assert e_other >= e_optimal - 1e-14
 
     def test_empty_cylinder_rejected(self):
@@ -237,14 +242,16 @@ class TestSeparableFitMatchesLoop:
             assert_rel([fit.excess_thin, fit.excess_thick], [e_thin, e_thick])
 
     def test_excess_with_fit(self, U):
+        # the excess of given coefficients, on cylinders around the fit's
+        # center and around a shifted one
         c = self.center(U)
         fit = best_linear_fit(U, 0.35, c)
         coef = np.concatenate([[fit.a], fit.b])
-        assert_rel(excess_with_fit(U, 0.5, fit),
+        assert_rel(sum(_fit(U.grid, _pieces(U, c, 0.5), coef)[1]),
                    sum(loop_excess(U, 0.5, c, coef)))
         c2 = (0.0,) + (-0.1,) * U.grid.n + (0.0,)
         shifted = np.concatenate([[fit.a - 0.2 * float(np.sum(fit.b))], fit.b])
-        assert_rel(excess_with_fit(U, 0.5, fit, c2),
+        assert_rel(sum(_fit(U.grid, _pieces(U, c2, 0.5), shifted)[1]),
                    sum(loop_excess(U, 0.5, c2, shifted)))
 
     def test_campanato_profile(self, U):
