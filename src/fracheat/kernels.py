@@ -62,6 +62,8 @@ class FracParams:
 _TAU_LOW = 1e-6
 _TAU_HIGH = 1e10
 _Z_RADIUS = 8.0
+# the tails |zeta| in [_Z_TAIL, _Z_RADIUS] hold erfc(2) = 4.7e-3 of the mass
+_Z_TAIL = 4.0
 
 
 @dataclass(frozen=True)
@@ -181,20 +183,35 @@ def _zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
 
         int G(tau, z) h(z) dz = sum_i w_i h(sqrt(tau) * zeta_i)
 
-    Weights absorb the Gaussian factor; the rule is a tensor Gauss grid on
-    [-_Z_RADIUS, _Z_RADIUS]^n.  `order_factor` multiplies the base order.  A
-    physical frequency xi of u is the frequency xi sqrt(tau) in zeta, so
-    the subordination loop picks the factor per tau from `_ZETA_ORDER`:
-    low while the rule still resolves every frequency the heat kernel has
-    not damped, highest where the damped frequencies start to alias, and
-    lower again in the far field, where the tau weight falls like
-    tau^(-s).  zeta, of shape (k, n), is the transposed view of an (n, k)
-    C array, so each row of zeta.T is one coordinate, contiguous.
+    Weights absorb the Gaussian factor; the rule is a tensor grid of a 1-d
+    Gauss rule on [-_Z_RADIUS, _Z_RADIUS]^n.  `order_factor` multiplies the
+    base order, the 1-d rule's node count, which sits on equal panels of
+    about 48 nodes.  A physical frequency xi of u is the frequency
+    xi sqrt(tau) in zeta, so the subordination loop picks the factor per
+    tau from `_ZETA_ORDER`: low while the rule still resolves every
+    frequency the heat kernel has not damped, highest where the damped
+    frequencies start to alias, and lower again in the far field, where
+    the tau weight falls like tau^(-s).  The highest factor, _SPLIT_FACTOR,
+    keeps the uniform rule's panel density on [-_Z_TAIL, _Z_TAIL] only and
+    covers each tail past _Z_TAIL with one Gauss panel of order / 16
+    nodes: 240 nodes in place of 384 at the default spec, 120 in place of
+    192 at its coarsened spec.  zeta, of shape (k, n), is the transposed
+    view of an (n, k) C array, so each row of zeta.T is one coordinate,
+    contiguous.
     """
     order = max(24, 4 * spec.nodes_per_decade) * order_factor
     panels = max(1, order // 48)
-    x1, w1 = _gauss_panels(-_Z_RADIUS, _Z_RADIUS, panels,
-                           int(math.ceil(order / panels)))
+    per_panel = int(math.ceil(order / panels))
+    if order_factor == _SPLIT_FACTOR:
+        # half the uniform panels, rounded up, keep its density on the center
+        pieces = [(-_Z_RADIUS, -_Z_TAIL, 1, order // 16),
+                  (-_Z_TAIL, _Z_TAIL, (panels + 1) // 2, per_panel),
+                  (_Z_TAIL, _Z_RADIUS, 1, order // 16)]
+    else:
+        pieces = [(-_Z_RADIUS, _Z_RADIUS, panels, per_panel)]
+    parts = [_gauss_panels(*piece) for piece in pieces]
+    x1 = np.concatenate([x for x, _ in parts])
+    w1 = np.concatenate([w for _, w in parts])
     g1 = (4.0 * math.pi) ** (-0.5) * np.exp(-x1 * x1 / 4.0)
     if n == 1:
         return x1[:, None], w1 * g1
@@ -236,11 +253,15 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
     quadrature differing beyond 1e-4 max(1, max |value|)) is reported via
-    the diagnostics and a warning, never silently.
+    the diagnostics and a warning, never silently.  A spec that does not
+    coarsen (nodes_per_decade = 4) cannot be checked and raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != 1 + p.n:
         raise ValueError(f"eval_points rows must be (t, x1..x{p.n})")
+    if check_convergence and q.coarsened() == q:
+        raise ValueError(f"{q} has no coarser spec to check convergence "
+                         "against")
     values = _frac_heat_core(u, p, q, pts)
     if not check_convergence:
         return values
@@ -275,18 +296,27 @@ def _heat_residual_fd(u, pts, n):
 
 
 # (largest tau, zeta order factor).  A frequency xi of u is the frequency
-# omega = xi sqrt(tau) of the zeta rule, and at the default spec the order-f
-# rule integrates G(zeta) cos(omega zeta) to 1e-7 only up to omega = 7.1,
-# 17.9, 25.9, 35.2, 53.2 and 71.2 (f = 1, 2, 3, 4, 6, 8).  Up to tau = 314
-# each factor keeps 3 sqrt(tau) below its limit, so every |xi| <= 3 is
-# resolved until exp(-xi^2 tau) has damped it.  Past its limit a rule
-# returns aliasing noise of rms ~sqrt(sum w^2) (0.10 at f = 8, 0.13 at 4,
-# 0.17 at 2) weighted by tau^(-s), and that noise is the error floor for
-# |xi| < 2.  Factor 8 up to tau = 1e6 holds the floor where it sets in,
-# tau = (71 / xi)^2 (or (71 / 0.7 xi)^2 for a product of two modes), for
-# every 0.25 <= |xi| <= 3; a lower factor anywhere before 1e6 raises it.
+# omega = xi sqrt(tau) of the zeta rule, where its exact value is
+# exp(-omega^2), below e^-300 past omega = 17.4.  At the default spec the
+# order-f rule integrates G(zeta) cos(omega zeta) to 1e-7 up to omega = 7.1,
+# 17.8, 25.9, 35.2 and 53.2 (f = 1, 2, 3, 4, 6).  Up to tau = 314 each
+# factor keeps 3 sqrt(tau) below its limit, so every |xi| <= 3 is resolved
+# until exp(-xi^2 tau) has damped it.  Past its limit a rule returns
+# aliasing noise of rms ~sqrt(sum w^2) (0.10 at f = 8, 0.13 at 4, 0.17 at
+# 2) weighted by tau^(-s), and that noise is the error floor for |xi| < 2.
+# Factor 8 up to tau = 1e6 holds the floor off until tau = (71 / xi)^2 (or
+# (71 / 0.7 xi)^2 for a product of two modes) for every 0.25 <= |xi| <= 3;
+# a lower factor anywhere before 1e6 raises it.  Its rule is split
+# (`_zeta_nodes`): the center |zeta| <= 4 keeps the density of the uniform
+# 384-node rule, and one coarse panel per tail resolves omega up to 17.4
+# only.  So the rule is within 1e-7 of exp(-omega^2) up to omega = 17.4
+# (71.2 uniform), and between 17.4 and 71.2, where the exact value is below
+# e^-300, it returns the tails' noise, rms 1.0e-3 (at most 2.3e-3): the
+# tails hold 4.7e-3 of the mass, so that noise is 1% of the full floor,
+# which the center still holds off until omega = 71.2.
 _ZETA_ORDER = ((5.6, 1), (35.0, 2), (74.0, 3), (137.0, 4), (314.0, 6),
                (1e6, 8), (1e7, 4), (math.inf, 2))
+_SPLIT_FACTOR = 8
 
 
 def _order_bucket(tau: float) -> int:
@@ -297,8 +327,10 @@ def _order_bucket(tau: float) -> int:
 
 # u is evaluated in batches of about this many points, which keeps the
 # temporaries in cache.  An n = 2 call on four points with the refinement
-# check took a median 0.59-0.65 s CPU at 32768, 0.65-0.70 s at 16384,
-# 0.68-0.69 s at 65536 and 0.78-0.79 s unbatched (one thread).
+# check took a median 0.43 s CPU at 32768, 0.41-0.43 s at 65536, 0.44-0.46 s
+# at 16384 and 0.46-0.48 s unbatched (one thread; 12 calls per size,
+# interleaved, in each of two processes on a shared 2-vCPU host, whose load
+# moved every size by up to a third between runs).
 # Each batch is reduced with np.sum, not a BLAS product: a threaded gemv
 # of this size ran several times slower on a shared CPU.
 _BATCH = 32768

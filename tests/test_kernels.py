@@ -194,15 +194,55 @@ class TestFracHeatApply:
         with pytest.raises(ValueError):
             frac_heat_apply(lambda t, x: x, self.P, self.Q, [[0.0, 0.1, 0.2]])
 
+    def test_convergence_check_needs_a_coarser_spec(self):
+        # nodes_per_decade = 4 coarsens to itself: the check would report
+        # a zero delta while cos(3x) at s = 0.75 is 1.0% off
+        q = QuadratureSpec(nodes_per_decade=4)
+        assert q.coarsened() == q
+        with pytest.raises(ValueError, match="nodes_per_decade=4"):
+            frac_heat_apply(lambda t, x: np.cos(3.0 * x) + 0.0 * t, self.P,
+                            q, [[0.0, 0.0]], check_convergence=True)
+
 
 class TestZetaRule:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_truncated_gaussian_mass(self, n):
+    @pytest.mark.parametrize(
+        "n, q", [(1, QuadratureSpec()), (2, QuadratureSpec()),
+                 (1, QuadratureSpec().coarsened()),
+                 (2, QuadratureSpec().coarsened())],
+        ids=["1", "2", "1-coarsened", "2-coarsened"])
+    def test_truncated_gaussian_mass(self, n, q):
         # |z| <= 8 sqrt(tau) drops erfc(4) of the heat kernel's mass per axis
         tail = 1.0 - (1.0 - math.erfc(4.0)) ** n
         for factor in sorted({f for _, f in _ZETA_ORDER}):
-            _, w = _zeta_nodes(QuadratureSpec(), n, factor)
-            assert 1.0 - w.sum() == pytest.approx(tail, rel=1e-6)
+            _, w = _zeta_nodes(q, n, factor)
+            # the one 24-node panel of factor 1 at the coarsened spec is off
+            # by 1.5e-4 of the tail, 2.3e-12 of the mass
+            rel = 2e-4 if w.size == 24 ** n else 1e-6
+            assert 1.0 - w.sum() == pytest.approx(tail, rel=rel)
+
+    def test_split_rule_resolves_omega_17(self):
+        # the coarse tail panels of the factor-8 rule still integrate
+        # G(zeta) cos(omega zeta) = exp(-omega^2) to 1e-7 up to omega = 17
+        zeta, w = _zeta_nodes(QuadratureSpec(), 1, kernels._SPLIT_FACTOR)
+        assert zeta.shape == (240, 1)
+        omega = np.linspace(0.0, 17.0, 1701)
+        got = np.cos(np.outer(omega, zeta[:, 0])) @ w
+        assert np.max(np.abs(got - np.exp(-omega ** 2))) <= 1e-7
+
+    def test_u_points_of_a_dual_route_2d_call(self):
+        # the direct quadrature of `dtn_dual_route_2d`: four n = 2 points
+        # with the refinement check, each 4,002,048 + 504,000 zeta points
+        # and 16 for u at the point and its finite-difference stencil
+        points = []
+
+        def u(t, x):
+            points.append(t.size)
+            return np.cos(x[:, 0]) * np.cos(0.7 * x[:, 1]) + 0.0 * t
+
+        pts = [[0.0, a, b] for a in (-0.3, 0.3) for b in (-0.3, 0.3)]
+        frac_heat_apply(u, FracParams(s=0.75, n=2), QuadratureSpec(), pts,
+                        check_convergence=True)
+        assert sum(points) == 18_024_256
 
 
 def _row_major_zeta(q, n, factor):
@@ -277,7 +317,7 @@ class TestErrorTable:
     worst case, on this table, of the schedule that used zeta factors
     1/2/4/8 for tau <= 16/64/256/inf: 6.511e-4 (cosines, n = 1 and 2),
     7.058e-6 (product of cosines) and 3.994e-7 (e^t cosine).  The cosines
-    are also held to 8.3e-5 (the schedule of `_ZETA_ORDER` gives 8.23e-5),
+    are also held to 8.3e-5 (the schedule of `_ZETA_ORDER` gives 8.09e-5),
     so a schedule that under-resolves tau <= 16 again fails."""
     Q = QuadratureSpec()
     # name: (n, u for a given xi, symbol lambda(xi) of (d_t - Lap), bound)
