@@ -7,8 +7,10 @@ u(t, x) through the subordination integral
     c_s * int_0^inf int_{R^n} tau^(-s-1) G(tau, z) [u(t,x) - u(t-tau, x-z)] dz dtau
 
 with G the Gaussian heat kernel and c_s = s / Gamma(1-s).  All quadrature
-here is deterministic: fixed Gauss-Legendre panels per decade in tau and a
-fixed Gauss-Legendre grid in the self-similar variable zeta = z / sqrt(tau).
+here is deterministic: fixed Gauss-Legendre panels per decade in tau up to
+_TAU_HIGH, past which the inner integral is held at its last-decade mean,
+and in the self-similar variable zeta = z / sqrt(tau) a fixed
+Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class FracParams:
         return 1.0 - 2.0 * self.s
 
 
-# The tau integral runs over [_TAU_LOW, _TAU_HIGH]; below _TAU_LOW it is
-# integrated analytically (`_frac_heat_core`).  The z integral is truncated
-# at |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
+# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH]; below _TAU_LOW the
+# integral is taken analytically, and past _TAU_HIGH with the inner integral
+# held at its last-decade mean (`_frac_heat_core`).  The z integral is
+# truncated at |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
 # erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis, so the zeta weights sum
 # to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
 _TAU_LOW = 1e-6
@@ -191,7 +194,9 @@ def _zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
     tau from `_ZETA_ORDER`: low while the rule still resolves every
     frequency the heat kernel has not damped, highest where the damped
     frequencies start to alias, and lower again in the far field, where
-    the tau weight falls like tau^(-s).  The highest factor, _SPLIT_FACTOR,
+    the tau weight falls like tau^(-s).  At n = 2 the far field past
+    _LATTICE_TAU takes `_lattice_nodes` in place of these grids, so there
+    the factors past 314 serve n = 1 only.  The highest factor, _SPLIT_FACTOR,
     keeps the uniform rule's panel density on [-_Z_TAIL, _Z_TAIL] only and
     covers each tail past _Z_TAIL with one Gauss panel of order / 16
     nodes: 240 nodes in place of 384 at the default spec, 120 in place of
@@ -225,6 +230,44 @@ def _zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
     return zeta, w.ravel()
 
 
+def _lattice_nodes(spec: QuadratureSpec):
+    """The n = 2 counterpart of `_zeta_nodes` for the far field: a
+    Fibonacci lattice rule on the periodic box [-_Z_RADIUS, _Z_RADIUS]^2.
+
+    N is the largest odd Fibonacci number <= 8 order^2 (order the base
+    order of `_zeta_nodes`) and the generator the Fibonacci number before
+    it: 17,711 points at the default spec, 4,181 at its coarsened spec.
+    Point i is (i / N, i gen / N mod 1), each coordinate wrapped to
+    [-1/2, 1/2) and scaled by 2 _Z_RADIUS, with the weight (2 _Z_RADIUS)^2
+    / N times G(zeta).  An odd N puts no point on the box edge, so the set
+    is exactly symmetric under zeta -> -zeta and linear data stay
+    annihilated.  The layout is `_zeta_nodes`'s.
+
+    A rank-1 lattice is the 2-d analogue of the trapezoidal rule for a
+    periodic integrand (Sloan and Joe, Lattice Methods for Multiple
+    Integration, 1994), and G(zeta) is within 1e-8 of periodic on the box.
+    At the default spec the rule integrates G(zeta) cos(omega . zeta) =
+    exp(-|omega|^2) to 1e-7 for |omega| <= 45 in every direction and
+    further along the axes, where the split tensor rule reaches 17.4 per
+    axis and returns aliasing noise past it.  Past its limit a mode is
+    integrated to zero unless its spectrum meets the dual lattice.
+    """
+    order = max(24, 4 * spec.nodes_per_decade)
+    fib = [1, 2]
+    while fib[-1] + fib[-2] <= 8 * order * order:
+        fib.append(fib[-1] + fib[-2])
+    if fib[-1] % 2 == 0:
+        fib.pop()
+    size, gen = fib[-1], fib[-2]
+    idx = np.arange(size)
+    k = np.stack([idx, idx * gen % size])
+    k[k > size // 2] -= size
+    zeta = (2.0 * _Z_RADIUS / size) * k
+    w = ((2.0 * _Z_RADIUS) ** 2 / size / (4.0 * math.pi)
+         * np.exp(-(zeta[0] * zeta[0] + zeta[1] * zeta[1]) / 4.0))
+    return zeta.T, w
+
+
 def _eval_u(u, t: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """Evaluate a user function on flat (t, x) arrays; x has shape (m, n)."""
     if n == 1:
@@ -249,6 +292,13 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
         times within the truncated integral's reach.
     eval_points : array-like, shape (m, 1 + n)
         Rows (t, x_1, ..., x_n).
+
+    u is sampled back to t - _TAU_HIGH = t - 1e10 only.  The part of the
+    tau integral past that holds the inner integral at its mean over the
+    last sampled decade: a share (10^s - 1)^(-1) of that decade's sum,
+    which is exact when the inner integral has settled there (for
+    time-independent data it has, to e^(-xi^2 1e9)) and zero for constant
+    and linear data.
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
@@ -313,13 +363,25 @@ def _heat_residual_fd(u, pts, n):
 # (71.2 uniform), and between 17.4 and 71.2, where the exact value is below
 # e^-300, it returns the tails' noise, rms 1.0e-3 (at most 2.3e-3): the
 # tails hold 4.7e-3 of the mass, so that noise is 1% of the full floor,
-# which the center still holds off until omega = 71.2.
+# which the center still holds off until omega = 71.2.  The entries past
+# tau = 314 serve n = 1 only: at n = 2 the lattice below replaces them.
 _ZETA_ORDER = ((5.6, 1), (35.0, 2), (74.0, 3), (137.0, 4), (314.0, 6),
                (1e6, 8), (1e7, 4), (math.inf, 2))
 _SPLIT_FACTOR = 8
+# Past this tau an n = 2 call uses the lattice of `_lattice_nodes` for
+# every tau node in place of the factor 8, 4 and 2 tensor grids: 17,711
+# points in place of 57,600, 36,864 and 9,216 at the default spec.  It
+# resolves omega = 45 in every direction and 190 along the axes, where the
+# split rule resolves 17.4 per axis; products of two modes can still meet
+# its dual lattice at single points.
+_LATTICE_TAU = 314.0
+_LATTICE = "lattice"
 
 
-def _order_bucket(tau: float) -> int:
+def _order_bucket(tau: float, n: int):
+    """The zeta rule for tau: a factor of `_ZETA_ORDER`, or _LATTICE."""
+    if n == 2 and tau > _LATTICE_TAU:
+        return _LATTICE
     for limit, factor in _ZETA_ORDER:
         if tau <= limit:
             return factor
@@ -327,8 +389,8 @@ def _order_bucket(tau: float) -> int:
 
 # u is evaluated in batches of about this many points, which keeps the
 # temporaries in cache.  An n = 2 call on four points with the refinement
-# check took a median 0.43 s CPU at 32768, 0.41-0.43 s at 65536, 0.44-0.46 s
-# at 16384 and 0.46-0.48 s unbatched (one thread; 12 calls per size,
+# check took a median 0.25-0.39 s CPU at 32768, 0.26-0.40 s at 65536 and at
+# 16384, and 0.29-0.41 s unbatched (one thread; 12 calls per size,
 # interleaved, in each of two processes on a shared 2-vCPU host, whose load
 # moved every size by up to a third between runs).
 # Each batch is reduced with np.sum, not a BLAS product: a threaded gemv
@@ -370,17 +432,19 @@ def _frac_heat_core(u, p, q, pts):
     eps = _TAU_LOW
     acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
 
-    # hold only the current factor's grid: keeping every factor's n = 2 grid
+    # hold only the current rule's grid: keeping every rule's n = 2 grid
     # adds to the peak memory of a call
     fac = None
+    last_decade = 0.0
     for tau, wt in zip(taus, tw):
-        f = _order_bucket(tau)
+        f = _order_bucket(tau, p.n)
         if f != fac:
             fac = f
             # release the previous grid and the last batch (z, w are views
             # of the grid) before the next grid is built
             zeta = zw = z = w = xs = ts = shifted = None
-            zeta, zw = _zeta_nodes(q, p.n, fac)
+            zeta, zw = (_lattice_nodes(q) if fac == _LATTICE
+                        else _zeta_nodes(q, p.n, fac))
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, _BATCH // m)
@@ -394,7 +458,14 @@ def _frac_heat_core(u, p, q, pts):
                 np.subtract.outer(x0[:, d], srt * z[d], out=xs[d])
             shifted = _eval_u(u, ts, xs.reshape(p.n, -1).T, p.n).reshape(m, -1)
             inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        acc += wt * tau ** (-p.s - 1.0) * inner
+        term = wt * tau ** (-p.s - 1.0) * inner
+        acc += term
+        if tau > _TAU_HIGH / 10.0:
+            last_decade += term
+    # Past _TAU_HIGH hold the inner integral at its last-decade mean: the
+    # weight tau^(-s-1) integrates to (10^s - 1) times less there than over
+    # the last decade.
+    acc += last_decade / (10.0 ** p.s - 1.0)
     return subordination_constant(p.s) * acc
 
 

@@ -229,9 +229,36 @@ class TestZetaRule:
         got = np.cos(np.outer(omega, zeta[:, 0])) @ w
         assert np.max(np.abs(got - np.exp(-omega ** 2))) <= 1e-7
 
+    @pytest.mark.parametrize(
+        "q, size, radius, axis",
+        [(QuadratureSpec(), 17_711, 45.0, 190.0),
+         (QuadratureSpec().coarsened(), 4_181, 21.0, 88.0)],
+        ids=["default", "coarsened"])
+    def test_lattice_rule(self, q, size, radius, axis):
+        zeta, w = kernels._lattice_nodes(q)
+        assert zeta.shape == (size, 2) and zeta.T.flags.c_contiguous
+        # exactly symmetric under zeta -> -zeta, so linear data stay
+        # annihilated
+        points = set(map(tuple, zeta.tolist()))
+        assert {(-a, -b) for a, b in points} == points
+        # G(zeta) cos(omega . zeta) = exp(-|omega|^2) to 1e-7 for 181
+        # directions up to |omega| = radius, and along both axes further
+        theta = np.linspace(0.0, math.pi, 181)
+        for r in np.linspace(0.0, radius, 16):
+            omega = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+            got = np.cos(omega @ zeta.T) @ w
+            assert np.max(np.abs(got - math.exp(-r * r))) <= 1e-7
+        r = np.linspace(0.0, axis, 951)
+        for d in (0, 1):
+            got = np.cos(np.outer(r, zeta[:, d])) @ w
+            assert np.max(np.abs(got - np.exp(-r * r))) <= 1e-7
+        # the truncated mass, to 8.7e-14 (default) and 1.6e-12 (coarsened)
+        tail = 1.0 - (1.0 - math.erfc(4.0)) ** 2
+        assert abs(1.0 - w.sum() - tail) <= 2e-12
+
     def test_u_points_of_a_dual_route_2d_call(self):
         # the direct quadrature of `dtn_dual_route_2d`: four n = 2 points
-        # with the refinement check, each 4,002,048 + 504,000 zeta points
+        # with the refinement check, each 2,402,694 + 292,977 zeta points
         # and 16 for u at the point and its finite-difference stencil
         points = []
 
@@ -242,7 +269,7 @@ class TestZetaRule:
         pts = [[0.0, a, b] for a in (-0.3, 0.3) for b in (-0.3, 0.3)]
         frac_heat_apply(u, FracParams(s=0.75, n=2), QuadratureSpec(), pts,
                         check_convergence=True)
-        assert sum(points) == 18_024_256
+        assert sum(points) == 10_782_748
 
 
 def _row_major_zeta(q, n, factor):
@@ -254,15 +281,20 @@ def _row_major_zeta(q, n, factor):
 
 def _row_major_core(u, p, q, pts):
     """The subordination sum with the shifted points formed as one row-major
-    (m, k, n) array: the same nodes, weights, batches and reduction."""
+    (m, k, n) array: the same nodes, weights, batches, reduction and tail."""
     taus, tw = kernels._tau_nodes(q)
     t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
     u_here = kernels._eval_u(u, t0, x0, p.n)
     acc = (kernels._heat_residual_fd(u, pts, p.n)
            * kernels._TAU_LOW ** (1.0 - p.s) / (1.0 - p.s))
+    last_decade = 0.0
     for tau, wt in zip(taus, tw):
-        f = kernels._order_bucket(tau)
-        zeta, zw = _row_major_zeta(q, p.n, f), _zeta_nodes(q, p.n, f)[1]
+        f = kernels._order_bucket(tau, p.n)
+        if f == kernels._LATTICE:
+            zeta, zw = kernels._lattice_nodes(q)
+            zeta = np.ascontiguousarray(zeta)
+        else:
+            zeta, zw = _row_major_zeta(q, p.n, f), _zeta_nodes(q, p.n, f)[1]
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, kernels._BATCH // m)
@@ -273,7 +305,11 @@ def _row_major_core(u, p, q, pts):
             shifted = kernels._eval_u(u, ts, xs.reshape(-1, p.n),
                                       p.n).reshape(m, -1)
             inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        acc += wt * tau ** (-p.s - 1.0) * inner
+        term = wt * tau ** (-p.s - 1.0) * inner
+        acc += term
+        if tau > kernels._TAU_HIGH / 10.0:
+            last_decade += term
+    acc += last_decade / (10.0 ** p.s - 1.0)
     return subordination_constant(p.s) * acc
 
 
@@ -316,9 +352,13 @@ class TestErrorTable:
     u = 1 and the error is the symbol's amplitude error.  Each bound is the
     worst case, on this table, of the schedule that used zeta factors
     1/2/4/8 for tau <= 16/64/256/inf: 6.511e-4 (cosines, n = 1 and 2),
-    7.058e-6 (product of cosines) and 3.994e-7 (e^t cosine).  The cosines
-    are also held to 8.3e-5 (the schedule of `_ZETA_ORDER` gives 8.09e-5),
-    so a schedule that under-resolves tau <= 16 again fails."""
+    7.058e-6 (product of cosines) and 3.994e-7 (e^t cosine).  GAIN holds
+    what later rules reached: the cosine at n = 1 to 8.3e-5 (the schedule
+    of `_ZETA_ORDER` gives 8.14e-5), so a schedule that under-resolves
+    tau <= 16 again fails; the n = 2 families to 1e-6 (the lattice past
+    tau = 314 gives 2.72e-7 and 3.85e-7, the tensor rules gave 8.09e-5 and
+    6.82e-6); and e^t cosine to 2.5e-7 (1.35e-7 with the tail past
+    _TAU_HIGH, 3.99e-7 without)."""
     Q = QuadratureSpec()
     # name: (n, u for a given xi, symbol lambda(xi) of (d_t - Lap), bound)
     FAMILIES = {
@@ -332,7 +372,8 @@ class TestErrorTable:
         "exp_cos_n1": (1, lambda xi: lambda t, x: np.exp(t) * np.cos(xi * x),
                        lambda xi: 1.0 + xi ** 2, 4.0e-7),
     }
-    GAIN = {"cos_n1": 8.3e-5, "cos_n2": 8.3e-5}
+    GAIN = {"cos_n1": 8.3e-5, "cos_n2": 1e-6, "cos_cos_n2": 1e-6,
+            "exp_cos_n1": 2.5e-7}
 
     def rel_error(self, family, s, xi):
         n, make_u, lam, _ = self.FAMILIES[family]
@@ -353,8 +394,12 @@ class TestErrorTable:
     def test_low_frequency_product(self, s, xi, bound):
         # a product of two low modes sees the square of the far-field
         # aliasing noise, so a lower zeta order past tau = 1e5 failed here;
-        # each bound is the old schedule's error at the point
-        assert self.rel_error("cos_cos_n2", s, xi) <= bound
+        # each bound is the old schedule's error at the point.  The lattice
+        # with the tail past _TAU_HIGH gives 1.96e-7 and 1.85e-7; without
+        # the tail, whose share is 2.76e-6 at (0.55, 0.5), 2.95e-6.
+        err = self.rel_error("cos_cos_n2", s, xi)
+        assert err <= bound
+        assert err <= 5e-7
 
 
 class TestMarchaudNormalization:
