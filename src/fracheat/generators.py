@@ -28,8 +28,11 @@ _EPS_FLOOR = 1e-300
 
 
 def critical_power_exponent(s: float, n: int) -> float:
-    """Decay rate theta of |x|^-theta sitting at the scaling-critical
-    Lorentz index (n+2)/(2s-1): theta = n (2s-1)/(n+2)."""
+    """theta = n (2s-1)/(n+2): the time-independent |x|^-theta then lies in
+    L((n+2)/(2s-1), infinity) over a space-time cylinder, not in the
+    L((n+2)/(2s-1), 1) of the theorem's hypothesis.  Its gradient is
+    Hoelder with exponent 2s-1-theta (1/3 at s = 3/4, n = 1), so these
+    data do not sit at the threshold of gradient continuity."""
     return n * (2.0 * s - 1.0) / (n + 2.0)
 
 
@@ -122,7 +125,9 @@ def thin_data_generator(name: str, p: FracParams | None = None, **params):
 
     cosine(amp, xi)                    amp cos(xi x_1)
     truncated_power(amp, trunc, theta) amp max(|x|, trunc)^-theta, theta by
-                                       default the critical exponent of p
+                                       default critical_power_exponent of p
+                                       (in L(q, infinity), q = (n+2)/(2s-1),
+                                       not in L(q, 1))
     random_fourier(seed, modes, amp)   a seeded sum of cos(pi w x_1 + phase)
                                        cos(nu t + phase) modes
     """

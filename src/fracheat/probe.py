@@ -1,8 +1,8 @@
 """Empirical probes of the excess-decay regularity mechanism: weighted
-linear fits on shrinking parabolic cylinders, the dyadic excess sequence
-with its modulus bound, the one-step improvement scan, thin-space Campanato
-profiles, the gradient-modulus sampler, and the interior (unweighted cube)
-variant.
+linear fits on shrinking parabolic cylinders, their excess records at the
+radii side lam^k against a modulus bound (thin-space cylinders in
+`excess_sequence`, cubes interior in y in `interior_probe`), and the
+gradient-modulus sampler.
 
 The excess of a fit l(x) = a + b.(x - x0) on the cylinder pair at radius r
 around a thin-space center (t0, x0) is
@@ -23,6 +23,12 @@ against C^T W (time weights . V), and the excess of a piece is
 sum W int (V - coef . C)^2 dt.  The combined fit uses the trace and the
 thick-cylinder pieces; the interior probe uses one unweighted-cube piece
 with columns (1, x - x0, y - y0).
+
+Both records come from one loop (`_excess_record`), which stops at the
+first radius spanning fewer than CELLS_PER_RADIUS cells along an axis its
+fit is linear in, and raises if that is the first.  The one-step
+improvement E(lam) < lam^3 of unit-norm input is ratios[1] at omega =
+sqrt; the Campanato limit of the fits is fits[-1], within the drifts.
 """
 
 from __future__ import annotations
@@ -41,9 +47,6 @@ __all__ = [
     "parabolic_distance",
     "best_linear_fit",
     "excess_sequence",
-    "combined_norm",
-    "one_step_improvement",
-    "campanato_excess_profile",
     "gradient_modulus_probe",
     "interior_probe",
 ]
@@ -54,11 +57,6 @@ CELLS_PER_RADIUS = 4.0
 Cell-sampled integration of a quadratic residual over a radius of m cells
 errs by about (5/4) m^-2 relative: 8% at m = 4, the accuracy the excess
 probes assert against closed forms."""
-
-
-def _resolved(radius: float, widths) -> bool:
-    """Whether `radius` spans CELLS_PER_RADIUS cells of the widest width."""
-    return radius >= CELLS_PER_RADIUS * float(np.max(widths))
 
 
 def parabolic_distance(p1, p2):
@@ -132,15 +130,22 @@ def _fit(grid: ParabolicGrid, pieces, coef=None):
     return coef, excesses, nres
 
 
+def _linear_fit(grid: ParabolicGrid, pieces) -> LinearFit:
+    """The LinearFit of `_fit` over pieces whose last is the thick one;
+    the pieces before it, if any, make up the thin excess."""
+    coef, (*thin, thick), nres = _fit(grid, pieces)
+    e_thin = float(sum(thin))
+    return LinearFit(float(coef[0]), coef[1:].copy(), e_thin + thick,
+                     e_thin, thick, nres)
+
+
 def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
     """Minimizer of the combined thin+thick excess functional over linear
     l(x); closed-form normal equations in the (1+n) coefficients."""
     grid = U.grid
     if center is None:
         center = (grid.center[0],) + tuple(grid.center[1:]) + (0.0,)
-    coef, (e_thin, e_thick), nres = _fit(grid, _pieces(U, center, radius))
-    return LinearFit(float(coef[0]), coef[1:].copy(), e_thin + e_thick,
-                     e_thin, e_thick, nres)
+    return _linear_fit(grid, _pieces(U, center, radius))
 
 
 @dataclass
@@ -157,103 +162,49 @@ class ExcessSequence:
     drift_a: np.ndarray
     drift_b: np.ndarray
     clamped_kmax: int
-    requested_kmax: int
 
     @property
     def excess(self):
         return self.excess_thin + self.excess_thick
 
 
-def _resolvable_kmax(grid: ParabolicGrid, lam: float, kmax: int) -> int:
-    """Largest k <= kmax whose radius lam^k spans CELLS_PER_RADIUS x-cells,
-    so the cell-sampled excess of a quadratic residual is within about 8%.
-    Time sets no floor: the excess is exact in time on any window."""
-    k = 0
-    while k < kmax and _resolved(lam ** (k + 1), grid.dx):
-        k += 1
-    return k
+def _excess_record(side: float, lam: float, kmax: int, omega, widths,
+                   fit) -> ExcessSequence:
+    """The LinearFits `fit(r)` at r = side lam^k up to the first radius
+    that does not span CELLS_PER_RADIUS of the cells `widths(r)`, against
+    the bound lam^(2k) omega(lam^k)^2, with the fit drifts
+    |a_(k+1) - a_k| / (r_k omega(lam^k)) and |b_(k+1) - b_k| / omega(lam^k)."""
+    scales = lam ** np.arange(kmax + 1)
+    fits = []
+    for r in side * scales:
+        if r < CELLS_PER_RADIUS * np.max(widths(r)):
+            if not fits:
+                raise ValueError(f"the first radius {r:.3g} spans fewer than "
+                                 f"{CELLS_PER_RADIUS:g} cells")
+            break
+        fits.append(fit(r))
+    ks = np.arange(len(fits))
+    radii = side * scales[ks]
+    e_thin = np.array([f.excess_thin for f in fits])
+    e_thick = np.array([f.excess_thick for f in fits])
+    om = np.asarray(omega(scales[ks]), dtype=float)
+    bounds = lam ** (2.0 * ks) * om ** 2
+    ratios = (e_thin + e_thick) / np.maximum(bounds, 1e-300)
+    da = np.array([abs(f1.a - f0.a) / (r * w)
+                   for f0, f1, r, w in zip(fits, fits[1:], radii, om)])
+    db = np.array([np.linalg.norm(f1.b - f0.b) / w
+                   for f0, f1, w in zip(fits, fits[1:], om)])
+    return ExcessSequence(ks, radii, e_thin, e_thick, bounds, ratios,
+                          fits, da, db, len(fits) - 1)
 
 
 def excess_sequence(U: ScalarField, lam: float, kmax: int, omega,
                     center=None) -> ExcessSequence:
-    """Dyadic excess records E_k at radii lam^k around a thin-space center,
-    against the bound lam^(2k) omega(lam^k)^2, with the fit-coefficient
-    drifts |a_(k+1) - a_k| / (lam^k omega(lam^k)) and
-    |b_(k+1) - b_k| / omega(lam^k)."""
-    grid = U.grid
-    k_eff = _resolvable_kmax(grid, lam, kmax)
-    ks = np.arange(k_eff + 1)
-    radii = lam ** ks
-    fits = [best_linear_fit(U, r, center) for r in radii]
-    e_thin = np.array([f.excess_thin for f in fits])
-    e_thick = np.array([f.excess_thick for f in fits])
-    om = np.asarray(omega(radii), dtype=float)
-    bounds = lam ** (2.0 * ks) * om ** 2
-    ratios = (e_thin + e_thick) / np.maximum(bounds, 1e-300)
-    da = np.array([abs(fits[k + 1].a - fits[k].a) / (radii[k] * om[k])
-                   for k in range(k_eff)])
-    db = np.array([np.linalg.norm(fits[k + 1].b - fits[k].b) / om[k]
-                   for k in range(k_eff)])
-    return ExcessSequence(ks, radii, e_thin, e_thick, bounds, ratios,
-                          fits, da, db, k_eff, kmax)
-
-
-def combined_norm(U: ScalarField) -> float:
-    """sqrt of the trace L^2 over Q_rho plus the weighted L^2 over Q*_rho,
-    the field's cylinder; at n = 2 both integrate over the ball B_rho."""
-    grid = U.grid
-    window, wx, _ = grid.cylinder_weights(grid.center, grid.rho)
-    tr = grid.trace_at_zero(U.values)
-    thin = float(np.sum(wx * grid.time_integral_sq(tr, *window)))
-    return math.sqrt(thin + grid.weighted_norm_sq(U.values))
-
-
-def one_step_improvement(U: ScalarField, center=None):
-    """Scan lam in {2^-2, ..., 2^-6} for the one-scale improvement
-        E(lam) < lam^3
-    on the input normalized to unit combined norm.  Returns
-    (lam_found, achieved_ratio, table); lam_found is None when no scale
-    achieves the bound."""
-    lams = [2.0 ** -k for k in range(2, 7)]
-    norm = combined_norm(U)
-    if norm <= 0.0:
-        return lams[0], 0.0, [(lam, 0.0) for lam in lams]
-    Un = ScalarField(U.grid, U.values / norm)
-    table = []
-    for lam in lams:
-        fit = best_linear_fit(Un, lam, center)
-        ratio = fit.excess / lam ** 3
-        table.append((lam, ratio))
-    for lam, ratio in table:
-        if ratio < 1.0:
-            return lam, ratio, table
-    return None, min(r for _, r in table), table
-
-
-def campanato_excess_profile(U: ScalarField, center, radii, K=None) -> dict:
-    """Thick-cylinder excess of the limiting fit (realized as the
-    finest-radius fit) across the given radii; when the gradient modulus K
-    is supplied the table also carries excess / (r^2 K(r)^2).
-
-    The drift-tail column bounds the gap to the true limiting fit by the
-    last observed inter-scale coefficient drifts."""
-    radii = np.sort(np.asarray(radii, dtype=float))[::-1]
-    fits = [best_linear_fit(U, r, center) for r in radii]
-    limit_fit = fits[-1]
-    limit_coef = np.concatenate([[limit_fit.a], limit_fit.b])
-    rows = []
-    for r in radii:
-        exc = _fit(U.grid, _pieces(U, center, r)[1:], limit_coef)[1][0]
-        row = {"r": float(r), "excess": exc}
-        if K is not None:
-            row["ratio"] = exc / max(r ** 2 * float(K(r)) ** 2, 1e-300)
-        rows.append(row)
-    drifts = [abs(fits[i + 1].a - fits[i].a)
-              + float(np.linalg.norm(fits[i + 1].b - fits[i].b))
-              for i in range(len(fits) - 1)]
-    return {"rows": rows, "limit_fit": limit_fit,
-            "drift_tail_estimate": drifts[-1] if drifts else 0.0,
-            "gradients": [f.b.copy() for f in fits]}
+    """Dyadic excess records E_k of the combined fit at radii lam^k around
+    a thin-space center (see _excess_record); a radius is resolved by the
+    x-cells it spans."""
+    return _excess_record(1.0, lam, kmax, omega, lambda r: U.grid.dx,
+                          lambda r: best_linear_fit(U, r, center))
 
 
 @dataclass
@@ -382,31 +333,33 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
 
 
 def interior_probe(U: ScalarField, center, side: float, lam: float,
-                   kmax: int, psi) -> dict:
-    """Excess decay on full (unweighted) cubes strictly interior in y:
-    fits are linear in all n+1 spatial coordinates, the normalization is
-    r^-(N+2) with N = n+1, and the bound is lam^(2k) psi(lam^k)^2."""
+                   kmax: int, psi) -> ExcessSequence:
+    """Excess decay on full (unweighted) cubes of radius side lam^k strictly
+    interior in y: fits are linear in all n+1 spatial coordinates (the
+    fits' b ends with the y-slope), the normalization is r^-(N+2) with
+    N = n+1, the thin excess is 0 and the bound is lam^(2k) psi(lam^k)^2
+    (see _excess_record).  A radius is resolved by the x- and y-cells its
+    cube spans."""
     grid = U.grid
     y0 = center[-1]
     if y0 - side < side * 1e-9:
         raise ValueError("cube touches the boundary layer")
     C = _columns([x - c for x, c in zip(grid.x_centers, center[1:1 + grid.n])]
                  + [grid.y_centers - y0])
-    rows = []
-    for k in range(kmax + 1):
-        r = side * lam ** k
-        window, wx, _ = grid.cylinder_weights(center, r)
-        wy = _interval_overlap(grid.y_faces, y0 - r, y0 + r)
-        if not np.any(wy > 0.0):
+
+    def wy(r):
+        w = _interval_overlap(grid.y_faces, y0 - r, y0 + r)
+        if not np.any(w > 0.0):
             raise ValueError(f"cube [{y0 - r:.3g}, {y0 + r:.3g}] in y meets no "
                              f"y-cell of the grid (y in [0, {grid.rho:.3g}])")
-        if not (_resolved(r, grid.dx)
-                and _resolved(r, np.diff(grid.y_faces)[wy > 0.0])):
-            break
-        W = np.multiply.outer(wx, wy) * r ** -(grid.n + 3.0)
-        coef, (exc,), _ = _fit(grid, [(U.values, window, W, C)])
-        bound = lam ** (2.0 * k) * float(psi(lam ** k)) ** 2
-        rows.append({"k": k, "r": r, "excess": exc, "bound": bound,
-                     "ratio": exc / max(bound, 1e-300),
-                     "coef": coef})
-    return {"rows": rows, "lam": lam, "side": side, "center": tuple(center)}
+        return w
+
+    def widths(r):
+        return np.append(np.diff(grid.y_faces)[wy(r) > 0.0], grid.dx)
+
+    def fit(r):
+        window, wx, _ = grid.cylinder_weights(center, r)
+        W = np.multiply.outer(wx, wy(r)) * r ** -(grid.n + 3.0)
+        return _linear_fit(grid, [(U.values, window, W, C)])
+
+    return _excess_record(side, lam, kmax, psi, widths, fit)

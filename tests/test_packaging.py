@@ -1,6 +1,6 @@
 """pyproject.toml declares only what the source tree has, and every
 module exports only names it defines; importing every module leaves
-scipy.sparse unloaded."""
+scipy.sparse and scipy.interpolate unloaded."""
 
 import importlib
 import os
@@ -50,11 +50,14 @@ def test_every_export_resolves(module):
 
 def test_import_leaves_scipy_sparse_out():
     # the extension solver applies its step operator as a stencil, so no
-    # module needs scipy.sparse, about 0.016 s of import CPU
+    # module needs scipy.sparse, about 0.016 s of import CPU; only
+    # ParabolicGrid.interp uses scipy.interpolate, about 0.107 s, and it
+    # imports it when called
     code = ("import importlib, pkgutil, sys, fracheat\n"
             "for m in pkgutil.iter_modules(fracheat.__path__):\n"
             "    importlib.import_module('fracheat.' + m.name)\n"
-            "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))")
+            "print(sorted(k for k in sys.modules if k.startswith(\n"
+            "    ('scipy.sparse', 'scipy.interpolate'))))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(fracheat.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -15,11 +15,8 @@ from fracheat.probe import (
     parabolic_distance,
     best_linear_fit,
     excess_sequence,
-    one_step_improvement,
-    campanato_excess_profile,
     gradient_modulus_probe,
     interior_probe,
-    combined_norm,
     _fit,
     _pieces,
 )
@@ -31,6 +28,25 @@ P = FracParams(s=0.75)
 
 def grid(nt=16, nx=20, ny=16, s=0.75):
     return ParabolicGrid(FracParams(s=s), nt=nt, nx=nx, ny=ny)
+
+
+ONE = ModulusOfContinuity(lambda r: np.ones_like(np.asarray(r, dtype=float)))
+SQRT = ModulusOfContinuity(lambda r: np.sqrt(r))
+
+
+def norm_sq(U):
+    """The squared combined norm of U over its unit cylinder: the trace
+    L^2 over Q_1 plus the weighted L^2 over Q*_1, i.e. the excess of the
+    fit l = 0 at r = 1."""
+    g = U.grid
+    return sum(_fit(g, _pieces(U, g.center, 1.0), np.zeros(g.n + 1))[1])
+
+
+def limit_excess(U, center, radius, seq):
+    """Thick-cylinder excess at `radius` of the Campanato limit fit, the
+    last fit of the excess record `seq`."""
+    limit = np.concatenate([[seq.fits[-1].a], seq.fits[-1].b])
+    return _fit(U.grid, _pieces(U, center, radius)[1:], limit)[1][0]
 
 
 class TestParabolicDistance:
@@ -255,24 +271,28 @@ class TestSeparableFitMatchesLoop:
                    sum(loop_excess(U, 0.5, c2, shifted)))
 
     def test_campanato_profile(self, U):
+        # lam = 0.6 reads r = 1 and 0.6, both resolved at dx = 0.1 (n = 1)
+        # and 1/7 (n = 2)
         c = self.center(U)[:-1]
-        radii = [0.8, 0.5, 0.3]
-        rep = campanato_excess_profile(U, c, radii)
-        limit = loop_fit(U, radii[-1], c)[0]
-        assert_rel([row["excess"] for row in rep["rows"]],
-                   [loop_excess(U, r, c, limit)[1] for r in radii])
+        seq = excess_sequence(U, 0.6, 2, ONE, c)
+        assert seq.radii.size == 2
+        limit = loop_fit(U, seq.radii[-1], c)[0]
+        assert_rel([seq.fits[-1].a, *seq.fits[-1].b], limit)
+        assert_rel([limit_excess(U, c, r, seq) for r in seq.radii],
+                   [loop_excess(U, r, c, limit)[1] for r in seq.radii])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_interior_probe(self, n):
         U = random_field(n, 3, *((8, 24, 96) if n == 1 else (6, 24, 64)))
         center = (0.0,) * (n + 1) + (0.55,)
         psi = ModulusOfContinuity(lambda r: np.sqrt(r))
-        rows = interior_probe(U, center, 0.45, 0.5, 3, psi)["rows"]
+        seq = interior_probe(U, center, 0.45, 0.5, 3, psi)
         ref = loop_interior(U, center, 0.45, 0.5, 3)
-        assert len(rows) == len(ref) >= 1
-        for row, (exc, coef) in zip(rows, ref):
-            assert_rel(row["excess"], exc)
-            assert_rel(row["coef"], coef)
+        assert len(seq.fits) == len(ref) >= 1
+        assert np.all(seq.excess_thin == 0.0)
+        for fit, exc, (ref_exc, coef) in zip(seq.fits, seq.excess, ref):
+            assert_rel(exc, ref_exc)
+            assert_rel([fit.a, *fit.b], coef)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_symmetric_slopes_vanish(self, n):
@@ -294,19 +314,15 @@ class TestExcessSequence:
     def test_linear_field_zero_excess(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 0.3 + 0.9 * x + 0.0 * t)
-        one = ModulusOfContinuity(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)))
-        seq = excess_sequence(U, 0.25, 4, one)
+        seq = excess_sequence(U, 0.25, 4, ONE)
         assert np.all(seq.excess < 1e-12)
 
     def test_quadratic_field_closed_form_rate(self):
         # U = x^2: E(r) = (16/45)(1 + 1/(1+a)) r^4 from exact moments
         g = grid(nt=64, nx=96, ny=48)
         U = sample_scalar(g, lambda t, x, y: x ** 2 + 0.0 * t)
-        one = ModulusOfContinuity(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)))
         lam = 0.25
-        seq = excess_sequence(U, lam, 3, one)
+        seq = excess_sequence(U, lam, 3, ONE)
         a = g.params.a
         C = (16.0 / 45.0) * (1.0 + 1.0 / (1.0 + a))
         expect = C * seq.radii ** 4
@@ -332,20 +348,21 @@ class TestExcessSequence:
     def test_kmax_clamped_to_resolution(self):
         g = grid(nt=8, nx=8, ny=8)
         U = sample_scalar(g, lambda t, x, y: 0.0 * t)
-        one = ModulusOfContinuity(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)))
-        seq = excess_sequence(U, 0.25, 10, one)
+        seq = excess_sequence(U, 0.25, 10, ONE)
         assert seq.clamped_kmax < 10
-        assert seq.requested_kmax == 10
+
+    def test_unresolved_first_radius_rejected(self):
+        # dx = 1/3: r = 1 spans 3 cells, fewer than CELLS_PER_RADIUS
+        U = sample_scalar(grid(nt=8, nx=6, ny=8), lambda t, x, y: x + 0.0 * t)
+        with pytest.raises(ValueError, match="first radius 1 "):
+            excess_sequence(U, 0.25, 3, ONE)
 
     def test_one_radius_sequence_keeps_its_arrays(self):
         # dx = 0.1 resolves only r = 1 at lam = 1/4: every per-radius record
         # still holds one entry, not a scalar
         g = grid()
         U = sample_scalar(g, lambda t, x, y: x + 0.0 * t)
-        one = ModulusOfContinuity(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)))
-        seq = excess_sequence(U, 0.25, 3, one)
+        seq = excess_sequence(U, 0.25, 3, ONE)
         assert seq.clamped_kmax == 0
         for rec in (seq.ks, seq.radii, seq.excess, seq.bounds, seq.ratios):
             assert rec.shape == (1,)
@@ -354,12 +371,18 @@ class TestExcessSequence:
 
 
 class TestOneStepImprovement:
+    """E(lam) < lam^3 on input of unit combined norm: the k = 1 ratio of
+    the excess record at omega = sqrt, here at lam = 1/2."""
+
+    @staticmethod
+    def one_step_ratio(U):
+        unit = ScalarField(U.grid, U.values / math.sqrt(norm_sq(U)))
+        return excess_sequence(unit, 0.5, 1, SQRT).ratios[1]
+
     def test_linear_input_succeeds_at_largest_scale(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 0.2 + 0.4 * x + 0.0 * t)
-        lam, ratio, table = one_step_improvement(U)
-        assert lam == 0.25
-        assert ratio < 1e-10
+        assert self.one_step_ratio(U) < 1e-10
 
     def test_smooth_solution_with_perturbation(self):
         g = grid(nt=20, nx=24, ny=20)
@@ -372,45 +395,59 @@ class TestOneStepImprovement:
         mode = np.cos(4.0 * mesh[1]) * np.cos(2.0 * mesh[0]) \
             * (1.0 + mesh[2]) * np.ones(g.shape)
         scale = np.max(np.abs(base.values))
-        ratios = []
-        for delta in (1e-1, 1e-2, 1e-3):
-            U = ScalarField(g, base.values + delta * scale * mode)
-            lam, ratio, _ = one_step_improvement(U)
-            assert lam is not None
-            ratios.append(ratio)
+        ratios = [self.one_step_ratio(
+            ScalarField(g, base.values + delta * scale * mode))
+            for delta in (1e-1, 1e-2, 1e-3)]
+        assert ratios[0] < 1.0
         assert ratios[0] >= ratios[1] >= ratios[2] - 1e-12
 
 
 class TestCampanato:
+    """The limit of the fits is the last fit of the excess record, and the
+    drifts bound its distance to every earlier fit."""
+
     def test_linear_field_zero_profile(self):
+        # dx = 0.1 resolves r = 1 and 0.5
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 1.0 + 0.5 * x + 0.0 * t)
-        rep = campanato_excess_profile(U, (0.0, 0.0), [0.4, 0.2, 0.1])
-        assert all(row["excess"] < 1e-12 for row in rep["rows"])
+        seq = excess_sequence(U, 0.5, 3, ONE, (0.0, 0.0))
+        assert seq.radii.size == 2
+        assert all(limit_excess(U, (0.0, 0.0), r, seq) < 1e-12
+                   for r in seq.radii)
+        assert np.all(seq.drift_a < 1e-10) and np.all(seq.drift_b < 1e-10)
 
     def test_solved_instance_bounded_profile(self):
+        # dx = 1/16 resolves r = 1, 0.5 and 0.25
         g = grid(nt=24, nx=32, ny=24)
         coeff = coefficient_generator("dini_bump", eps=0.05)
         f = thin_data_generator("cosine", amp=0.05, xi=2.0)
         U = solve_extension(g, coeff, f=f,
                             lateral_dirichlet=lambda t, x, y: 0.05 * np.cos(x),
                             initial=lambda x, y: 0.05 * np.cos(x))
-        K = ModulusOfContinuity(lambda r: np.sqrt(r))
-        rep = campanato_excess_profile(U, (0.0, 0.0), [0.4, 0.2, 0.1, 0.05],
-                                       K=K)
-        ratios = [row["ratio"] for row in rep["rows"]]
+        seq = excess_sequence(U, 0.5, 3, SQRT, (0.0, 0.0))
+        assert seq.radii.size == 3
+        ratios = [limit_excess(U, (0.0, 0.0), r, seq) / (r ** 2 * SQRT(r) ** 2)
+                  for r in seq.radii]
         assert all(np.isfinite(r) for r in ratios)
-        assert rep["drift_tail_estimate"] < 1.0
+        assert np.all(np.isfinite(seq.ratios))
+        om = SQRT(seq.radii[:-1])
+        step_a = seq.drift_a * seq.radii[:-1] * om
+        step_b = seq.drift_b * om
+        limit = seq.fits[-1]
+        for k, fit in enumerate(seq.fits):
+            assert abs(limit.a - fit.a) <= step_a[k:].sum() * (1 + 1e-12)
+            assert np.linalg.norm(limit.b - fit.b) \
+                <= step_b[k:].sum() * (1 + 1e-12) + 1e-15
+        assert step_a[-1] + step_b[-1] < 1.0
 
     def test_two_center_gradient_difference(self):
+        # dx = 0.05 resolves r = 1, 0.5 and 0.25
         g = grid(nt=24, nx=40, ny=24)
         U = sample_scalar(g, lambda t, x, y: np.sin(x) + 0.0 * t)
-        r1 = campanato_excess_profile(U, (0.0, -0.2), [0.3, 0.15, 0.075])
-        r2 = campanato_excess_profile(U, (0.0, 0.2), [0.3, 0.15, 0.075])
-        b1 = r1["limit_fit"].b[0]
-        b2 = r2["limit_fit"].b[0]
-        assert b1 == pytest.approx(math.cos(-0.2), abs=0.02)
-        assert b2 == pytest.approx(math.cos(0.2), abs=0.02)
+        for x0 in (-0.2, 0.2):
+            seq = excess_sequence(U, 0.5, 3, ONE, (0.0, x0))
+            assert seq.radii[-1] == 0.25
+            assert seq.fits[-1].b[0] == pytest.approx(math.cos(x0), abs=0.02)
 
 
 class TestGradientModulusProbe:
@@ -702,9 +739,8 @@ class TestInteriorProbe:
         g = grid(nx=32, ny=64)
         U = sample_scalar(g, lambda t, x, y: 1.0 + x - 0.5 * y + 0.0 * t)
         psi = ModulusOfContinuity(lambda r: np.sqrt(r))
-        rep = interior_probe(U, (0.0, 0.0, 0.55), 0.3, 0.25, 4, psi)
-        assert len(rep["rows"]) >= 1
-        assert all(row["excess"] < 1e-12 for row in rep["rows"])
+        seq = interior_probe(U, (0.0, 0.0, 0.55), 0.3, 0.25, 4, psi)
+        assert np.all(seq.excess < 1e-12)
 
     def test_smooth_field_fast_decay(self):
         # fine enough that three cubes 0.3 (1/2)^k span 4 cells per radius
@@ -712,14 +748,12 @@ class TestInteriorProbe:
         U = sample_scalar(g, lambda t, x, y: np.cos(x) * np.cosh(y) + 0.05 * t)
         psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         lam = 0.5
-        rep = interior_probe(U, (0.0, 0.0, 0.55), 0.3, lam, 6, psi)
-        rows = rep["rows"]
-        assert len(rows) >= 3
+        seq = interior_probe(U, (0.0, 0.0, 0.55), 0.3, lam, 6, psi)
+        assert seq.radii.size >= 3
         # smooth Taylor remainder: excess ~ r^4, i.e. decay order > 3
-        orders = [math.log(rows[k]["excess"] / rows[k + 1]["excess"])
-                  / math.log(1 / lam) for k in range(len(rows) - 1)]
+        orders = np.log(seq.excess[:-1] / seq.excess[1:]) / math.log(1 / lam)
         assert orders[0] > 3.0
-        assert all(row["ratio"] < 10.0 for row in rows)
+        assert np.all(seq.ratios < 10.0)
 
     def test_cube_outside_y_range_rejected(self):
         # y0 = 1.6 with side 0.3 lies above the grid's y-range [0, 1]
@@ -728,6 +762,12 @@ class TestInteriorProbe:
         psi = ModulusOfContinuity(lambda r: np.sqrt(r))
         with pytest.raises(ValueError, match="meets no y-cell"):
             interior_probe(U, (0.0, 0.0, 1.6), 0.3, 0.25, 3, psi)
+
+    def test_unresolved_first_cube_rejected(self):
+        # dx = 0.25: the cube of side 0.3 spans 1.2 x-cells per radius
+        U = sample_scalar(grid(nt=8, nx=8, ny=64), lambda t, x, y: 0.0 * t)
+        with pytest.raises(ValueError, match="first radius 0.3 "):
+            interior_probe(U, (0.0, 0.0, 0.55), 0.3, 0.25, 3, SQRT)
 
     def test_boundary_touching_cube_rejected(self):
         g = grid()
@@ -754,20 +794,22 @@ class TestRescalingInvariance:
 
 
 class TestCombinedNorm:
+    """The squared combined norm, the l = 0 excess at r = 1, in closed
+    form."""
+
     def test_constant_field_closed_form(self):
         g = grid()
         U = sample_scalar(g, lambda t, x, y: 2.0 + 0.0 * t)
         a = g.params.a
         thin = 4.0 * 2.0 * 2.0      # value^2 * time * x measures
         thick = 4.0 * 2.0 * 2.0 / (1.0 + a)
-        assert combined_norm(U) == pytest.approx(math.sqrt(thin + thick),
-                                                 rel=1e-10)
+        assert norm_sq(U) == pytest.approx(thin + thick, rel=2e-10)
 
     def test_time_linear_field_closed_form(self):
         # U = t: thin int t^2 = (2/3) 2, thick (2/3) 2 / (1 + a); at s = 3/4
         # the sum is 4 (node weights applied to t^2 read 4.031)
         U = sample_scalar(grid(), lambda t, x, y: t + 0.0 * x)
-        assert combined_norm(U) ** 2 == pytest.approx(4.0, rel=1e-12)
+        assert norm_sq(U) == pytest.approx(4.0, rel=1e-12)
 
     def test_constant_field_closed_form_2d(self):
         # thin and thick parts both integrate over Q_1 = (-1, 1) x B_1:
@@ -775,4 +817,4 @@ class TestCombinedNorm:
         g = ParabolicGrid(FracParams(s=0.75, n=2), nt=4, nx=16, ny=8)
         U = sample_scalar(g, lambda t, x1, x2, y: 1.0 + 0.0 * t)
         expect = 2.0 * math.pi * (1.0 + 1.0 / (1.0 + g.params.a))
-        assert combined_norm(U) ** 2 == pytest.approx(expect, rel=1e-13)
+        assert norm_sq(U) == pytest.approx(expect, rel=1e-13)

@@ -53,9 +53,7 @@ PROOF_STEPS = {
     "lorentz_norm_forms": "potentials: the two forms of the L(p,1) norm",
     "estimate1_check": "potentials: dyadic sum against the potential",
     "hardy_littlewood_check": "potentials: Hardy-Littlewood bound",
-    # excess improvement and its iteration
-    "one_step_improvement": "excess: one-step improvement",
-    "campanato_excess_profile": "excess: Campanato limit of the fits",
+    # excess decay
     "interior_probe": "excess: decay away from the boundary",
     # helpers
     "ParabolicGrid.meshgrid": HELPER + "energy_report",
@@ -65,7 +63,6 @@ PROOF_STEPS = {
     "ParabolicGrid.time_derivative": HELPER + "energy_report",
     "ScalarField.weighted_norm": HELPER + "regularity_estimates_check",
     "heat_kernel": HELPER + "check_master_bounds",
-    "combined_norm": HELPER + "one_step_improvement",
 }
 
 
