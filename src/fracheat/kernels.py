@@ -7,10 +7,10 @@ u(t, x) through the subordination integral
     c_s * int_0^inf int_{R^n} tau^(-s-1) G(tau, z) [u(t,x) - u(t-tau, x-z)] dz dtau
 
 with G the Gaussian heat kernel and c_s = s / Gamma(1-s).  All quadrature
-here is deterministic: fixed Gauss-Legendre panels per decade in tau up to
-_TAU_HIGH, past which the inner integral is held at its last-decade mean,
-and in the self-similar variable zeta = z / sqrt(tau) a fixed
-Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
+here is deterministic: one Gauss-Legendre panel per decade in tau until two
+decade means of the inner integral agree (at most to _TAU_HIGH), past which
+that mean is held, and in the self-similar variable zeta = z / sqrt(tau) a
+fixed Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
 """
 
 from __future__ import annotations
@@ -56,14 +56,16 @@ class FracParams:
         return 1.0 - 2.0 * self.s
 
 
-# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH]; below _TAU_LOW the
-# integral is taken analytically, and past _TAU_HIGH with the inner integral
-# held at its last-decade mean (`_frac_heat_core`).  The z integral is
+# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH] until two decade means
+# of the inner integral agree to _SETTLE_TOL relative; below _TAU_LOW the
+# integral is taken analytically, and past the last decade sampled with the
+# inner integral held at its mean there (`_frac_heat_core`).  The z integral is
 # truncated at |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
 # erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis, so the zeta weights sum
 # to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
 _TAU_LOW = 1e-6
 _TAU_HIGH = 1e10
+_SETTLE_TOL = 1e-8
 _Z_RADIUS = 8.0
 # the tails |zeta| in [_Z_TAIL, _Z_RADIUS] hold erfc(2) = 4.7e-3 of the mass
 _Z_TAIL = 4.0
@@ -88,12 +90,15 @@ class QuadratureSpec:
 @dataclass
 class FracHeatDiagnostics:
     """Convergence report for one frac_heat_apply call: the values at the
-    working spec, at a coarsened spec, and their maximum discrepancy."""
+    working spec, at a coarsened spec, their maximum discrepancy, and the
+    upper tau edge each rule reached (_TAU_HIGH if it never settled)."""
 
     values: np.ndarray
     coarse_values: np.ndarray
     max_difference: float
     converged: bool
+    tau_reached: float
+    coarse_tau_reached: float
 
 
 @dataclass
@@ -293,12 +298,15 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     eval_points : array-like, shape (m, 1 + n)
         Rows (t, x_1, ..., x_n).
 
-    u is sampled back to t - _TAU_HIGH = t - 1e10 only.  The part of the
-    tau integral past that holds the inner integral at its mean over the
-    last sampled decade: a share (10^s - 1)^(-1) of that decade's sum,
-    which is exact when the inner integral has settled there (for
-    time-independent data it has, to e^(-xi^2 1e9)) and zero for constant
-    and linear data.
+    u is sampled back decade by decade in tau until the means of the inner
+    integral over two decades agree to _SETTLE_TOL = 1e-8 of their size,
+    and at most to t - _TAU_HIGH = t - 1e10.  The part of the tau integral
+    past the last sampled decade holds the inner integral at its mean
+    there: a share (10^s - 1)^(-1) of that decade's sum, which is exact
+    when the inner integral has settled and zero for constant and linear
+    data.  n = 2 cosines of xi in [0.25, 4] settle by tau = 1e5 at the
+    default spec; n = 1 cosines, under the aliasing noise of the far-field
+    tensor rules, march to _TAU_HIGH.
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
@@ -312,10 +320,10 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     if check_convergence and q.coarsened() == q:
         raise ValueError(f"{q} has no coarser spec to check convergence "
                          "against")
-    values = _frac_heat_core(u, p, q, pts)
+    values, reached = _frac_heat_core(u, p, q, pts)
     if not check_convergence:
         return values
-    coarse = _frac_heat_core(u, p, q.coarsened(), pts)
+    coarse, coarse_reached = _frac_heat_core(u, p, q.coarsened(), pts)
     diff = float(np.max(np.abs(values - coarse)))
     scale = max(1.0, float(np.max(np.abs(values))))
     converged = diff <= _REFINE_TOL * scale
@@ -323,7 +331,8 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
         warnings.warn(
             f"subordination quadrature not converged: refinement delta "
             f"{diff:.3e} exceeds {_REFINE_TOL:.1e} * scale", RuntimeWarning)
-    return values, FracHeatDiagnostics(values, coarse, diff, converged)
+    return values, FracHeatDiagnostics(values, coarse, diff, converged,
+                                       reached, coarse_reached)
 
 
 def _heat_residual_fd(u, pts, n):
@@ -435,8 +444,9 @@ def _frac_heat_core(u, p, q, pts):
     # hold only the current rule's grid: keeping every rule's n = 2 grid
     # adds to the peak memory of a call
     fac = None
-    last_decade = 0.0
-    for tau, wt in zip(taus, tw):
+    decade = weight = 0.0   # this decade's sum and tau weight so far
+    last = mean = None
+    for i, (tau, wt) in enumerate(zip(taus, tw)):
         f = _order_bucket(tau, p.n)
         if f != fac:
             fac = f
@@ -458,15 +468,24 @@ def _frac_heat_core(u, p, q, pts):
                 np.subtract.outer(x0[:, d], srt * z[d], out=xs[d])
             shifted = _eval_u(u, ts, xs.reshape(p.n, -1).T, p.n).reshape(m, -1)
             inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        term = wt * tau ** (-p.s - 1.0) * inner
+        kern = wt * tau ** (-p.s - 1.0)
+        term = kern * inner
         acc += term
-        if tau > _TAU_HIGH / 10.0:
-            last_decade += term
-    # Past _TAU_HIGH hold the inner integral at its last-decade mean: the
-    # weight tau^(-s-1) integrates to (10^s - 1) times less there than over
-    # the last decade.
-    acc += last_decade / (10.0 ** p.s - 1.0)
-    return subordination_constant(p.s) * acc
+        decade, weight = decade + term, weight + kern
+        if (i + 1) % q.nodes_per_decade == 0:
+            # each Gauss panel is one decade: stop once its mean of the
+            # inner integral agrees with the decade before's
+            prev, mean, last = mean, decade / weight, decade
+            decade = weight = 0.0
+            tol = _SETTLE_TOL * np.max(np.abs(mean))
+            if prev is not None and np.max(np.abs(mean - prev)) <= tol:
+                break
+    # Past the last sampled decade hold the inner integral at its mean
+    # there: the weight tau^(-s-1) integrates to (10^s - 1) times less
+    # beyond a decade than over it.
+    acc += last / (10.0 ** p.s - 1.0)
+    reached = 10.0 ** (math.log10(_TAU_LOW) + (i + 1) // q.nodes_per_decade)
+    return subordination_constant(p.s) * acc, reached
 
 
 def marchaud_normalization(s: float) -> float:

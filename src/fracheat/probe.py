@@ -141,8 +141,12 @@ def _linear_fit(grid: ParabolicGrid, pieces) -> LinearFit:
 
 def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
     """Minimizer of the combined thin+thick excess functional over linear
-    l(x); closed-form normal equations in the (1+n) coefficients."""
+    l(x); closed-form normal equations in the (1+n) coefficients.  A
+    radius spanning fewer than CELLS_PER_RADIUS x-cells raises ValueError."""
     grid = U.grid
+    if radius < CELLS_PER_RADIUS * grid.dx:
+        raise ValueError(f"the radius {radius:.3g} spans fewer than "
+                         f"{CELLS_PER_RADIUS:g} cells")
     if center is None:
         center = (grid.center[0],) + tuple(grid.center[1:]) + (0.0,)
     return _linear_fit(grid, _pieces(U, center, radius))

@@ -190,6 +190,18 @@ class TestFracHeatApply:
         assert diag.converged
         assert diag.max_difference < 1e-4
 
+    def test_diagnostics_report_the_tau_reached(self):
+        # n = 1 cosines never settle under the far-field tensor rules'
+        # noise; an n = 2 cosine settles under the lattice
+        _, diag = frac_heat_apply(lambda t, x: np.cos(1.5 * x) + 0.0 * t,
+                                  self.P, self.Q, [[0.0, 0.3]],
+                                  check_convergence=True)
+        assert diag.tau_reached == diag.coarse_tau_reached == 1e10
+        _, diag = frac_heat_apply(lambda t, x: np.cos(x[:, 0]) + 0.0 * t,
+                                  FracParams(s=0.75, n=2), self.Q,
+                                  [[0.0, 0.3, -0.2]], check_convergence=True)
+        assert diag.tau_reached <= 1e6 and diag.coarse_tau_reached <= 1e6
+
     def test_bad_points_shape(self):
         with pytest.raises(ValueError):
             frac_heat_apply(lambda t, x: x, self.P, self.Q, [[0.0, 0.1, 0.2]])
@@ -258,8 +270,10 @@ class TestZetaRule:
 
     def test_u_points_of_a_dual_route_2d_call(self):
         # the direct quadrature of `dtn_dual_route_2d`: four n = 2 points
-        # with the refinement check, each 2,402,694 + 292,977 zeta points
-        # and 16 for u at the point and its finite-difference stencil
+        # with the refinement check, 16 for u at each point and its
+        # finite-difference stencil, and the zeta points of the tau nodes up
+        # to the settled decade: 1e4 for the working rule, 1e7 for the
+        # coarse one (10,782,748 when both marched to _TAU_HIGH)
         points = []
 
         def u(t, x):
@@ -269,7 +283,7 @@ class TestZetaRule:
         pts = [[0.0, a, b] for a in (-0.3, 0.3) for b in (-0.3, 0.3)]
         frac_heat_apply(u, FracParams(s=0.75, n=2), QuadratureSpec(), pts,
                         check_convergence=True)
-        assert sum(points) == 10_782_748
+        assert sum(points) == 5_380_948
 
 
 def _row_major_zeta(q, n, factor):
@@ -281,14 +295,16 @@ def _row_major_zeta(q, n, factor):
 
 def _row_major_core(u, p, q, pts):
     """The subordination sum with the shifted points formed as one row-major
-    (m, k, n) array: the same nodes, weights, batches, reduction and tail."""
+    (m, k, n) array: the same nodes, weights, batches, reduction, stop and
+    tail."""
     taus, tw = kernels._tau_nodes(q)
     t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
     u_here = kernels._eval_u(u, t0, x0, p.n)
     acc = (kernels._heat_residual_fd(u, pts, p.n)
            * kernels._TAU_LOW ** (1.0 - p.s) / (1.0 - p.s))
-    last_decade = 0.0
-    for tau, wt in zip(taus, tw):
+    decade = weight = 0.0
+    last = mean = None
+    for i, (tau, wt) in enumerate(zip(taus, tw)):
         f = kernels._order_bucket(tau, p.n)
         if f == kernels._LATTICE:
             zeta, zw = kernels._lattice_nodes(q)
@@ -305,11 +321,17 @@ def _row_major_core(u, p, q, pts):
             shifted = kernels._eval_u(u, ts, xs.reshape(-1, p.n),
                                       p.n).reshape(m, -1)
             inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        term = wt * tau ** (-p.s - 1.0) * inner
+        kern = wt * tau ** (-p.s - 1.0)
+        term = kern * inner
         acc += term
-        if tau > kernels._TAU_HIGH / 10.0:
-            last_decade += term
-    acc += last_decade / (10.0 ** p.s - 1.0)
+        decade, weight = decade + term, weight + kern
+        if (i + 1) % q.nodes_per_decade == 0:
+            prev, mean, last = mean, decade / weight, decade
+            decade = weight = 0.0
+            tol = kernels._SETTLE_TOL * np.max(np.abs(mean))
+            if prev is not None and np.max(np.abs(mean - prev)) <= tol:
+                break
+    acc += last / (10.0 ** p.s - 1.0)
     return subordination_constant(p.s) * acc
 
 
@@ -347,6 +369,64 @@ class TestColumnLayout:
                               _row_major_core(u, p, q.coarsened(), pts))
 
 
+class TestSettledDecade:
+    """The tau march stops once two decade means of the inner integral
+    agree to _SETTLE_TOL; at a zero tolerance it marches to _TAU_HIGH."""
+
+    PTS = {1: [[0.0, 0.3], [0.4, -0.5]],
+           2: [[0.0, 0.3, -0.2], [0.4, -0.5, 0.1]]}
+    # name: (n, u, decades the working and coarse rules reach, rtol to the
+    # full march)
+    DATA = {
+        "cos_1e-3_n2": (2, lambda t, x: np.cos(1e-3 * x[:, 0]) + 0.0 * t,
+                        (1e10, 1e10), 0.0),
+        "lorentzian_in_t_n1": (1, lambda t, x: 1.0 / (1.0 + t * t) + 0.0 * x,
+                               (1e6, 1e6), 1e-12),
+        "cos_0.03_n2": (2, lambda t, x: np.cos(0.03 * x[:, 0]) + 0.0 * t,
+                        (1e7, 1e10), 1e-12),
+    }
+    # the values and coarse values of the march to _TAU_HIGH before it
+    # could stop, at s = 0.75 and PTS (numpy 2.4, x86-64)
+    FULL = {
+        "cos_1e-3_n2": (["0x1.09455498b0f44p-15", "0x1.0945532eacb66p-15"],
+                        ["0x1.0945545a609afp-15", "0x1.094552f792941p-15"]),
+        "lorentzian_in_t_n1": (["0x1.6826a9ffb8b90p-2", "-0x1.bdfbd04815ac2p-3"],
+                               ["0x1.6826a26e91dfdp-2", "-0x1.bdfbff8a96c86p-3"]),
+        "cos_0.03_n2": (["0x1.54856a51fdc37p-8", "0x1.547f248fa632dp-8"],
+                        ["0x1.54855ee14bb99p-8", "0x1.547f191f40691p-8"]),
+    }
+
+    def apply(self, name):
+        n, u, _, _ = self.DATA[name]
+        return frac_heat_apply(u, FracParams(s=0.75, n=n), QuadratureSpec(),
+                               self.PTS[n], check_convergence=True)
+
+    def full_march(self, name, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_SETTLE_TOL", 0.0)
+            return self.apply(name)
+
+    @pytest.mark.parametrize("name", DATA)
+    def test_zero_tolerance_is_the_full_march(self, name, monkeypatch):
+        values, diag = self.full_march(name, monkeypatch)
+        assert diag.tau_reached == diag.coarse_tau_reached == 1e10
+        assert ([v.hex() for v in values],
+                [v.hex() for v in diag.coarse_values]) == self.FULL[name]
+
+    @pytest.mark.parametrize("name", DATA)
+    def test_stop_matches_the_full_march(self, name, monkeypatch):
+        _, _, reached, rtol = self.DATA[name]
+        values, diag = self.apply(name)
+        full, full_diag = self.full_march(name, monkeypatch)
+        assert (diag.tau_reached, diag.coarse_tau_reached) == reached
+        for got, want in ((values, full),
+                          (diag.coarse_values, full_diag.coarse_values)):
+            if rtol == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=rtol, atol=0.0)
+
+
 class TestErrorTable:
     """Closed-form symbols with the default spec at t = 0, x = 0, where
     u = 1 and the error is the symbol's amplitude error.  Each bound is the
@@ -356,9 +436,10 @@ class TestErrorTable:
     what later rules reached: the cosine at n = 1 to 8.3e-5 (the schedule
     of `_ZETA_ORDER` gives 8.14e-5), so a schedule that under-resolves
     tau <= 16 again fails; the n = 2 families to 1e-6 (the lattice past
-    tau = 314 gives 2.72e-7 and 3.85e-7, the tensor rules gave 8.09e-5 and
-    6.82e-6); and e^t cosine to 2.5e-7 (1.35e-7 with the tail past
-    _TAU_HIGH, 3.99e-7 without)."""
+    tau = 314 gives 2.72e-7 and 2.81e-7 stopped at the settled decade,
+    2.72e-7 and 3.85e-7 marched to _TAU_HIGH, the tensor rules gave
+    8.09e-5 and 6.82e-6); and e^t cosine to 2.5e-7 (1.35e-7 with the tail
+    past _TAU_HIGH, 3.99e-7 without)."""
     Q = QuadratureSpec()
     # name: (n, u for a given xi, symbol lambda(xi) of (d_t - Lap), bound)
     FAMILIES = {
@@ -390,13 +471,19 @@ class TestErrorTable:
         assert worst <= self.GAIN.get(family, math.inf)
 
     @pytest.mark.parametrize("s,xi,bound", [(0.58, 0.3, 2.65e-6),
-                                            (0.55, 0.5, 2.93e-6)])
+                                            (0.55, 0.5, 2.93e-6),
+                                            (0.55, 1 / 3, 5e-7),
+                                            (0.55, 2 / 3, 5e-7),
+                                            (0.55, 11 / 12, 5e-7)])
     def test_low_frequency_product(self, s, xi, bound):
         # a product of two low modes sees the square of the far-field
         # aliasing noise, so a lower zeta order past tau = 1e5 failed here;
-        # each bound is the old schedule's error at the point.  The lattice
-        # with the tail past _TAU_HIGH gives 1.96e-7 and 1.85e-7; without
-        # the tail, whose share is 2.76e-6 at (0.55, 0.5), 2.95e-6.
+        # the first two bounds are the old schedule's error at the point.
+        # The lattice with the tail past _TAU_HIGH gives 1.96e-7 and
+        # 1.85e-7; without the tail, whose share is 2.76e-6 at (0.55, 0.5),
+        # 2.95e-6.  Marched to _TAU_HIGH, the last three read 7.35e-6,
+        # 8.28e-6 and 7.61e-6, where the lattice meets the product's
+        # spectrum far past the settled decade; stopped there, 1.79e-7.
         err = self.rel_error("cos_cos_n2", s, xi)
         assert err <= bound
         assert err <= 5e-7

@@ -208,7 +208,8 @@ class TestBestLinearFit:
         assert abs(refit.b[0]) < 1e-10
 
     def test_minimality_against_other_fits(self):
-        g = grid()
+        # dx = 0.05: r = 0.25 spans 5 cells
+        g = grid(nx=40)
         rng = np.random.default_rng(5)
         U = ScalarField(g, rng.normal(size=g.shape))
         fit_small = best_linear_fit(U, 0.25)
@@ -218,6 +219,12 @@ class TestBestLinearFit:
         coef_big = np.concatenate([[fit_big.a], fit_big.b])
         e_other = sum(_fit(g, _pieces(U, center, 0.25), coef_big)[1])
         assert e_other >= e_optimal - 1e-14
+
+    def test_unresolved_radius_rejected(self):
+        # dx = 0.1: r = 0.25 spans 2.5 cells, fewer than CELLS_PER_RADIUS
+        U = sample_scalar(grid(), lambda t, x, y: x + 0.0 * t)
+        with pytest.raises(ValueError, match="radius 0.25 spans"):
+            best_linear_fit(U, 0.25)
 
     def test_empty_cylinder_rejected(self):
         g = grid()
@@ -243,7 +250,8 @@ class TestSeparableFitMatchesLoop:
                     ids=["n1-seed0", "n1-seed1", "n2-seed0", "n2-seed1"])
     def U(self, request):
         n, seed = request.param
-        return random_field(n, seed, *((16, 20, 16) if n == 1 else (8, 14, 12)))
+        # dx = 1/14: every radius down to 0.3 spans at least 4 cells
+        return random_field(n, seed, *((16, 28, 16) if n == 1 else (8, 28, 12)))
 
     @staticmethod
     def center(U):
@@ -271,11 +279,10 @@ class TestSeparableFitMatchesLoop:
                    sum(loop_excess(U, 0.5, c2, shifted)))
 
     def test_campanato_profile(self, U):
-        # lam = 0.6 reads r = 1 and 0.6, both resolved at dx = 0.1 (n = 1)
-        # and 1/7 (n = 2)
+        # lam = 0.6 reads r = 1, 0.6 and 0.36, all resolved at dx = 1/14
         c = self.center(U)[:-1]
         seq = excess_sequence(U, 0.6, 2, ONE, c)
-        assert seq.radii.size == 2
+        assert seq.radii.size == 3
         limit = loop_fit(U, seq.radii[-1], c)[0]
         assert_rel([seq.fits[-1].a, *seq.fits[-1].b], limit)
         assert_rel([limit_excess(U, c, r, seq) for r in seq.radii],
