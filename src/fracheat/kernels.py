@@ -8,9 +8,9 @@ u(t, x) through the subordination integral
 
 with G the Gaussian heat kernel and c_s = s / Gamma(1-s).  All quadrature
 here is deterministic: one Gauss-Legendre panel per decade in tau until two
-decade means of the inner integral agree (at most to _TAU_HIGH), past which
-that mean is held, and in the self-similar variable zeta = z / sqrt(tau) a
-fixed Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
+nonzero decade means of the inner integral agree (at most to _TAU_HIGH),
+past which that mean is held, and in the self-similar zeta = z / sqrt(tau)
+a fixed Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ class FracParams:
         return 1.0 - 2.0 * self.s
 
 
-# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH] until two decade means
-# of the inner integral agree to _SETTLE_TOL relative; below _TAU_LOW the
-# integral is taken analytically, and past the last decade sampled with the
-# inner integral held at its mean there (`_frac_heat_core`).  The z integral is
-# truncated at |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
+# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH] until two nonzero
+# decade means of the inner integral agree to _SETTLE_TOL relative, past
+# which that mean is held (`_frac_heat_core`); below _TAU_LOW the integral
+# is taken analytically.  The z integral is truncated at
+# |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
 # erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis, so the zeta weights sum
 # to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
 _TAU_LOW = 1e-6
@@ -298,15 +298,16 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     eval_points : array-like, shape (m, 1 + n)
         Rows (t, x_1, ..., x_n).
 
-    u is sampled back decade by decade in tau until the means of the inner
-    integral over two decades agree to _SETTLE_TOL = 1e-8 of their size,
-    and at most to t - _TAU_HIGH = t - 1e10.  The part of the tau integral
-    past the last sampled decade holds the inner integral at its mean
-    there: a share (10^s - 1)^(-1) of that decade's sum, which is exact
-    when the inner integral has settled and zero for constant and linear
-    data.  n = 2 cosines of xi in [0.25, 4] settle by tau = 1e5 at the
-    default spec; n = 1 cosines, under the aliasing noise of the far-field
-    tensor rules, march to _TAU_HIGH.
+    u is sampled back decade by decade in tau until the nonzero means of
+    the inner integral over two decades agree to _SETTLE_TOL = 1e-8 of
+    their size, and at most to t - _TAU_HIGH = t - 1e10.  The rest of the
+    tau integral holds the inner integral at its mean over the last
+    sampled decade: a share (10^s - 1)^(-1) of that decade's sum, zero for
+    constant and linear data.  This assumes u has no structure further
+    back in time than that decade: cos(x) + H(-t - 1e6) settles near
+    tau = 1e3 and loses its step's share, about 1e6^(-s).  n = 2 cosines
+    of xi in [0.25, 4] settle by tau = 1e5; n = 1 cosines, under the
+    aliasing noise of the far-field tensor rules, march to _TAU_HIGH.
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
@@ -473,12 +474,12 @@ def _frac_heat_core(u, p, q, pts):
         acc += term
         decade, weight = decade + term, weight + kern
         if (i + 1) % q.nodes_per_decade == 0:
-            # each Gauss panel is one decade: stop once its mean of the
-            # inner integral agrees with the decade before's
+            # one Gauss panel per decade: stop once its mean of the inner
+            # integral agrees with the last one's (two zero means do not)
             prev, mean, last = mean, decade / weight, decade
             decade = weight = 0.0
             tol = _SETTLE_TOL * np.max(np.abs(mean))
-            if prev is not None and np.max(np.abs(mean - prev)) <= tol:
+            if prev is not None and np.max(np.abs(mean - prev)) < tol:
                 break
     # Past the last sampled decade hold the inner integral at its mean
     # there: the weight tau^(-s-1) integrates to (10^s - 1) times less

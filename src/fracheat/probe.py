@@ -139,14 +139,23 @@ def _linear_fit(grid: ParabolicGrid, pieces) -> LinearFit:
                      e_thin, thick, nres)
 
 
+def _resolves(r: float, width: float, name=None) -> bool:
+    """Whether the radius r spans CELLS_PER_RADIUS cells of the given width;
+    if it does not and a name is given, raise ValueError naming it."""
+    if r >= CELLS_PER_RADIUS * width:
+        return True
+    if name is not None:
+        raise ValueError(f"the {name} {r:.3g} spans fewer than "
+                         f"{CELLS_PER_RADIUS:g} cells")
+    return False
+
+
 def best_linear_fit(U: ScalarField, radius: float, center=None) -> LinearFit:
     """Minimizer of the combined thin+thick excess functional over linear
     l(x); closed-form normal equations in the (1+n) coefficients.  A
     radius spanning fewer than CELLS_PER_RADIUS x-cells raises ValueError."""
     grid = U.grid
-    if radius < CELLS_PER_RADIUS * grid.dx:
-        raise ValueError(f"the radius {radius:.3g} spans fewer than "
-                         f"{CELLS_PER_RADIUS:g} cells")
+    _resolves(radius, grid.dx, "radius")
     if center is None:
         center = (grid.center[0],) + tuple(grid.center[1:]) + (0.0,)
     return _linear_fit(grid, _pieces(U, center, radius))
@@ -181,10 +190,8 @@ def _excess_record(side: float, lam: float, kmax: int, omega, widths,
     scales = lam ** np.arange(kmax + 1)
     fits = []
     for r in side * scales:
-        if r < CELLS_PER_RADIUS * np.max(widths(r)):
-            if not fits:
-                raise ValueError(f"the first radius {r:.3g} spans fewer than "
-                                 f"{CELLS_PER_RADIUS:g} cells")
+        if not _resolves(r, np.max(widths(r)),
+                         None if fits else "first radius"):
             break
         fits.append(fit(r))
     ks = np.arange(len(fits))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,7 +330,7 @@ def _row_major_core(u, p, q, pts):
             prev, mean, last = mean, decade / weight, decade
             decade = weight = 0.0
             tol = kernels._SETTLE_TOL * np.max(np.abs(mean))
-            if prev is not None and np.max(np.abs(mean - prev)) <= tol:
+            if prev is not None and np.max(np.abs(mean - prev)) < tol:
                 break
     acc += last / (10.0 ** p.s - 1.0)
     return subordination_constant(p.s) * acc
@@ -370,13 +371,16 @@ class TestColumnLayout:
 
 
 class TestSettledDecade:
-    """The tau march stops once two decade means of the inner integral
-    agree to _SETTLE_TOL; at a zero tolerance it marches to _TAU_HIGH."""
+    """The tau march stops once two nonzero decade means of the inner
+    integral agree to _SETTLE_TOL; at a zero tolerance it marches to
+    _TAU_HIGH."""
 
-    PTS = {1: [[0.0, 0.3], [0.4, -0.5]],
+    PTS = {1: [[0.0, 0.0], [0.4, -0.5]],
            2: [[0.0, 0.3, -0.2], [0.4, -0.5, 0.1]]}
     # name: (n, u, decades the working and coarse rules reach, rtol to the
-    # full march)
+    # full march).  The kink and the bump vanish exactly near PTS, so their
+    # first decade means are 0 and must not count as settled: the operator
+    # is nonlocal, and their values are not 0.
     DATA = {
         "cos_1e-3_n2": (2, lambda t, x: np.cos(1e-3 * x[:, 0]) + 0.0 * t,
                         (1e10, 1e10), 0.0),
@@ -384,22 +388,35 @@ class TestSettledDecade:
                                (1e6, 1e6), 1e-12),
         "cos_0.03_n2": (2, lambda t, x: np.cos(0.03 * x[:, 0]) + 0.0 * t,
                         (1e7, 1e10), 1e-12),
+        "kink_n1": (1, lambda t, x: np.clip(np.abs(x) - 1.0, 0.0, 1.0)
+                    + 0.0 * t, (1e9, 1e8), 1e-12),
+        "bump_off_support_n2": (2, lambda t, x: np.maximum(
+            0.0, 1.0 - (x[:, 0] - 3.0) ** 2 - x[:, 1] ** 2) + 0.0 * t,
+                                (1e10, 1e10), 0.0),
     }
     # the values and coarse values of the march to _TAU_HIGH before it
-    # could stop, at s = 0.75 and PTS (numpy 2.4, x86-64)
+    # could stop, at s = 0.75 and PTS
     FULL = {
-        "cos_1e-3_n2": (["0x1.09455498b0f44p-15", "0x1.0945532eacb66p-15"],
-                        ["0x1.0945545a609afp-15", "0x1.094552f792941p-15"]),
-        "lorentzian_in_t_n1": (["0x1.6826a9ffb8b90p-2", "-0x1.bdfbd04815ac2p-3"],
-                               ["0x1.6826a26e91dfdp-2", "-0x1.bdfbff8a96c86p-3"]),
-        "cos_0.03_n2": (["0x1.54856a51fdc37p-8", "0x1.547f248fa632dp-8"],
-                        ["0x1.54855ee14bb99p-8", "0x1.547f191f40691p-8"]),
+        "cos_1e-3_n2": ([3.1622746239827584e-05, 3.162274366754515e-05],
+                        [3.162274579706096e-05, 3.162274327602128e-05]),
+        "lorentzian_in_t_n1": ([0.3517099916772901, -0.21776545257553975],
+                               [0.3517098789202178, -0.21776580468835877]),
+        "cos_0.03_n2": ([0.005195940453623974, 0.005195566583687844],
+                        [0.005195937789990967, 0.005195563920325733]),
+        "kink_n1": ([-0.23399011072118878, -0.3115565886182261],
+                    [-0.22677031823652846, -0.30909727436115325]),
+        "bump_off_support_n2": ([-0.009585731351899383, -0.003683960274847388],
+                                [-0.008409597676767518, -0.002516239667128624]),
     }
 
     def apply(self, name):
         n, u, _, _ = self.DATA[name]
-        return frac_heat_apply(u, FracParams(s=0.75, n=n), QuadratureSpec(),
-                               self.PTS[n], check_convergence=True)
+        with warnings.catch_warnings():
+            # the kink and the bump are not smooth enough to converge
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return frac_heat_apply(u, FracParams(s=0.75, n=n),
+                                   QuadratureSpec(), self.PTS[n],
+                                   check_convergence=True)
 
     def full_march(self, name, monkeypatch):
         with monkeypatch.context() as mp:
@@ -410,8 +427,9 @@ class TestSettledDecade:
     def test_zero_tolerance_is_the_full_march(self, name, monkeypatch):
         values, diag = self.full_march(name, monkeypatch)
         assert diag.tau_reached == diag.coarse_tau_reached == 1e10
-        assert ([v.hex() for v in values],
-                [v.hex() for v in diag.coarse_values]) == self.FULL[name]
+        # a few ulps: libm and SIMD builds differ in the last bit
+        for got, want in zip((values, diag.coarse_values), self.FULL[name]):
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", DATA)
     def test_stop_matches_the_full_march(self, name, monkeypatch):
