@@ -10,7 +10,8 @@ with G the Gaussian heat kernel and c_s = s / Gamma(1-s).  All quadrature
 here is deterministic: one Gauss-Legendre panel per decade in tau until two
 nonzero decade means of the inner integral agree (at most to _TAU_HIGH),
 past which that mean is held, and in the self-similar zeta = z / sqrt(tau)
-a fixed Gauss-Legendre grid, or at n = 2 past tau = 314 one Fibonacci lattice.
+one rank-1 lattice rule on the periodic box [-8, 8]^n per band of tau: the
+trapezoid rule at n = 1 and a Fibonacci lattice at n = 2.
 """
 
 from __future__ import annotations
@@ -60,22 +61,23 @@ class FracParams:
 # decade means of the inner integral agree to _SETTLE_TOL relative, past
 # which that mean is held (`_frac_heat_core`); below _TAU_LOW the integral
 # is taken analytically.  The z integral is truncated at
-# |z| <= _Z_RADIUS sqrt(tau), which drops Gaussian mass
-# erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis, so the zeta weights sum
-# to 1 - 1.54e-8 at n = 1 and 1 - 3.08e-8 at n = 2, at every order.
+# |z| <= _Z_RADIUS sqrt(tau).  A zeta rule's weights sum to 1 less the
+# weight of its lattice's points outside that box: 1.2e-8 to 1.54e-8 at
+# n = 1 and 3.0e-8 to 3.08e-8 at n = 2, against the Gaussian mass past the
+# box, erfc(_Z_RADIUS / 2) = erfc(4) = 1.54e-8 per axis.
 _TAU_LOW = 1e-6
 _TAU_HIGH = 1e10
 _SETTLE_TOL = 1e-8
 _Z_RADIUS = 8.0
-# the tails |zeta| in [_Z_TAIL, _Z_RADIUS] hold erfc(2) = 4.7e-3 of the mass
-_Z_TAIL = 4.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Discretization of the subordination integral: Gauss-Legendre panels
     of order nodes_per_decade per decade in tau on [_TAU_LOW, _TAU_HIGH],
-    and a zeta rule whose order grows with it (`_zeta_nodes`)."""
+    and lattice zeta rules whose order grows with it (`_zeta_nodes`).
+    `coarsened()` halves both, so every zeta rule shrinks: by half at
+    n = 1 and to about a quarter at n = 2."""
 
     nodes_per_decade: int = 12
 
@@ -185,91 +187,46 @@ def _tau_nodes(spec: QuadratureSpec):
     return taus, wts
 
 
-def _zeta_nodes(spec: QuadratureSpec, n: int, order_factor: int = 1):
+def _zeta_nodes(spec: QuadratureSpec, n: int, factor: float = 1):
     """Nodes/weights for int G(tau, z) h(z) dz written in the self-similar
     variable z = sqrt(tau) * zeta:
 
         int G(tau, z) h(z) dz = sum_i w_i h(sqrt(tau) * zeta_i)
 
-    Weights absorb the Gaussian factor; the rule is a tensor grid of a 1-d
-    Gauss rule on [-_Z_RADIUS, _Z_RADIUS]^n.  `order_factor` multiplies the
-    base order, the 1-d rule's node count, which sits on equal panels of
-    about 48 nodes.  A physical frequency xi of u is the frequency
-    xi sqrt(tau) in zeta, so the subordination loop picks the factor per
-    tau from `_ZETA_ORDER`: low while the rule still resolves every
-    frequency the heat kernel has not damped, highest where the damped
-    frequencies start to alias, and lower again in the far field, where
-    the tau weight falls like tau^(-s).  At n = 2 the far field past
-    _LATTICE_TAU takes `_lattice_nodes` in place of these grids, so there
-    the factors past 314 serve n = 1 only.  The highest factor, _SPLIT_FACTOR,
-    keeps the uniform rule's panel density on [-_Z_TAIL, _Z_TAIL] only and
-    covers each tail past _Z_TAIL with one Gauss panel of order / 16
-    nodes: 240 nodes in place of 384 at the default spec, 120 in place of
-    192 at its coarsened spec.  zeta, of shape (k, n), is the transposed
-    view of an (n, k) C array, so each row of zeta.T is one coordinate,
-    contiguous.
+    The rule is a rank-1 lattice on the periodic box [-_Z_RADIUS,
+    _Z_RADIUS]^n of order max(24, 4 nodes_per_decade) times `factor`: at
+    n = 1 the trapezoid rule on order + 1 points, at n = 2 the Fibonacci
+    lattice whose size N is the largest odd Fibonacci number <= 2 order^2,
+    with the Fibonacci number before it as generator.  Point i is
+    i (1, gen) / N mod 1, each coordinate wrapped to [-1/2, 1/2) and scaled
+    by 2 _Z_RADIUS, with the weight (2 _Z_RADIUS)^n / N times G(zeta).  An
+    odd N puts no point on the box edge, so the set is exactly symmetric
+    under zeta -> -zeta and linear data stay annihilated.
+
+    G(zeta) is within 1e-8 of periodic on the box, and on a periodic
+    integrand a lattice rule converges exponentially (the trapezoid rule at
+    n = 1, Trefethen and Weideman, SIAM Rev. 56, 2014; Sloan and Joe,
+    Lattice Methods for Multiple Integration, 1994): `_ZETA_ORDER`'s
+    comment gives the radii up to which each rule integrates
+    G(zeta) cos(omega . zeta) = exp(-|omega|^2) to 1e-7.  zeta, of shape
+    (N, n), is the transposed view of an (n, N) C array: each row of zeta.T
+    is one coordinate, contiguous.
     """
-    order = max(24, 4 * spec.nodes_per_decade) * order_factor
-    panels = max(1, order // 48)
-    per_panel = int(math.ceil(order / panels))
-    if order_factor == _SPLIT_FACTOR:
-        # half the uniform panels, rounded up, keep its density on the center
-        pieces = [(-_Z_RADIUS, -_Z_TAIL, 1, order // 16),
-                  (-_Z_TAIL, _Z_TAIL, (panels + 1) // 2, per_panel),
-                  (_Z_TAIL, _Z_RADIUS, 1, order // 16)]
-    else:
-        pieces = [(-_Z_RADIUS, _Z_RADIUS, panels, per_panel)]
-    parts = [_gauss_panels(*piece) for piece in pieces]
-    x1 = np.concatenate([x for x, _ in parts])
-    w1 = np.concatenate([w for _, w in parts])
-    g1 = (4.0 * math.pi) ** (-0.5) * np.exp(-x1 * x1 / 4.0)
+    order = max(24, 4 * spec.nodes_per_decade) * factor
     if n == 1:
-        return x1[:, None], w1 * g1
-    # stacked from broadcast views: no full-size copy of each coordinate
-    grids = np.meshgrid(*([x1] * n), indexing="ij", copy=False)
-    zeta = np.stack(grids).reshape(n, -1).T
-    wprod = w1 * g1
-    w = wprod
-    for _ in range(n - 1):
-        w = np.multiply.outer(w, wprod)
-    return zeta, w.ravel()
-
-
-def _lattice_nodes(spec: QuadratureSpec):
-    """The n = 2 counterpart of `_zeta_nodes` for the far field: a
-    Fibonacci lattice rule on the periodic box [-_Z_RADIUS, _Z_RADIUS]^2.
-
-    N is the largest odd Fibonacci number <= 8 order^2 (order the base
-    order of `_zeta_nodes`) and the generator the Fibonacci number before
-    it: 17,711 points at the default spec, 4,181 at its coarsened spec.
-    Point i is (i / N, i gen / N mod 1), each coordinate wrapped to
-    [-1/2, 1/2) and scaled by 2 _Z_RADIUS, with the weight (2 _Z_RADIUS)^2
-    / N times G(zeta).  An odd N puts no point on the box edge, so the set
-    is exactly symmetric under zeta -> -zeta and linear data stay
-    annihilated.  The layout is `_zeta_nodes`'s.
-
-    A rank-1 lattice is the 2-d analogue of the trapezoidal rule for a
-    periodic integrand (Sloan and Joe, Lattice Methods for Multiple
-    Integration, 1994), and G(zeta) is within 1e-8 of periodic on the box.
-    At the default spec the rule integrates G(zeta) cos(omega . zeta) =
-    exp(-|omega|^2) to 1e-7 for |omega| <= 45 in every direction and
-    further along the axes, where the split tensor rule reaches 17.4 per
-    axis and returns aliasing noise past it.  Past its limit a mode is
-    integrated to zero unless its spectrum meets the dual lattice.
-    """
-    order = max(24, 4 * spec.nodes_per_decade)
-    fib = [1, 2]
-    while fib[-1] + fib[-2] <= 8 * order * order:
-        fib.append(fib[-1] + fib[-2])
-    if fib[-1] % 2 == 0:
-        fib.pop()
-    size, gen = fib[-1], fib[-2]
-    idx = np.arange(size)
-    k = np.stack([idx, idx * gen % size])
+        size, gen = 2 * int(order / 2) + 1, [1]
+    else:
+        fib = [1, 2]
+        while fib[-1] + fib[-2] <= 2 * order * order:
+            fib.append(fib[-1] + fib[-2])
+        if fib[-1] % 2 == 0:
+            fib.pop()
+        size, gen = fib[-1], [1, fib[-2]]
+    k = np.multiply.outer(gen, np.arange(size)) % size
     k[k > size // 2] -= size
     zeta = (2.0 * _Z_RADIUS / size) * k
-    w = ((2.0 * _Z_RADIUS) ** 2 / size / (4.0 * math.pi)
-         * np.exp(-(zeta[0] * zeta[0] + zeta[1] * zeta[1]) / 4.0))
+    w = ((2.0 * _Z_RADIUS) ** n / size * (4.0 * math.pi) ** (-0.5 * n)
+         * np.exp(-np.sum(zeta * zeta, axis=0) / 4.0))
     return zeta.T, w
 
 
@@ -305,9 +262,10 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     sampled decade: a share (10^s - 1)^(-1) of that decade's sum, zero for
     constant and linear data.  This assumes u has no structure further
     back in time than that decade: cos(x) + H(-t - 1e6) settles near
-    tau = 1e3 and loses its step's share, about 1e6^(-s).  n = 2 cosines
-    of xi in [0.25, 4] settle by tau = 1e5; n = 1 cosines, under the
-    aliasing noise of the far-field tensor rules, march to _TAU_HIGH.
+    tau = 1e3 and loses its step's share, about 1e6^(-s).  Cosines of
+    xi in [0.25, 4] settle by tau = 1e5 at n = 1 and n = 2; at the
+    coarsened spec the smaller zeta rules can alias within the march, and
+    n = 1 cosines of xi = 0.25, 3 and 4 run to _TAU_HIGH there.
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
@@ -318,6 +276,8 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     if pts.shape[1] != 1 + p.n:
         raise ValueError(f"eval_points rows must be (t, x1..x{p.n})")
+    if p.n > 2:
+        raise ValueError(f"the zeta rules cover n = 1 and 2, got n = {p.n}")
     if check_convergence and q.coarsened() == q:
         raise ValueError(f"{q} has no coarser spec to check convergence "
                          "against")
@@ -355,46 +315,34 @@ def _heat_residual_fd(u, pts, n):
     return ut - lap
 
 
-# (largest tau, zeta order factor).  A frequency xi of u is the frequency
-# omega = xi sqrt(tau) of the zeta rule, where its exact value is
-# exp(-omega^2), below e^-300 past omega = 17.4.  At the default spec the
-# order-f rule integrates G(zeta) cos(omega zeta) to 1e-7 up to omega = 7.1,
-# 17.8, 25.9, 35.2 and 53.2 (f = 1, 2, 3, 4, 6).  Up to tau = 314 each
-# factor keeps 3 sqrt(tau) below its limit, so every |xi| <= 3 is resolved
-# until exp(-xi^2 tau) has damped it.  Past its limit a rule returns
-# aliasing noise of rms ~sqrt(sum w^2) (0.10 at f = 8, 0.13 at 4, 0.17 at
-# 2) weighted by tau^(-s), and that noise is the error floor for |xi| < 2.
-# Factor 8 up to tau = 1e6 holds the floor off until tau = (71 / xi)^2 (or
-# (71 / 0.7 xi)^2 for a product of two modes) for every 0.25 <= |xi| <= 3;
-# a lower factor anywhere before 1e6 raises it.  Its rule is split
-# (`_zeta_nodes`): the center |zeta| <= 4 keeps the density of the uniform
-# 384-node rule, and one coarse panel per tail resolves omega up to 17.4
-# only.  So the rule is within 1e-7 of exp(-omega^2) up to omega = 17.4
-# (71.2 uniform), and between 17.4 and 71.2, where the exact value is below
-# e^-300, it returns the tails' noise, rms 1.0e-3 (at most 2.3e-3): the
-# tails hold 4.7e-3 of the mass, so that noise is 1% of the full floor,
-# which the center still holds off until omega = 71.2.  The entries past
-# tau = 314 serve n = 1 only: at n = 2 the lattice below replaces them.
-_ZETA_ORDER = ((5.6, 1), (35.0, 2), (74.0, 3), (137.0, 4), (314.0, 6),
-               (1e6, 8), (1e7, 4), (math.inf, 2))
-_SPLIT_FACTOR = 8
-# Past this tau an n = 2 call uses the lattice of `_lattice_nodes` for
-# every tau node in place of the factor 8, 4 and 2 tensor grids: 17,711
-# points in place of 57,600, 36,864 and 9,216 at the default spec.  It
-# resolves omega = 45 in every direction and 190 along the axes, where the
-# split rule resolves 17.4 per axis; products of two modes can still meet
-# its dual lattice at single points.
-_LATTICE_TAU = 314.0
-_LATTICE = "lattice"
+# (largest tau, zeta order factor at n = 1, at n = 2).  A frequency xi of u
+# is the frequency omega = xi sqrt(tau) of the zeta rule, where its exact
+# value is exp(-omega^2), below e^-300 past omega = 17.4.  The rules of
+# `_zeta_nodes` integrate G(zeta) cos(omega . zeta) to 1e-7 up to these
+# |omega|, at the default spec (at its coarsened spec):
+#   n = 1, factor 1, 2, 3, 4, 6, 8 (49 to 385 points): 15.2, 34.0, 52.9,
+#     71.7, 109.4, 147.1 (5.7, 15.2, 24.6, 34.0, 52.9, 71.7);
+#   n = 2, factor 0.6, 1, 1.5, 2 (1,597, 4,181, 6,765, 17,711 points): 11.6,
+#     21.3, 26.5, 45.4 in every direction (3.1, 7.6, 11.6, 21.3), and 32,
+#     88, 145, 190 along the axes.
+# Up to tau = 35 every working rule keeps 3 sqrt(tau) below its limit (at
+# n = 1 up to tau = 314), so every |xi| <= 3 is resolved until
+# exp(-xi^2 tau) has damped it.  Past its limit a periodic rule returns
+# exp(-|omega - nu|^2) for the nearest point nu of its dual lattice: zero
+# but near such points, whose tau weight falls like tau^(-s).  Past
+# tau = 314 each n keeps one rule, so where the rule sees the inner
+# integral settle the held mean is what the march would add (n = 1
+# factors 4 past 1e6 and 2 past 1e7 moved a kink by 6e-7 between the two).
+# n = 2 keeps 17,711 points from tau = 35 on: products of two low modes
+# meet the dual lattice of a smaller one within the march (6,765 points
+# past 314 put 8.8e-6 on `TestErrorTable.test_low_frequency_product`).
+_ZETA_ORDER = ((0.5, 1, 0.6), (5.6, 1, 1), (35.0, 2, 1.5), (74.0, 3, 2),
+               (137.0, 4, 2), (314.0, 6, 2), (math.inf, 8, 2))
 
 
-def _order_bucket(tau: float, n: int):
-    """The zeta rule for tau: a factor of `_ZETA_ORDER`, or _LATTICE."""
-    if n == 2 and tau > _LATTICE_TAU:
-        return _LATTICE
-    for limit, factor in _ZETA_ORDER:
-        if tau <= limit:
-            return factor
+def _order_bucket(tau: float, n: int) -> float:
+    """The zeta order factor of `_ZETA_ORDER` for tau at dimension n."""
+    return next(row[n] for row in _ZETA_ORDER if tau <= row[0])
 
 
 # u is evaluated in batches of about this many points, which keeps the
@@ -442,20 +390,14 @@ def _frac_heat_core(u, p, q, pts):
     eps = _TAU_LOW
     acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
 
-    # hold only the current rule's grid: keeping every rule's n = 2 grid
-    # adds to the peak memory of a call
-    fac = None
     decade = weight = 0.0   # this decade's sum and tau weight so far
-    last = mean = None
+    last = mean = fac = None
     for i, (tau, wt) in enumerate(zip(taus, tw)):
         f = _order_bucket(tau, p.n)
         if f != fac:
-            fac = f
-            # release the previous grid and the last batch (z, w are views
-            # of the grid) before the next grid is built
+            # hold one rule: release the last one and the batch that views it
             zeta = zw = z = w = xs = ts = shifted = None
-            zeta, zw = (_lattice_nodes(q) if fac == _LATTICE
-                        else _zeta_nodes(q, p.n, fac))
+            fac, (zeta, zw) = f, _zeta_nodes(q, p.n, f)
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, _BATCH // m)

@@ -442,7 +442,7 @@ class TestSeparableSolve:
         U = solve_extension(g, coeff, **_N2_DATA)
         ref = _reference_march(g, coeff, **_N2_DATA)
         assert U.meta["method"] == "separable"
-        assert U.meta["cg_iterations"] == 0
+        assert U.meta["cg_iterations"] == U.meta["refinements"] == 0
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("coeff", [
@@ -460,6 +460,20 @@ class TestSeparableSolve:
         assert 0 < U.meta["cg_iterations"] <= 20 * g.nt
         assert U.meta["residual"] <= 1e-12
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_refines_a_step_above_target(self):
+        # a case of the n = 1 dual route whose separable steps sit at a
+        # median backward error of 6.2e-12 and up to 3.8e-9, over the 1e-9
+        # budget: one refinement step each brings them to 3.3e-15
+        p = FracParams(s=0.7907290881462282)
+        g = ParabolicGrid(p, nt=128, nx=128, ny=128)
+        data = cosine_extension_data(p, 1.9520419397177606)
+        U = solve_extension(g, CoefficientField.identity(1), f=data["f"],
+                            lateral_dirichlet=data["lateral"],
+                            initial=data["initial"])
+        assert U.meta["method"] == "separable"
+        assert 0 < U.meta["refinements"] <= g.nt
+        assert U.meta["residual"] <= 1e-12
 
     def test_graded_y_mesh_backward_error(self):
         # At s = 3/4 the y resistances of ny = 100 span 16 decades.  A solve

@@ -192,12 +192,12 @@ class TestFracHeatApply:
         assert diag.max_difference < 1e-4
 
     def test_diagnostics_report_the_tau_reached(self):
-        # n = 1 cosines never settle under the far-field tensor rules'
-        # noise; an n = 2 cosine settles under the lattice
+        # cosines settle under the lattice rules at both n: n = 1 cos(1.5 x)
+        # at tau = 1e3
         _, diag = frac_heat_apply(lambda t, x: np.cos(1.5 * x) + 0.0 * t,
                                   self.P, self.Q, [[0.0, 0.3]],
                                   check_convergence=True)
-        assert diag.tau_reached == diag.coarse_tau_reached == 1e10
+        assert diag.tau_reached <= 1e4 and diag.coarse_tau_reached <= 1e4
         _, diag = frac_heat_apply(lambda t, x: np.cos(x[:, 0]) + 0.0 * t,
                                   FracParams(s=0.75, n=2), self.Q,
                                   [[0.0, 0.3, -0.2]], check_convergence=True)
@@ -206,6 +206,11 @@ class TestFracHeatApply:
     def test_bad_points_shape(self):
         with pytest.raises(ValueError):
             frac_heat_apply(lambda t, x: x, self.P, self.Q, [[0.0, 0.1, 0.2]])
+
+    def test_rejects_n_above_2(self):
+        with pytest.raises(ValueError, match="n = 1 and 2"):
+            frac_heat_apply(lambda t, x: x[:, 0], FracParams(s=0.75, n=3),
+                            self.Q, [[0.0, 0.1, 0.2, 0.3]])
 
     def test_convergence_check_needs_a_coarser_spec(self):
         # nodes_per_decade = 4 coarsens to itself: the check would report
@@ -217,6 +222,21 @@ class TestFracHeatApply:
                             q, [[0.0, 0.0]], check_convergence=True)
 
 
+def _rules(q, n):
+    """Every distinct zeta rule of `_ZETA_ORDER` at n and spec q."""
+    factors = sorted({row[n] for row in _ZETA_ORDER})
+    return [(f,) + _zeta_nodes(q, n, f) for f in factors]
+
+
+def _g(zeta):
+    n = zeta.shape[-1]
+    return (4.0 * math.pi) ** (-0.5 * n) * np.exp(-np.sum(zeta * zeta,
+                                                          axis=-1) / 4.0)
+
+
+SPECS = {"default": QuadratureSpec(), "coarsened": QuadratureSpec().coarsened()}
+
+
 class TestZetaRule:
     @pytest.mark.parametrize(
         "n, q", [(1, QuadratureSpec()), (2, QuadratureSpec()),
@@ -224,57 +244,68 @@ class TestZetaRule:
                  (2, QuadratureSpec().coarsened())],
         ids=["1", "2", "1-coarsened", "2-coarsened"])
     def test_truncated_gaussian_mass(self, n, q):
-        # |z| <= 8 sqrt(tau) drops erfc(4) of the heat kernel's mass per axis
-        tail = 1.0 - (1.0 - math.erfc(4.0)) ** n
-        for factor in sorted({f for _, f in _ZETA_ORDER}):
-            _, w = _zeta_nodes(q, n, factor)
-            # the one 24-node panel of factor 1 at the coarsened spec is off
-            # by 1.5e-4 of the tail, 2.3e-12 of the mass
-            rel = 2e-4 if w.size == 24 ** n else 1e-6
-            assert 1.0 - w.sum() == pytest.approx(tail, rel=rel)
+        # each rule is a lattice, periodic with period 16 = 2 _Z_RADIUS per
+        # axis: its weights sum to 1 less the weight its images outside the
+        # box would carry, and its point set is symmetric under
+        # zeta -> -zeta, so linear data stay annihilated
+        shifts = np.array([c for c in np.ndindex(*(3,) * n) if any(
+            d != 1 for d in c)], dtype=float) - 1.0
+        for _, zeta, w in _rules(q, n):
+            assert zeta.shape == (w.size, n) and zeta.T.flags.c_contiguous
+            assert np.all(np.abs(zeta) < kernels._Z_RADIUS)
+            cell = (2.0 * kernels._Z_RADIUS) ** n / w.size
+            outside = sum(cell * _g(zeta + 16.0 * c).sum() for c in shifts)
+            assert abs(1.0 - w.sum() - outside) <= 1e-15
+            # near the Gaussian mass past the box, erfc(4) per axis
+            tail = 1.0 - (1.0 - math.erfc(4.0)) ** n
+            assert outside == pytest.approx(tail, rel=0.25)
+            points = set(map(tuple, zeta.tolist()))
+            assert len(points) == w.size
+            assert {tuple(-a for a in pt) for pt in points} == points
 
-    def test_split_rule_resolves_omega_17(self):
-        # the coarse tail panels of the factor-8 rule still integrate
-        # G(zeta) cos(omega zeta) = exp(-omega^2) to 1e-7 up to omega = 17
-        zeta, w = _zeta_nodes(QuadratureSpec(), 1, kernels._SPLIT_FACTOR)
-        assert zeta.shape == (240, 1)
-        omega = np.linspace(0.0, 17.0, 1701)
-        got = np.cos(np.outer(omega, zeta[:, 0])) @ w
-        assert np.max(np.abs(got - np.exp(-omega ** 2))) <= 1e-7
+    @pytest.mark.parametrize("spec, radii", [
+        ("default", {1: 15.2, 2: 34.0, 3: 52.9, 4: 71.7, 6: 109.4, 8: 147.1}),
+        ("coarsened", {1: 5.7, 2: 15.2, 3: 24.6, 4: 34.0, 6: 52.9,
+                       8: 71.7})], ids=["default", "coarsened"])
+    def test_trapezoid_rule(self, spec, radii):
+        # G(zeta) cos(omega zeta) = exp(-omega^2) to 1e-7 up to each rule's
+        # radius, 2 pi N / 16 - 4 for N points
+        for f, zeta, w in _rules(SPECS[spec], 1):
+            assert w.size == 2 * int(max(24, 4 * SPECS[spec].nodes_per_decade)
+                                     * f / 2) + 1
+            omega = np.linspace(0.0, radii[f], 1001)
+            got = np.cos(np.outer(omega, zeta[:, 0])) @ w
+            assert np.max(np.abs(got - np.exp(-omega ** 2))) <= 1e-7
 
-    @pytest.mark.parametrize(
-        "q, size, radius, axis",
-        [(QuadratureSpec(), 17_711, 45.0, 190.0),
-         (QuadratureSpec().coarsened(), 4_181, 21.0, 88.0)],
+    @pytest.mark.parametrize("spec, rules", [
+        ("default", {0.6: (1_597, 11.6, 32.0), 1: (4_181, 21.3, 88.0),
+                     1.5: (6_765, 26.5, 145.0), 2: (17_711, 45.4, 190.0)}),
+        ("coarsened", {0.6: (377, 3.1, 5.7), 1: (987, 7.6, 19.0),
+                       1.5: (1_597, 11.6, 32.0), 2: (4_181, 21.3, 88.0)})],
         ids=["default", "coarsened"])
-    def test_lattice_rule(self, q, size, radius, axis):
-        zeta, w = kernels._lattice_nodes(q)
-        assert zeta.shape == (size, 2) and zeta.T.flags.c_contiguous
-        # exactly symmetric under zeta -> -zeta, so linear data stay
-        # annihilated
-        points = set(map(tuple, zeta.tolist()))
-        assert {(-a, -b) for a, b in points} == points
-        # G(zeta) cos(omega . zeta) = exp(-|omega|^2) to 1e-7 for 181
-        # directions up to |omega| = radius, and along both axes further
+    def test_lattice_rule(self, spec, rules):
+        # (size, radius, axis): G(zeta) cos(omega . zeta) = exp(-|omega|^2)
+        # to 1e-7 for 181 directions up to |omega| = radius, and along both
+        # axes up to axis
         theta = np.linspace(0.0, math.pi, 181)
-        for r in np.linspace(0.0, radius, 16):
-            omega = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            got = np.cos(omega @ zeta.T) @ w
-            assert np.max(np.abs(got - math.exp(-r * r))) <= 1e-7
-        r = np.linspace(0.0, axis, 951)
-        for d in (0, 1):
-            got = np.cos(np.outer(r, zeta[:, d])) @ w
-            assert np.max(np.abs(got - np.exp(-r * r))) <= 1e-7
-        # the truncated mass, to 8.7e-14 (default) and 1.6e-12 (coarsened)
-        tail = 1.0 - (1.0 - math.erfc(4.0)) ** 2
-        assert abs(1.0 - w.sum() - tail) <= 2e-12
+        for f, zeta, w in _rules(SPECS[spec], 2):
+            size, radius, axis = rules[f]
+            assert w.size == size
+            for r in np.linspace(0.0, radius, 16):
+                omega = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+                got = np.cos(omega @ zeta.T) @ w
+                assert np.max(np.abs(got - math.exp(-r * r))) <= 1e-7
+            r = np.linspace(0.0, axis, 951)
+            for d in (0, 1):
+                got = np.cos(np.outer(r, zeta[:, d])) @ w
+                assert np.max(np.abs(got - np.exp(-r * r))) <= 1e-7
 
     def test_u_points_of_a_dual_route_2d_call(self):
         # the direct quadrature of `dtn_dual_route_2d`: four n = 2 points
         # with the refinement check, 16 for u at each point and its
         # finite-difference stencil, and the zeta points of the tau nodes up
         # to the settled decade: 1e4 for the working rule, 1e7 for the
-        # coarse one (10,782,748 when both marched to _TAU_HIGH)
+        # coarse one (9,091,648 when both marched to _TAU_HIGH)
         points = []
 
         def u(t, x):
@@ -284,14 +315,7 @@ class TestZetaRule:
         pts = [[0.0, a, b] for a in (-0.3, 0.3) for b in (-0.3, 0.3)]
         frac_heat_apply(u, FracParams(s=0.75, n=2), QuadratureSpec(), pts,
                         check_convergence=True)
-        assert sum(points) == 5_380_948
-
-
-def _row_major_zeta(q, n, factor):
-    """The zeta grid as a row-major (k, n) stack of the 1-d nodes."""
-    x1 = _zeta_nodes(q, 1, factor)[0][:, 0]
-    grids = np.meshgrid(*([x1] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+        assert sum(points) == 3_689_848
 
 
 def _row_major_core(u, p, q, pts):
@@ -306,12 +330,8 @@ def _row_major_core(u, p, q, pts):
     decade = weight = 0.0
     last = mean = None
     for i, (tau, wt) in enumerate(zip(taus, tw)):
-        f = kernels._order_bucket(tau, p.n)
-        if f == kernels._LATTICE:
-            zeta, zw = kernels._lattice_nodes(q)
-            zeta = np.ascontiguousarray(zeta)
-        else:
-            zeta, zw = _row_major_zeta(q, p.n, f), _zeta_nodes(q, p.n, f)[1]
+        zeta, zw = kernels._zeta_nodes(q, p.n, kernels._order_bucket(tau, p.n))
+        zeta = np.ascontiguousarray(zeta)
         srt = math.sqrt(tau)
         inner = np.zeros(m)
         step = max(1, kernels._BATCH // m)
@@ -341,11 +361,17 @@ class TestColumnLayout:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_zeta_grid_values_and_layout(self, n):
-        for factor in sorted({f for _, f in _ZETA_ORDER}):
-            zeta, _ = _zeta_nodes(QuadratureSpec(), n, factor)
-            assert np.array_equal(zeta, _row_major_zeta(QuadratureSpec(), n,
-                                                         factor))
+        # every rule is the rank-1 lattice i (1, gen) / N mod 1 of its N
+        # points, stored by coordinate: zeta.T is C-contiguous
+        for _, zeta, w in _rules(QuadratureSpec(), n):
             assert zeta.T.flags.c_contiguous
+            k = np.rint(zeta * w.size / 16.0).astype(int)
+            assert np.array_equal((16.0 / w.size) * k, zeta)
+            assert np.array_equal(k[:, 0] % w.size, np.arange(w.size))
+            if n == 2:
+                gen = k[1, 1]
+                assert np.array_equal(k[:, 1] % w.size,
+                                      np.arange(w.size) * gen % w.size)
 
     @pytest.mark.parametrize("n, batch", [(1, 32768), (1, 1000), (2, 32768),
                                           (2, 1000)])
@@ -389,7 +415,7 @@ class TestSettledDecade:
         "cos_0.03_n2": (2, lambda t, x: np.cos(0.03 * x[:, 0]) + 0.0 * t,
                         (1e7, 1e10), 1e-12),
         "kink_n1": (1, lambda t, x: np.clip(np.abs(x) - 1.0, 0.0, 1.0)
-                    + 0.0 * t, (1e9, 1e8), 1e-12),
+                    + 0.0 * t, (1e6, 1e5), 1e-12),
         "bump_off_support_n2": (2, lambda t, x: np.maximum(
             0.0, 1.0 - (x[:, 0] - 3.0) ** 2 - x[:, 1] ** 2) + 0.0 * t,
                                 (1e10, 1e10), 0.0),
@@ -397,16 +423,16 @@ class TestSettledDecade:
     # the values and coarse values of the march to _TAU_HIGH before it
     # could stop, at s = 0.75 and PTS
     FULL = {
-        "cos_1e-3_n2": ([3.1622746239827584e-05, 3.162274366754515e-05],
-                        [3.162274579706096e-05, 3.162274327602128e-05]),
-        "lorentzian_in_t_n1": ([0.3517099916772901, -0.21776545257553975],
-                               [0.3517098789202178, -0.21776580468835877]),
-        "cos_0.03_n2": ([0.005195940453623974, 0.005195566583687844],
-                        [0.005195937789990967, 0.005195563920325733]),
-        "kink_n1": ([-0.23399011072118878, -0.3115565886182261],
-                    [-0.22677031823652846, -0.30909727436115325]),
-        "bump_off_support_n2": ([-0.009585731351899383, -0.003683960274847388],
-                                [-0.008409597676767518, -0.002516239667128624]),
+        "cos_1e-3_n2": ([3.1622746243966675e-05, 3.16227436796592e-05],
+                        [3.1622745798995826e-05, 3.162274326849718e-05]),
+        "lorentzian_in_t_n1": ([0.3517099919923465, -0.2177654528492007],
+                               [0.3517098799989869, -0.21776580561608647]),
+        "cos_0.03_n2": ([0.0051959404540465265, 0.0051955665840954235],
+                        [0.0051959377965091445, 0.005195563926716288]),
+        "kink_n1": ([-0.23378515013313386, -0.3117385703251285],
+                    [-0.2328051224005813, -0.312011319639614]),
+        "bump_off_support_n2": ([-0.009536218602379874, -0.003661356143080808],
+                                [-0.009745789131263546, -0.003746900834708283]),
     }
 
     def apply(self, name):
@@ -451,13 +477,12 @@ class TestErrorTable:
     worst case, on this table, of the schedule that used zeta factors
     1/2/4/8 for tau <= 16/64/256/inf: 6.511e-4 (cosines, n = 1 and 2),
     7.058e-6 (product of cosines) and 3.994e-7 (e^t cosine).  GAIN holds
-    what later rules reached: the cosine at n = 1 to 8.3e-5 (the schedule
-    of `_ZETA_ORDER` gives 8.14e-5), so a schedule that under-resolves
-    tau <= 16 again fails; the n = 2 families to 1e-6 (the lattice past
-    tau = 314 gives 2.72e-7 and 2.81e-7 stopped at the settled decade,
-    2.72e-7 and 3.85e-7 marched to _TAU_HIGH, the tensor rules gave
-    8.09e-5 and 6.82e-6); and e^t cosine to 2.5e-7 (1.35e-7 with the tail
-    past _TAU_HIGH, 3.99e-7 without)."""
+    what later rules reached.  The lattice zeta rules give 2.43e-7 on the
+    cosine at n = 1, held to 5e-7 (the Gauss tensor rules before them gave
+    8.14e-5, their far-field noise never settling); the n = 2 families are
+    held to 1e-6 (2.72e-7 and 2.80e-7 with the lattices, 8.09e-5 and
+    6.82e-6 with the tensor rules); and e^t cosine to 2.5e-7 (1.25e-7, and
+    3.99e-7 without the tail past the last sampled decade)."""
     Q = QuadratureSpec()
     # name: (n, u for a given xi, symbol lambda(xi) of (d_t - Lap), bound)
     FAMILIES = {
@@ -471,7 +496,7 @@ class TestErrorTable:
         "exp_cos_n1": (1, lambda xi: lambda t, x: np.exp(t) * np.cos(xi * x),
                        lambda xi: 1.0 + xi ** 2, 4.0e-7),
     }
-    GAIN = {"cos_n1": 8.3e-5, "cos_n2": 1e-6, "cos_cos_n2": 1e-6,
+    GAIN = {"cos_n1": 5e-7, "cos_n2": 1e-6, "cos_cos_n2": 1e-6,
             "exp_cos_n1": 2.5e-7}
 
     def rel_error(self, family, s, xi):
@@ -505,6 +530,39 @@ class TestErrorTable:
         err = self.rel_error("cos_cos_n2", s, xi)
         assert err <= bound
         assert err <= 5e-7
+
+
+class TestVerdict:
+    """The refinement check at x = 0 on cosines of the closed-form symbol:
+    it flags hard-band modes the zeta rules do not resolve, and passes
+    normal-band ones.  The Gauss tensor zeta rules before the lattices
+    flagged both normal cases, with deltas of 1.1e-2 and 1.2e-2 at errors
+    of 7.1e-6 and 1.9e-7."""
+
+    # name: (n, u, symbol, s, converged)
+    CASES = {
+        "hard_cos_n1": (1, lambda t, x: np.cos(12.0 * x) + 0.0 * t, 144.0,
+                        0.55, False),
+        "hard_cos_cos_n2": (2, lambda t, x: (np.cos(24.0 * x[:, 0])
+                                             * np.cos(16.8 * x[:, 1])),
+                            1.49 * 576.0, 0.55, False),
+        "normal_cos_n1": (1, lambda t, x: np.cos(3.0 * x) + 0.0 * t, 9.0,
+                          0.75, True),
+        "normal_cos_n2": (2, lambda t, x: np.cos(2.5 * x[:, 0]) + 0.0 * t,
+                          6.25, 0.65, True),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_flag_fires_when_the_error_exceeds_the_tolerance(self, name):
+        n, u, symbol, s, converged = self.CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            values, diag = frac_heat_apply(u, FracParams(s=s, n=n),
+                                           QuadratureSpec(), [[0.0] * (1 + n)],
+                                           check_convergence=True)
+        err = abs(values[0] - symbol ** s) / max(1.0, abs(values[0]))
+        assert diag.converged == converged
+        assert (err <= kernels._REFINE_TOL) == converged
 
 
 class TestMarchaudNormalization:
