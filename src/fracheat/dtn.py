@@ -119,7 +119,7 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
 def steady_profile(p: FracParams, xi: float):
     """Decaying radial profile phi of the steady extension of cos(xi x):
     (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a graded
-    1-d mesh of 4000 cells over (0, 14 / xi) with the grading and resistance
+    1-d mesh of 4000 cells over (0, 14 / |xi|) with the grading and resistance
     scheme of the main solver.  Its 1e-16 resistance floor is left out: on
     this mesh it would bind and move the profile.
 
@@ -127,7 +127,7 @@ def steady_profile(p: FracParams, xi: float):
     lim_(y->0) y^a phi'(y)  (negative; -c_s * flux0 ~ xi^(2s))."""
     a = p.a
     n_cells = 4000
-    ymax = 14.0 / max(xi, 1e-6)
+    ymax = 14.0 / max(abs(xi), 1e-6)
     faces = ymax * (np.arange(n_cells + 1) / n_cells) ** _grading_exponent(a)
     centers = 0.5 * (faces[1:] + faces[:-1])
     w = np.diff(faces ** (1.0 + a)) / (1.0 + a)

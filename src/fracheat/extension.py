@@ -19,17 +19,16 @@ In the axis-separable reference of A, each a_dd is averaged over the other
 axes; it is A itself at n = 1 and whenever a_dd depends on x_d only.  The
 reference is solved by fast diagonalization: one nx x nx eigenbasis per
 x-axis decouples each step into one tridiagonal y-problem per x-eigenmode
-(see `_separable_solver`).  Where A does not split, conjugate gradients run
-on the true step operator, started from and preconditioned by that solve.
-Memory is linear in the unknowns.  The step operator is applied as a
-stencil, never assembled; every step's backward error is checked on it.
+(see `_separable_solver`).  Every step runs conjugate gradients on the true
+step operator, started from and preconditioned by that solve.  Memory is
+linear in the unknowns.  The step operator is applied as a stencil, never
+assembled; every step's backward error is checked on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.linalg as la
@@ -121,15 +120,14 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     """Stencil of the stiffness operator L = Kx (x) Wy + Mx (x) Ky, its
     axis-separable reference, and where the Dirichlet datum enters.
 
-    Returns (weights, diag, factors, separable, x_area, ky, dirichlet):
+    Returns (weights, diag, factors, x_area, ky, dirichlet):
     weights[k] (spatial shape, x-major, y fastest) couples each cell to its
     successor along axis k (0 at the last cell), an x face's transmissibility
     times w_y or x_area / res_y, x_area the x-cell measures; diag is L's
     flat diagonal; factors[d] = (K_d, w_d), the reference's dense 1-D
-    stiffness and cell widths; separable: every x face, lateral Dirichlet
-    faces included, matches the reference to 1e-14 relative; ky = (main,
-    off), the tridiagonal y-stiffness per unit x-area; dirichlet = (cells,
-    T, face_points) for each Dirichlet face point, lateral patches first.
+    stiffness and cell widths; ky = (main, off), the tridiagonal y-stiffness
+    per unit x-area; dirichlet = (cells, T, face_points) for each Dirichlet
+    face point, lateral patches first.
     """
     n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
     xidx = np.arange(nx ** n).reshape((nx,) * n)
@@ -139,7 +137,7 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     widths = [np.diff(f) for f in grid.x_faces]
 
     weights, factors, dirichlet = [], [], []
-    kx_diag, gap, scale = np.zeros(x_area.shape), 0.0, 0.0
+    kx_diag = np.zeros(x_area.shape)
     for axis in range(n):
         a_cell = np.moveaxis(coeff.axis_values(xc, axis).reshape((nx,) * n),
                              axis, 0)
@@ -159,8 +157,6 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
         T = np.concatenate([Tb[0], _harmonic(a_cell) * face / dx, Tb[1]])
         t_in = _harmonic(a_cell.reshape(nx, -1).mean(axis=1)) / dx
         t = np.concatenate([tb[0], t_in, tb[1]])
-        ref = reduce(np.multiply.outer, [t] + widths[:axis] + widths[axis+1:])
-        gap, scale = max(gap, np.abs(T - ref).max()), max(scale, T.max())
         kx_diag += np.moveaxis(T[:-1] + T[1:], 0, axis)
         succ = T[1:].copy()
         succ[-1] = 0.0                              # the last cell has none
@@ -181,8 +177,8 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
                       _lattice_points(list(grid.x_centers)
                                       + [np.array([grid.rho])])))
     dirichlet = tuple(np.concatenate(part) for part in zip(*dirichlet))
-    return (weights, diag, factors, gap <= 1e-14 * scale, x_area,
-            (ky_main, -1.0 / grid.res_y), dirichlet)
+    return (weights, diag, factors, x_area, (ky_main, -1.0 / grid.res_y),
+            dirichlet)
 
 
 def _step_operator(D, weights):
@@ -259,24 +255,25 @@ _RTOL = 1e-12
 _BUDGET = 1e-9
 
 
-def _pcg(A, A_abs, b, u, precond, maxiter):
+def _pcg(A, A_abs, b, u, precond):
     """Preconditioned CG on A u = b from u until the componentwise backward
-    error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or maxiter
-    iterations; A and A_abs apply A and |A|.  Returns (u, backward error,
-    iterations); maxiter = 0 only measures u.  CG restarts from the true
-    residual b - A u whenever its recurrence has shrunk by 1e-6: the two
-    drift apart by rounding, and on the graded y-mesh the true one stalled
-    near 1e-11 while the recurrence went on (recomputing it every iteration
-    instead diverged)."""
+    error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or
+    `_CG_MAXITER` iterations; A and A_abs apply A and |A|.  Returns (u,
+    backward error, iterations); a start that already meets `_RTOL` comes
+    back as it is, after 0 iterations.  CG restarts from the true residual
+    b - A u whenever its recurrence has shrunk by 1e-6: the two drift apart
+    by rounding, and on the graded y-mesh the true one stalled near 1e-11
+    while the recurrence went on (recomputing it every iteration instead
+    diverged)."""
     its = 0
     while True:
         r = b - A(u)
         res = float(np.max(np.abs(r) / np.maximum(A_abs(np.abs(u))
                                                   + np.abs(b), 1e-300)))
-        if res <= _RTOL or its >= maxiter:
+        if res <= _RTOL or its >= _CG_MAXITER:
             return u, res, its
         stop, p, rz = 1e-6 * np.linalg.norm(r), 0.0, 1.0
-        while its < maxiter and np.linalg.norm(r) > stop:
+        while its < _CG_MAXITER and np.linalg.norm(r) > stop:
             z = precond(r)
             rz, rz_old = float(r @ z), rz
             p = z + (rz / rz_old) * p
@@ -361,30 +358,25 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     g(t, x..., y) on the lateral and top boundary, initial(x..., y) the
     slice at the first time node.
 
-    Each step starts from the separable solve of A's reference (see
-    `_assemble`).  Where A is its own reference to rounding (always at
-    n = 1) that is the answer; otherwise conjugate gradients on the true
-    step operator, preconditioned by the same solve (Concus and Golub 1973),
-    refine it to a componentwise backward error of `_RTOL`.  On the
-    separable route a step above `_RTOL` gets one step of iterative
-    refinement with the same factorization, u += solve(b - A u) (Skeel,
-    Math. Comp. 35, 1980), and is measured again: on the graded y-mesh of
-    128^3 at s = 0.79 one step reached 3.8e-9 and refined to 3.3e-15.
+    Each step is one `_pcg` solve: conjugate gradients on the true step
+    operator, started from and preconditioned by the separable solve of A's
+    reference (Concus and Golub 1973), to a componentwise backward error of
+    `_RTOL`.  Where A is its own reference (always at n = 1) the start
+    meets it and CG takes no iteration, except on strongly graded y-meshes:
+    at 128^3 and s = 0.79 a start measured 3.8e-9.
 
     The returned field's meta records the worst backward error, the
-    per-step mass balance, the route that ran ("separable" or "pcg"), the
-    CG iterations and the refined separable steps; a backward error above
+    per-step mass balance and the CG iterations; a backward error above
     `_BUDGET` raises.
     """
     if coeff.n != grid.n:
         raise ValueError("coefficient dimension mismatch")
-    weights, diag, factors, split, x_area, ky, bc = _assemble(grid, coeff)
+    weights, diag, factors, x_area, ky, bc = _assemble(grid, coeff)
     mass = grid.weighted_cell_measures().ravel()
     nfull = mass.size
     dt = grid.dt
     A_step, A_abs = _step_operator(mass / dt + diag, weights)
     precond = _separable_solver(factors, ky, grid.w_y, dt)
-    route, maxiter = ("separable", 0) if split else ("pcg", _CG_MAXITER)
     rhs_at = _step_rhs(grid, x_area, bc, f, F, lateral_dirichlet)
 
     if initial is None:
@@ -397,15 +389,11 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     out = np.empty((grid.nt + 1, nfull))
     out[0] = u
     worst_res = 0.0
-    iterations = refinements = 0
+    iterations = 0
     mass_hist = [float(np.dot(mass, u))]
     for m in range(grid.nt):
         b = mass / dt * u + rhs_at(m + 1)
-        u, res, its = _pcg(A_step, A_abs, b, precond(b), precond, maxiter)
-        if split and res > _RTOL:
-            u, res, _ = _pcg(A_step, A_abs, b, u + precond(b - A_step(u)),
-                             precond, 0)
-            refinements += 1
+        u, res, its = _pcg(A_step, A_abs, b, precond(b), precond)
         if not np.all(np.isfinite(u)):
             raise RuntimeError("linear solve produced non-finite values")
         worst_res = max(worst_res, res)
@@ -416,8 +404,7 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
         raise RuntimeError(f"linear solve residual {worst_res:.2e} exceeds budget")
     values = out.reshape((grid.nt + 1,) + grid.spatial_shape)
     return ScalarField(grid, values, meta={
-        "residual": worst_res, "method": route,
-        "cg_iterations": iterations, "refinements": refinements,
+        "residual": worst_res, "cg_iterations": iterations,
         "mass_history": np.asarray(mass_hist),
     })
 

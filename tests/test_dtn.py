@@ -86,6 +86,17 @@ class TestSteadyProfile:
             assert -dtn_constant(s) * flux0 == pytest.approx(
                 xi ** (2 * s), rel=1e-5)
 
+    def test_profile_even_in_xi(self):
+        # the profile of cos(xi x) is that of cos(-xi x): the mesh spans
+        # (0, 14 / |xi|) for either sign
+        p = FracParams(s=0.75)
+        ys = np.linspace(0.0, 8.0, 41)
+        for xi in (0.5, 2.0):
+            phi_p, flux_p = steady_profile(p, xi)
+            phi_m, flux_m = steady_profile(p, -xi)
+            np.testing.assert_array_equal(phi_m(ys), phi_p(ys))
+            assert flux_m == flux_p
+
     def test_profile_boundary_value_and_decay(self):
         phi, _ = steady_profile(FracParams(s=0.75), 1.0)
         assert phi(0.0) == pytest.approx(1.0)

@@ -9,11 +9,15 @@ from fracheat.kernels import FracParams
 from fracheat.grids import ParabolicGrid
 from fracheat.dtn import cosine_extension_data
 from fracheat.generators import coefficient_generator
+from fracheat import extension
 from fracheat.extension import (
+    _RTOL,
     _as_thin_array,
     _as_vector_array,
     _assemble,
     _lattice_points,
+    _pcg,
+    _separable_solver,
     _step_operator,
     _step_rhs,
     CoefficientField,
@@ -380,7 +384,7 @@ class TestSeparableSolve:
                     initial=lambda x, y: np.cos(x - 1.0) * (1.0 + y))
         U = solve_extension(g, coeff, **data)
         ref = _reference_march(g, coeff, **data)
-        assert U.meta["method"] == "separable"
+        assert U.meta["cg_iterations"] == 0
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_matches_superlu_march_n2(self):
@@ -395,20 +399,35 @@ class TestSeparableSolve:
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_route_follows_face_transmissibilities(self):
-        # every face of an axis-separable A matches the axis-averaged
-        # reference, and not for a checkerboard, whose a_11 varies along x2
+        # an axis-separable A is its own reference, so the separable start
+        # is the answer; a checkerboard's a_11 varies along x2, so CG works
         g = ParabolicGrid(FracParams(s=0.6, n=2), nt=2, nx=9, ny=4)
         for coeff, splits in ((_separable_2d(), True),
                               (_checkerboard_2d(), False)):
-            _, _, factors, separable, x_area, *_ = _assemble(g, coeff)
+            _, _, factors, x_area, *_ = _assemble(g, coeff)
             assert [K.shape for K, _ in factors] == [(9, 9), (9, 9)]
             np.testing.assert_array_equal(
                 np.multiply.outer(factors[0][1], factors[1][1]), x_area)
-            assert separable == splits
             U = solve_extension(g, coeff, **_N2_DATA)
-            assert U.meta["method"] == ("separable" if splits else "pcg")
-        separable = _assemble(small_grid(nx=9, ny=4), _dini_bump())[3]
-        assert separable                                # always at n = 1
+            assert (U.meta["cg_iterations"] == 0) == splits
+        U = solve_extension(small_grid(nt=2, nx=9, ny=4), _dini_bump(),
+                            f=smooth_random_data(2))
+        assert U.meta["cg_iterations"] == 0             # always split at n = 1
+
+    def test_start_meeting_target_returned_unchanged(self):
+        # where the separable start already meets _RTOL, _pcg hands it
+        # back untouched: this keeps separable steps bit for bit
+        g = ParabolicGrid(FracParams(s=0.6, n=2), nt=2, nx=7, ny=5)
+        weights, diag, factors, _, ky, _ = _assemble(g, _separable_2d())
+        mass = g.weighted_cell_measures().ravel()
+        A_step, A_abs = _step_operator(mass / g.dt + diag, weights)
+        precond = _separable_solver(factors, ky, g.w_y, g.dt)
+        b = np.random.default_rng(3).normal(size=mass.size)
+        start = precond(b)
+        kept = start.copy()
+        u, res, its = _pcg(A_step, A_abs, b, start, precond)
+        assert u is start and its == 0 and res <= _RTOL
+        np.testing.assert_array_equal(u, kept)
 
     @pytest.mark.parametrize("n, coeff", [
         (1, CoefficientField.identity(1)), (1, _dini_bump()),
@@ -441,8 +460,7 @@ class TestSeparableSolve:
         g = ParabolicGrid(FracParams(s=0.6, n=2), nt=6, nx=10, ny=9)
         U = solve_extension(g, coeff, **_N2_DATA)
         ref = _reference_march(g, coeff, **_N2_DATA)
-        assert U.meta["method"] == "separable"
-        assert U.meta["cg_iterations"] == U.meta["refinements"] == 0
+        assert U.meta["cg_iterations"] == 0
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("coeff", [
@@ -456,24 +474,34 @@ class TestSeparableSolve:
         g = ParabolicGrid(FracParams(s=0.75, n=2), nt=6, nx=10, ny=12)
         U = solve_extension(g, coeff, **_N2_DATA)
         ref = _reference_march(g, coeff, **_N2_DATA)
-        assert U.meta["method"] == "pcg"
         assert 0 < U.meta["cg_iterations"] <= 20 * g.nt
         assert U.meta["residual"] <= 1e-12
         assert np.max(np.abs(U.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
-    def test_refines_a_step_above_target(self):
-        # a case of the n = 1 dual route whose separable steps sit at a
+    @staticmethod
+    def _graded_case():
+        # a case of the n = 1 dual route whose separable starts sit at a
         # median backward error of 6.2e-12 and up to 3.8e-9, over the 1e-9
-        # budget: one refinement step each brings them to 3.3e-15
+        # budget, on the graded y-mesh of 128^3
         p = FracParams(s=0.7907290881462282)
         g = ParabolicGrid(p, nt=128, nx=128, ny=128)
         data = cosine_extension_data(p, 1.9520419397177606)
-        U = solve_extension(g, CoefficientField.identity(1), f=data["f"],
-                            lateral_dirichlet=data["lateral"],
-                            initial=data["initial"])
-        assert U.meta["method"] == "separable"
-        assert 0 < U.meta["refinements"] <= g.nt
+        return g, dict(f=data["f"], lateral_dirichlet=data["lateral"],
+                       initial=data["initial"])
+
+    def test_refines_a_step_above_target(self):
+        # CG from the separable start converges on every step
+        g, data = self._graded_case()
+        U = solve_extension(g, CoefficientField.identity(1), **data)
+        assert 0 < U.meta["cg_iterations"] <= 2 * g.nt
         assert U.meta["residual"] <= 1e-12
+
+    def test_start_alone_exceeds_budget(self, monkeypatch):
+        # with no CG iteration allowed the worst start stays over budget
+        monkeypatch.setattr(extension, "_CG_MAXITER", 0)
+        g, data = self._graded_case()
+        with pytest.raises(RuntimeError, match="exceeds budget"):
+            solve_extension(g, CoefficientField.identity(1), **data)
 
     def test_graded_y_mesh_backward_error(self):
         # At s = 3/4 the y resistances of ny = 100 span 16 decades.  A solve
