@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .kernels import FracParams, QuadratureSpec, dtn_constant, frac_heat_apply
 from .grids import ParabolicGrid, ScalarField, _grading_exponent
-from .extension import CoefficientField, solve_extension
+from .extension import CoefficientField, _flapack, solve_extension
 
 __all__ = [
     "DtnExtract",
@@ -91,14 +90,12 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
          for j in picked])
     etas = eta_all[np.asarray(picked)]
 
-    scale = etas[-1]
-    E = np.vander(etas / scale, N=min(3, m), increasing=True)
-    flat = fluxes.reshape(m, -1)
-    coeffs, *_ = np.linalg.lstsq(E, flat, rcond=None)
-    limit_2 = coeffs[0]
-    E1 = np.vander(etas / scale, N=2, increasing=True)
-    coeffs1, *_ = np.linalg.lstsq(E1, flat, rcond=None)
-    limit_1 = coeffs1[0]
+    # only the constant terms of the quadratic and the linear fit are used:
+    # the first rows of the two pseudo-inverses, applied in one product
+    eta = etas / etas[-1]
+    rows = [np.linalg.pinv(np.vander(eta, N=k, increasing=True))[0]
+            for k in (min(3, m), 2)]
+    limit_2, limit_1 = np.stack(rows) @ fluxes.reshape(m, -1)
 
     thin_shape = U.values.shape[:-1]
     residual = np.abs(limit_2 - limit_1).reshape(thin_shape)
@@ -150,7 +147,7 @@ def steady_profile(p: FracParams, xi: float):
     main[0] += 1.0 / res_bot         # psi(0) = 0
     main[-1] += 1.0 / res_top
     rhs[-1] += -1.0 / res_top        # psi(ymax) = -1
-    *_, psi_c, info = la.lapack.dgtsv(lower, main, lower, rhs)
+    *_, psi_c, info = _flapack.dgtsv(lower, main, lower, rhs)
     if info != 0:
         raise RuntimeError(f"tridiagonal profile solve failed (info={info})")
 

@@ -27,11 +27,14 @@ assembled; every step's backward error is checked on it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
+import scipy
 
 from .grids import ParabolicGrid, ScalarField, sample_thin
 
@@ -105,6 +108,42 @@ class CoefficientField:
             if np.any(mask):
                 ok &= bool(np.max(osc[mask]) <= float(self.modulus(r)) + 1e-12)
         return ok
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the module `scipy.linalg.lapack`
+    re-exports, loaded by file path under a private name.  Importing
+    `scipy.linalg` runs its package init first, whose array-API support
+    imports numpy.f2py, numpy.testing, numpy.random and numpy.ma: over half
+    of a benchmark run's set-up CPU and about 19 MB of its peak memory,
+    none of which a solve uses.  The top-level scipy import, which is
+    cheap, makes scipy's bundled libraries loadable."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(path + suffix):
+            spec = importlib.util.spec_from_file_location(
+                __name__.rpartition(".")[0] + "._flapack", path + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK wrappers not found: no {path} with "
+                      f"a suffix in {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+_flapack = _load_flapack()
+
+
+def _eigh(a):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric a, read
+    from its lower triangle: the LAPACK call `scipy.linalg.eigh(a)` makes."""
+    lwork, liwork, info = _flapack.dsyevr_lwork(a.shape[0], lower=1)
+    if info == 0:
+        w, v, _, _, info = _flapack.dsyevr(a, compute_v=1, lower=1,
+                                           lwork=int(lwork),
+                                           liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info={info})")
+    return w, v
 
 
 def _lattice_points(axis_arrays):
@@ -222,13 +261,13 @@ def _separable_solver(factors, ky, w_y, dt):
     V, mu = [], 0.0
     for K, w in factors:
         scale = 1.0 / np.sqrt(w)
-        mu_d, Q = la.eigh(scale[:, None] * K * scale[None, :])
+        mu_d, Q = _eigh(scale[:, None] * K * scale[None, :])
         V.append(scale[:, None] * Q)
         mu = np.add.outer(mu, mu_d)
     nx, nmodes, ny = V[0].shape[0], mu.size, w_y.size
     main = (ky[0] + np.multiply.outer(mu.ravel() + 1.0 / dt, w_y)).ravel()
     off = np.tile(np.append(ky[1], 0.0), nmodes)[:-1]
-    d, e, info = la.lapack.dpttrf(main, off)
+    d, e, info = _flapack.dpttrf(main, off)
     if info != 0:
         raise RuntimeError(f"tridiagonal factorization failed (info={info})")
 
@@ -240,7 +279,7 @@ def _separable_solver(factors, ky, w_y, dt):
         return b.ravel()
 
     def solve(b):
-        uh, _ = la.lapack.dpttrs(d, e, modes(b, VT))
+        uh, _ = _flapack.dpttrs(d, e, modes(b, VT))
         return modes(uh, V)
     return solve
 
@@ -260,20 +299,24 @@ def _pcg(A, A_abs, b, u, precond):
     error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or
     `_CG_MAXITER` iterations; A and A_abs apply A and |A|.  Returns (u,
     backward error, iterations); a start that already meets `_RTOL` comes
-    back as it is, after 0 iterations.  CG restarts from the true residual
-    b - A u whenever its recurrence has shrunk by 1e-6: the two drift apart
-    by rounding, and on the graded y-mesh the true one stalled near 1e-11
-    while the recurrence went on (recomputing it every iteration instead
-    diverged)."""
+    back as it is, after 0 iterations, and so does one whose backward
+    error is not finite.  Each pass of CG starts from the true residual
+    b - A u and ends once its recurrence residual r meets `_RTOL` / 2
+    against the pass's starting |A| |u| + |b|, or has shrunk by 1e-6 in
+    the 2-norm; the true residual is then measured again.  The two drift
+    apart by rounding, and on the graded y-mesh the true one stalled near
+    1e-11 while the recurrence went on (recomputing it every iteration
+    instead diverged).  A pass that makes no iteration ends the solve."""
     its = 0
     while True:
         r = b - A(u)
-        res = float(np.max(np.abs(r) / np.maximum(A_abs(np.abs(u))
-                                                  + np.abs(b), 1e-300)))
-        if res <= _RTOL or its >= _CG_MAXITER:
+        den = np.maximum(A_abs(np.abs(u)) + np.abs(b), 1e-300)
+        res = float(np.max(np.abs(r) / den))
+        if not res > _RTOL or its >= _CG_MAXITER:
             return u, res, its
-        stop, p, rz = 1e-6 * np.linalg.norm(r), 0.0, 1.0
-        while its < _CG_MAXITER and np.linalg.norm(r) > stop:
+        stop, p, rz, start = 1e-6 * np.linalg.norm(r), 0.0, 1.0, its
+        while (its < _CG_MAXITER and np.linalg.norm(r) > stop
+               and np.max(np.abs(r) / den) > 0.5 * _RTOL):
             z = precond(r)
             rz, rz_old = float(r @ z), rz
             p = z + (rz / rz_old) * p
@@ -282,6 +325,8 @@ def _pcg(A, A_abs, b, u, precond):
             u = u + alpha * p
             r = r - alpha * Ap
             its += 1
+        if its == start:
+            return u, res, its
 
 
 def _as_thin_array(grid, data):
