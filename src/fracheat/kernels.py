@@ -7,9 +7,9 @@ u(t, x) through the subordination integral
     c_s * int_0^inf int_{R^n} tau^(-s-1) G(tau, z) [u(t,x) - u(t-tau, x-z)] dz dtau
 
 with G the Gaussian heat kernel and c_s = s / Gamma(1-s).  All quadrature
-here is deterministic: one Gauss-Legendre panel per decade in tau until two
-nonzero decade means of the inner integral agree (at most to _TAU_HIGH),
-past which that mean is held, and in the self-similar zeta = z / sqrt(tau)
+here is deterministic: one Gauss-Legendre panel per decade in tau up to the
+first node where the inner integral has held still for a decade (at most to
+_TAU_HIGH), past which it is held, and in the self-similar zeta = z / sqrt(tau)
 one rank-1 lattice rule on the periodic box [-8, 8]^n per band of tau: the
 trapezoid rule at n = 1 and a Fibonacci lattice at n = 2.
 """
@@ -57,10 +57,14 @@ class FracParams:
         return 1.0 - 2.0 * self.s
 
 
-# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH] until two nonzero
-# decade means of the inner integral agree to _SETTLE_TOL relative, past
-# which that mean is held (`_frac_heat_core`); below _TAU_LOW the integral
-# is taken analytically.  The z integral is truncated at
+# The tau quadrature runs over [_TAU_LOW, _TAU_HIGH] up to the first node
+# where the nonzero inner integral has stayed within _SETTLE_TOL of its size
+# for a decade of nodes, past which it is held (`_frac_heat_core`); below
+# _TAU_LOW the integral is taken analytically.  Node values carry the zeta
+# rules' ~1e-9 aliasing at large tau, and _SETTLE_TOL sits 3-10x above it:
+# at 1e-9 no n = 1 cosine settles (`dtn_dual_route` samples u at 10.1M
+# points a pass, against 1.44M), at 3e-9 `dtn_dual_route_2d` at 2.52M
+# (1.47M).  The z integral is truncated at
 # |z| <= _Z_RADIUS sqrt(tau).  A zeta rule's weights sum to 1 less the
 # weight of its lattice's points outside that box: 1.2e-8 to 1.54e-8 at
 # n = 1 and 3.0e-8 to 3.08e-8 at n = 2, against the Gaussian mass past the
@@ -93,7 +97,8 @@ class QuadratureSpec:
 class FracHeatDiagnostics:
     """Convergence report for one frac_heat_apply call: the values at the
     working spec, at a coarsened spec, their maximum discrepancy, and the
-    upper tau edge each rule reached (_TAU_HIGH if it never settled)."""
+    tau of the node where each rule stopped (its last node, just below
+    _TAU_HIGH, if the inner integral never settled)."""
 
     values: np.ndarray
     coarse_values: np.ndarray
@@ -260,17 +265,17 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     eval_points : array-like, shape (m, 1 + n)
         Rows (t, x_1, ..., x_n).
 
-    u is sampled back decade by decade in tau until the nonzero means of
-    the inner integral over two decades agree to _SETTLE_TOL = 1e-8 of
-    their size, and at most to t - _TAU_HIGH = t - 1e10.  The rest of the
-    tau integral holds the inner integral at its mean over the last
-    sampled decade: a share (10^s - 1)^(-1) of that decade's sum, zero for
-    constant and linear data.  This assumes u has no structure further
-    back in time than that decade: cos(x) + H(-t - 1e6) settles near
-    tau = 1e3 and loses its step's share, about 1e6^(-s).  Cosines of
-    xi in [0.25, 4] settle by tau = 1e5 at n = 1 and n = 2; at the
-    coarsened spec the smaller zeta rules can alias within the march, and
-    n = 1 cosines of xi = 0.25, 3 and 4 run to _TAU_HIGH there.
+    u is sampled back node by node in tau up to the first node where the
+    inner integral is nonzero and has stayed within _SETTLE_TOL = 1e-8 of
+    its size over the last decade of nodes, and at most to t - _TAU_HIGH.
+    The rest of the tau integral holds it at that node's value with the
+    rule's own weight past it (its later nodes, and past _TAU_HIGH
+    (10^s - 1)^(-1) of its last decade's), zero for constant and linear
+    data.  This assumes u has no structure further back in time than the
+    stop: cos(x) + H(-t - 1e6) stops at tau = 274 and loses its step's
+    share, about 1e6^(-s).  Cosines of xi in [0.25, 4] stop by tau = 4.8e3
+    at both n; the coarsened spec's smaller zeta rules alias within the
+    march, and n = 1 xi = 3 and 4 stop at 9.3e3 and 2.4e4 there.
 
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
@@ -382,58 +387,53 @@ def _pow(x, p: float) -> np.ndarray:
     return np.array([v ** p for v in x.ravel().tolist()]).reshape(x.shape)
 
 
+def _inner_sum(u, t, x0, u_here, srt, zeta, zw):
+    """sum_k zw_k (u_here - u(t, x0 - srt zeta_k)) at each row of x0, (m, n):
+    the inner integral at the tau node with t = t0 - tau, srt = sqrt(tau)."""
+    m, n = x0.shape
+    inner = np.zeros(m)
+    step = max(1, _BATCH // m)
+    for lo in range(0, zw.size, step):
+        z, w = zeta.T[:, lo:lo + step], zw[lo:lo + step]
+        if lo == 0 or w.size < step:
+            ts = np.repeat(t, w.size)
+        # by coordinate: a pass over a last axis of length n is ~8x slower
+        xs = np.empty((n, m, w.size))
+        for d in range(n):
+            np.subtract.outer(x0[:, d], srt * z[d], out=xs[d])
+        shifted = _eval_u(u, ts, xs.reshape(n, -1).T, n).reshape(m, -1)
+        inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
+    return inner
+
+
 def _frac_heat_core(u, p, q, pts):
     taus, tw = _tau_nodes(q)
-    t0 = pts[:, 0]
-    x0 = pts[:, 1:]
-    m = pts.shape[0]
+    t0, x0 = pts[:, 0], pts[:, 1:]
     u_here = _eval_u(u, t0, x0, p.n)
 
     # Below _TAU_LOW the inner integral is the heat semigroup, so
     # u - H(tau) = tau (u_t - Lap u) + O(tau^2); integrate that analytically.
     # This avoids the tau^(-s) amplification of float cancellation noise.
-    eps = _TAU_LOW
-    acc = _heat_residual_fd(u, pts, p.n) * eps ** (1.0 - p.s) / (1.0 - p.s)
+    acc = (_heat_residual_fd(u, pts, p.n) * _TAU_LOW ** (1.0 - p.s)
+           / (1.0 - p.s))
 
-    decade = weight = 0.0   # this decade's sum and tau weight so far
-    last = mean = fac = None
-    for i, (tau, wt) in enumerate(zip(taus, tw)):
-        f = _order_bucket(tau, p.n)
-        if f != fac:
-            # hold one rule: release the last one and the batch that views it
-            zeta = zw = z = w = xs = ts = shifted = None
-            fac, (zeta, zw) = f, _zeta_nodes(q, p.n, f)
-        srt = math.sqrt(tau)
-        inner = np.zeros(m)
-        step = max(1, _BATCH // m)
-        for lo in range(0, zw.size, step):
-            z, w = zeta.T[:, lo:lo + step], zw[lo:lo + step]
-            if lo == 0 or w.size < step:
-                ts = np.repeat(t0 - tau, w.size)
-            # by coordinate: a pass over a last axis of length n is ~8x slower
-            xs = np.empty((p.n, m, w.size))
-            for d in range(p.n):
-                np.subtract.outer(x0[:, d], srt * z[d], out=xs[d])
-            shifted = _eval_u(u, ts, xs.reshape(p.n, -1).T, p.n).reshape(m, -1)
-            inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        kern = wt * tau ** (-p.s - 1.0)
-        term = kern * inner
-        acc += term
-        decade, weight = decade + term, weight + kern
-        if (i + 1) % q.nodes_per_decade == 0:
-            # one Gauss panel per decade: stop once its mean of the inner
-            # integral agrees with the last one's (two zero means do not)
-            prev, mean, last = mean, decade / weight, decade
-            decade = weight = 0.0
-            tol = _SETTLE_TOL * np.max(np.abs(mean))
-            if prev is not None and np.max(np.abs(mean - prev)) < tol:
-                break
-    # Past the last sampled decade hold the inner integral at its mean
-    # there: the weight tau^(-s-1) integrates to (10^s - 1) times less
-    # beyond a decade than over it.
-    acc += last / (10.0 ** p.s - 1.0)
-    reached = 10.0 ** (math.log10(_TAU_LOW) + (i + 1) // q.nodes_per_decade)
-    return subordination_constant(p.s) * acc, reached
+    # Stop at the first node where the nonzero inner integral has stayed
+    # within _SETTLE_TOL of its size for a decade (npd + 1 nodes); hold it
+    # over the rule's later nodes and past _TAU_HIGH, where tau^(-s-1)
+    # integrates to the last decade's weight over 10^s - 1.
+    kern = np.array([wt * tau ** (-p.s - 1.0) for tau, wt in zip(taus, tw)])
+    npd = q.nodes_per_decade
+    window = []
+    for i, tau in enumerate(taus):
+        zeta, zw = _zeta_nodes(q, p.n, _order_bucket(tau, p.n))
+        inner = _inner_sum(u, t0 - tau, x0, u_here, math.sqrt(tau), zeta, zw)
+        acc += kern[i] * inner
+        window = window[-npd:] + [inner]
+        drift = np.max(np.abs(np.array(window) - inner))
+        if i >= npd and drift < _SETTLE_TOL * np.max(np.abs(inner)):
+            break
+    held = kern[i + 1:].sum() + kern[-npd:].sum() / (10.0 ** p.s - 1.0)
+    return subordination_constant(p.s) * (acc + held * inner), float(tau)
 
 
 def marchaud_normalization(s: float) -> float:

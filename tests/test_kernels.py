@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracheat import kernels
+from fracheat.dtn import cosine_extension_data
 from fracheat.kernels import (
     FracParams,
     QuadratureSpec,
@@ -192,16 +193,48 @@ class TestFracHeatApply:
         assert diag.max_difference < 1e-4
 
     def test_diagnostics_report_the_tau_reached(self):
-        # cosines settle under the lattice rules at both n: n = 1 cos(1.5 x)
-        # at tau = 1e3
-        _, diag = frac_heat_apply(lambda t, x: np.cos(1.5 * x) + 0.0 * t,
-                                  self.P, self.Q, [[0.0, 0.3]],
-                                  check_convergence=True)
-        assert diag.tau_reached <= 1e4 and diag.coarse_tau_reached <= 1e4
-        _, diag = frac_heat_apply(lambda t, x: np.cos(x[:, 0]) + 0.0 * t,
-                                  FracParams(s=0.75, n=2), self.Q,
-                                  [[0.0, 0.3, -0.2]], check_convergence=True)
-        assert diag.tau_reached <= 1e6 and diag.coarse_tau_reached <= 1e6
+        # cosines stop early under the lattice rules at both n.  The node
+        # values carry the rules' ~1e-9 aliasing at large tau, so a
+        # _SETTLE_TOL at that floor stops late or never: at 3e-9 these
+        # reach tau = 4.8e3 at both n, at 1e-9 no n = 1 cosine settles.
+        # At 1e-8 the working rules stop by 274, the coarse ones by 416,
+        # but the coarse n = 1 rules alias xi = 3 until 9.3e3.
+        for n in (1, 2):
+            for xi in (1.0, 3.0):
+                for s in (0.6, 0.9):
+                    _, diag = frac_heat_apply(
+                        lambda t, x: np.cos(xi * (x if n == 1 else x[:, 0])),
+                        FracParams(s=s, n=n), self.Q, [[0.0] * (1 + n)],
+                        check_convergence=True)
+                    assert diag.tau_reached < 1e3
+                    aliased = n == 1 and xi == 3.0
+                    assert diag.coarse_tau_reached < (1e4 if aliased else 1e3)
+
+    def test_coarse_pass_of_an_aliased_n1_cosine_stops(self):
+        # `dtn_dual_route` seed 4049, first pass, third case: cos(xi x) on
+        # the 64 interior cell centres of 128^3.  The coarse rules alias
+        # xi sqrt(tau) within the march; stopped at decade edges, the
+        # coarse pass ran to tau = 1e9 on 602,112 u-points, and its delta
+        # of 5.3e-5 was that aliasing.  It now stops at tau = 42, on 84,736.
+        p, xi = FracParams(s=0.606537264864897), 2.432854650763925
+        data = cosine_extension_data(p, xi)
+        x = (2.0 * np.arange(64) - 63.0) / 128.0
+        pts = np.column_stack([np.zeros(64), x])
+        points = []
+
+        def u(t, x):
+            points.append(t.size)
+            return data["u"](t, x)
+
+        working = frac_heat_apply(u, p, self.Q, pts)
+        working_points = sum(points)
+        values, diag = frac_heat_apply(u, p, self.Q, pts,
+                                       check_convergence=True)
+        assert sum(points) - 2 * working_points <= 150_000
+        assert diag.max_difference <= 1e-6
+        assert np.array_equal(values, working)
+        exact = data["exact"](0.0, x)
+        assert np.max(np.abs(values - exact)) <= 2e-7 * np.max(np.abs(exact))
 
     def test_bad_points_shape(self):
         with pytest.raises(ValueError):
@@ -304,8 +337,9 @@ class TestZetaRule:
         # the direct quadrature of `dtn_dual_route_2d`: four n = 2 points
         # with the refinement check, 16 for u at each point and its
         # finite-difference stencil, and the zeta points of the tau nodes up
-        # to the settled decade: 1e4 for the working rule, 1e7 for the
-        # coarse one (9,091,648 when both marched to _TAU_HIGH)
+        # to the stop node: tau = 130 for the working rule, 148 for the
+        # coarse one (3,689,848 when each stopped at a decade edge, 1e4 and
+        # 1e7; 9,091,648 when both marched to _TAU_HIGH)
         points = []
 
         def u(t, x):
@@ -315,45 +349,22 @@ class TestZetaRule:
         pts = [[0.0, a, b] for a in (-0.3, 0.3) for b in (-0.3, 0.3)]
         frac_heat_apply(u, FracParams(s=0.75, n=2), QuadratureSpec(), pts,
                         check_convergence=True)
-        assert sum(points) == 3_689_848
+        assert sum(points) == 1_733_852
 
 
-def _row_major_core(u, p, q, pts):
-    """The subordination sum with the shifted points formed as one row-major
-    (m, k, n) array: the same nodes, weights, batches, reduction, stop and
-    tail."""
-    taus, tw = kernels._tau_nodes(q)
-    t0, x0, m = pts[:, 0], pts[:, 1:], pts.shape[0]
-    u_here = kernels._eval_u(u, t0, x0, p.n)
-    acc = (kernels._heat_residual_fd(u, pts, p.n)
-           * kernels._TAU_LOW ** (1.0 - p.s) / (1.0 - p.s))
-    decade = weight = 0.0
-    last = mean = None
-    for i, (tau, wt) in enumerate(zip(taus, tw)):
-        zeta, zw = kernels._zeta_nodes(q, p.n, kernels._order_bucket(tau, p.n))
-        zeta = np.ascontiguousarray(zeta)
-        srt = math.sqrt(tau)
-        inner = np.zeros(m)
-        step = max(1, kernels._BATCH // m)
-        for lo in range(0, zw.size, step):
-            z, w = zeta[lo:lo + step], zw[lo:lo + step]
-            xs = x0[:, None, :] - srt * z[None, :, :]
-            ts = np.repeat(t0 - tau, w.size)
-            shifted = kernels._eval_u(u, ts, xs.reshape(-1, p.n),
-                                      p.n).reshape(m, -1)
-            inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
-        kern = wt * tau ** (-p.s - 1.0)
-        term = kern * inner
-        acc += term
-        decade, weight = decade + term, weight + kern
-        if (i + 1) % q.nodes_per_decade == 0:
-            prev, mean, last = mean, decade / weight, decade
-            decade = weight = 0.0
-            tol = kernels._SETTLE_TOL * np.max(np.abs(mean))
-            if prev is not None and np.max(np.abs(mean - prev)) < tol:
-                break
-    acc += last / (10.0 ** p.s - 1.0)
-    return subordination_constant(p.s) * acc
+def _row_major_inner_sum(u, t, x0, u_here, srt, zeta, zw):
+    """`kernels._inner_sum` with the shifted points formed as one row-major
+    (m, k, n) array: the same batches and reduction."""
+    (m, n), zeta = x0.shape, np.ascontiguousarray(zeta)
+    inner = np.zeros(m)
+    step = max(1, kernels._BATCH // m)
+    for lo in range(0, zw.size, step):
+        z, w = zeta[lo:lo + step], zw[lo:lo + step]
+        xs = x0[:, None, :] - srt * z[None, :, :]
+        shifted = kernels._eval_u(u, np.repeat(t, w.size), xs.reshape(-1, n),
+                                  n).reshape(m, -1)
+        inner += np.sum(w * (u_here[:, None] - shifted), axis=1)
+    return inner
 
 
 class TestColumnLayout:
@@ -391,44 +402,48 @@ class TestColumnLayout:
         values, diag = frac_heat_apply(u, p, q, pts, check_convergence=True)
         # x is (M, n) at n = 2; at n = 1 u gets the one column, (M,)
         assert all(x == ((t[0], n) if n > 1 else t) for t, x in shapes)
-        assert np.array_equal(values, _row_major_core(u, p, q, pts))
-        assert np.array_equal(diag.coarse_values,
-                              _row_major_core(u, p, q.coarsened(), pts))
+        monkeypatch.setattr(kernels, "_inner_sum", _row_major_inner_sum)
+        ref, ref_diag = frac_heat_apply(u, p, q, pts, check_convergence=True)
+        assert np.array_equal(values, ref)
+        assert np.array_equal(diag.coarse_values, ref_diag.coarse_values)
+        assert ((diag.tau_reached, diag.coarse_tau_reached)
+                == (ref_diag.tau_reached, ref_diag.coarse_tau_reached))
 
 
 class TestSettledDecade:
-    """The tau march stops once two nonzero decade means of the inner
-    integral agree to _SETTLE_TOL; at a zero tolerance it marches to
-    _TAU_HIGH."""
+    """The tau march stops at the first node where the inner integral is
+    nonzero and has held within _SETTLE_TOL of its size over the last
+    decade of nodes; at a zero tolerance it marches to _TAU_HIGH."""
 
     PTS = {1: [[0.0, 0.0], [0.4, -0.5]],
            2: [[0.0, 0.3, -0.2], [0.4, -0.5, 0.1]]}
-    # name: (n, u, decades the working and coarse rules reach, rtol to the
-    # full march).  The kink and the bump vanish exactly near PTS, so their
-    # first decade means are 0 and must not count as settled: the operator
-    # is nonlocal, and their values are not 0.
+    # name: (n, u, tau of the working and coarse stop nodes, rtol of the
+    # working and coarse values to the full march).  The kink and the bump
+    # vanish exactly near PTS, so their first node values are 0 and must
+    # not count as settled: the operator is nonlocal, and their values are
+    # not 0.  A coarse rtol of None compares with the closed form instead.
     DATA = {
         "cos_1e-3_n2": (2, lambda t, x: np.cos(1e-3 * x[:, 0]) + 0.0 * t,
-                        (1e10, 1e10), 0.0),
+                        (2.737684e8, 4.162072e8), (5e-12, 5e-12)),
         "lorentzian_in_t_n1": (1, lambda t, x: 1.0 / (1.0 + t * t) + 0.0 * x,
-                               (1e6, 1e6), 1e-12),
+                               (1.021456e5, 1.080850e5), (1e-12, 1e-12)),
         "cos_0.03_n2": (2, lambda t, x: np.cos(0.03 * x[:, 0]) + 0.0 * t,
-                        (1e7, 1e10), 1e-12),
+                        (3.652723e5, 2.402649e5), (5e-12, None)),
         "kink_n1": (1, lambda t, x: np.clip(np.abs(x) - 1.0, 0.0, 1.0)
-                    + 0.0 * t, (1e6, 1e5), 1e-12),
+                    + 0.0 * t, (3.652723e4, 9.251982e3), (1e-12, 1e-12)),
         "bump_off_support_n2": (2, lambda t, x: np.maximum(
             0.0, 1.0 - (x[:, 0] - 3.0) ** 2 - x[:, 1] ** 2) + 0.0 * t,
-                                (1e10, 1e10), 0.0),
+                                (9.789946e9, 9.251982e9), (0.0, 0.0)),
     }
-    # the values and coarse values of the march to _TAU_HIGH before it
-    # could stop, at s = 0.75 and PTS
+    # the values and coarse values of the march to _TAU_HIGH, at s = 0.75
+    # and PTS
     FULL = {
-        "cos_1e-3_n2": ([3.1622746243966675e-05, 3.16227436796592e-05],
-                        [3.1622745798995826e-05, 3.162274326849718e-05]),
+        "cos_1e-3_n2": ([3.162274624396482e-05, 3.162274367965734e-05],
+                        [3.1622745798992194e-05, 3.162274326849355e-05]),
         "lorentzian_in_t_n1": ([0.3517099919923465, -0.2177654528492007],
                                [0.3517098799989869, -0.21776580561608647]),
-        "cos_0.03_n2": ([0.0051959404540465265, 0.0051955665840954235],
-                        [0.0051959377965091445, 0.005195563926716288]),
+        "cos_0.03_n2": ([0.005195940454046527, 0.005195566584095424],
+                        [0.005195937796509129, 0.0051955639267162726]),
         "kink_n1": ([-0.23378515013313386, -0.3117385703251285],
                     [-0.2328051224005813, -0.312011319639614]),
         "bump_off_support_n2": ([-0.009536218602379874, -0.003661356143080808],
@@ -452,20 +467,31 @@ class TestSettledDecade:
     @pytest.mark.parametrize("name", DATA)
     def test_zero_tolerance_is_the_full_march(self, name, monkeypatch):
         values, diag = self.full_march(name, monkeypatch)
-        assert diag.tau_reached == diag.coarse_tau_reached == 1e10
+        last = [kernels._tau_nodes(q)[0][-1]
+                for q in (QuadratureSpec(), QuadratureSpec().coarsened())]
+        assert [diag.tau_reached, diag.coarse_tau_reached] == last
         # a few ulps: libm and SIMD builds differ in the last bit
         for got, want in zip((values, diag.coarse_values), self.FULL[name]):
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", DATA)
     def test_stop_matches_the_full_march(self, name, monkeypatch):
-        _, _, reached, rtol = self.DATA[name]
+        _, _, reached, rtols = self.DATA[name]
         values, diag = self.apply(name)
         full, full_diag = self.full_march(name, monkeypatch)
-        assert (diag.tau_reached, diag.coarse_tau_reached) == reached
-        for got, want in ((values, full),
-                          (diag.coarse_values, full_diag.coarse_values)):
-            if rtol == 0.0:
+        assert (diag.tau_reached, diag.coarse_tau_reached) == pytest.approx(
+            reached, rel=1e-6)
+        for got, want, rtol in ((values, full, rtols[0]), (
+                diag.coarse_values, full_diag.coarse_values, rtols[1])):
+            if rtol is None:
+                # cos(0.03 x1): past the stop the full coarse march meets
+                # the coarse lattice's aliasing, 8.05e-7 from the closed
+                # form against 3.13e-7 at the stop
+                x1 = np.array(self.PTS[2])[:, 1]
+                exact = 0.03 ** 1.5 * np.cos(0.03 * x1)
+                assert np.max(np.abs(got - exact)) <= np.max(
+                    np.abs(want - exact))
+            elif rtol == 0.0:
                 assert np.array_equal(got, want)
             else:
                 assert np.allclose(got, want, rtol=rtol, atol=0.0)
