@@ -6,6 +6,10 @@ The extension solution behaves like U0 + U1 y^(1-a) + O(y^2) at the bottom
 face, so the flux y^a dU/dy is c0 + c1 y^(1+a) + ...; Richardson
 extrapolation therefore runs in the variable eta = y^(1+a), with the
 per-interval effective eta of each inter-center flux computed exactly.
+
+Exact data for the identity come from one family of heat eigenfunctions,
+e^(lam t) cos(xi x_1): the steady cosines at lam = 0, x-independent data
+at xi = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "extract_dtn",
     "steady_profile",
     "cosine_extension_data",
-    "exponential_extension_data",
     "dtn_vs_direct",
 ]
 
@@ -161,53 +164,40 @@ def steady_profile(p: FracParams, xi: float):
     return phi, float(flux0)
 
 
-def cosine_extension_data(p: FracParams, xi: float, amplitude: float = 1.0):
-    """Manufactured extension data for u(t, x) = amplitude cos(xi x_1):
-    lateral/initial data from the decaying profile and the bottom flux from
-    the spatial symbol |xi|^(2s) scaled by 1/c_s."""
-    phi, flux0 = steady_profile(p, xi)
+def cosine_extension_data(p: FracParams, xi: float, lam: float = 0.0):
+    """Manufactured extension data for the heat eigenfunction
+    u(t, x) = e^(lam t) cos(xi x_1), lam + xi^2 > 0, at n = 1 and 2.
+
+    With k = sqrt(lam + xi^2), H^s u = k^(2s) u, and the extension is
+    u phi_k(y) with phi_k the decaying profile of `steady_profile`
+    (Stinga and Torrea 2017); the bottom flux datum is k^(2s) u / c_s.
+    Returns the callables u(t, x) in `frac_heat_apply`'s convention, f(t,
+    x...), lateral(t, x..., y), initial(x..., y), the slice at t = 0 (a
+    grid starting elsewhere passes lateral at its own first node), and
+    exact(t, x...) = H^s u.  For lam < 0, u grows backward in time without
+    bound, and the direct route's march overflows (past lam tau = -709):
+    such data serve the extension alone."""
+    if not lam + xi * xi > 0.0:
+        raise ValueError(f"need lam + xi^2 > 0, got lam = {lam}, xi = {xi}")
+    k = math.sqrt(lam + xi * xi)
+    phi, _ = steady_profile(p, k)
     c_s = dtn_constant(p.s)
-    symbol = abs(xi) ** (2.0 * p.s)
+    symbol = k ** (2.0 * p.s)
 
-    if p.n == 1:
-        u = lambda t, x: amplitude * np.cos(xi * x)
-        lateral = lambda t, x, y: amplitude * np.cos(xi * x) * phi(y)
-        initial = lambda x, y: amplitude * np.cos(xi * x) * phi(y)
-        f = lambda t, x: amplitude * symbol * np.cos(xi * x) / c_s
-        exact = lambda t, x: amplitude * symbol * np.cos(xi * x)
-    else:
-        u = lambda t, x: amplitude * np.cos(xi * x[:, 0])
-        lateral = lambda t, x1, x2, y: amplitude * np.cos(xi * x1) * phi(y)
-        initial = lambda x1, x2, y: amplitude * np.cos(xi * x1) * phi(y)
-        f = lambda t, x1, x2: amplitude * symbol * np.cos(xi * x1) / c_s
-        exact = lambda t, x1, x2: amplitude * symbol * np.cos(xi * x1)
-    return {"u": u, "lateral": lateral, "initial": initial, "f": f,
-            "exact": exact, "profile": phi, "profile_flux0": flux0,
-            "symbol": symbol}
+    # no exp at lam = 0: the direct route samples u at millions of points
+    def wave(t, x1):
+        c = np.cos(xi * x1)
+        return c * np.exp(lam * t) if lam else c
+
+    lateral = lambda t, *xy: wave(t, xy[0]) * phi(xy[-1])
+    return {"u": lambda t, x: wave(t, np.reshape(x, (len(x), -1))[:, 0]),
+            "f": lambda t, *x: symbol * wave(t, x[0]) / c_s,
+            "lateral": lateral,
+            "initial": lambda *xy: lateral(0.0, *xy),
+            "exact": lambda t, *x: symbol * wave(t, x[0])}
 
 
-def exponential_extension_data(p: FracParams):
-    """Manufactured data for u(t) = e^t (x-independent): the extension is
-    e^t phi(y) with the xi = 1 profile, and the flux datum is e^t / c_s.
-
-    initial_factory(t0) gives the initial slice for a grid starting at t0.
-    """
-    phi, flux0 = steady_profile(p, 1.0)
-    c_s = dtn_constant(p.s)
-    lateral = lambda t, x, y: np.exp(t) * phi(y) * np.ones_like(np.asarray(x, dtype=float))
-
-    def initial_factory(t0):
-        return lambda x, y: math.exp(t0) * phi(y) * np.ones_like(np.asarray(x, dtype=float))
-
-    return {"phi": phi, "lateral": lateral,
-            "initial_factory": initial_factory,
-            "f": lambda t, x: np.exp(t) / c_s + 0.0 * x,
-            "exact": lambda t, x: np.exp(t) + 0.0 * x,
-            "profile_flux0": flux0}
-
-
-def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
-                  qspec: QuadratureSpec | None = None) -> dict:
+def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid) -> dict:
     """Dual-route consistency: solve the extension of cos(xi x) with
     manufactured data, extract the weighted flux limit, and compare with the
     direct subordination quadrature of the same u (and the closed-form
@@ -218,7 +208,6 @@ def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
     and a ValueError is raised when that leaves none."""
     if grid.n != 1:
         raise NotImplementedError("the dual-route check runs at n = 1")
-    qspec = qspec or QuadratureSpec()
     data = cosine_extension_data(p, xi)
     U = solve_extension(grid, CoefficientField.identity(1), f=data["f"],
                         lateral_dirichlet=data["lateral"],
@@ -231,7 +220,7 @@ def dtn_vs_direct(p: FracParams, xi: float, grid: ParabolicGrid,
 
     # direct quadrature: u is time-independent, one x-line suffices
     pts = np.column_stack([np.zeros(keep_x.sum()), X[keep_x]])
-    direct_line = frac_heat_apply(data["u"], p, qspec, pts)
+    direct_line = frac_heat_apply(data["u"], p, QuadratureSpec(), pts)
     closed_line = data["exact"](0.0, X[keep_x])
 
     ext_block = ext.values[np.ix_(keep_t, keep_x)]

@@ -277,6 +277,9 @@ def frac_heat_apply(u, p: FracParams, q: QuadratureSpec, eval_points,
     at both n; the coarsened spec's smaller zeta rules alias within the
     march, and n = 1 xi = 3 and 4 stop at 9.3e3 and 2.4e4 there.
 
+    A u that is not finite on a tau node (one that overflows as it grows
+    backward in time, say) raises ValueError naming that node's tau.
+
     Returns the array of operator values, or (values, FracHeatDiagnostics)
     when check_convergence is set.  Non-convergence (working vs coarsened
     quadrature differing beyond 1e-4 max(1, max |value|)) is reported via
@@ -427,6 +430,9 @@ def _frac_heat_core(u, p, q, pts):
     for i, tau in enumerate(taus):
         zeta, zw = _zeta_nodes(q, p.n, _order_bucket(tau, p.n))
         inner = _inner_sum(u, t0 - tau, x0, u_here, math.sqrt(tau), zeta, zw)
+        if not np.isfinite(inner).all():
+            raise ValueError(
+                f"u gives a non-finite inner integral at tau = {tau:.6g}")
         acc += kern[i] * inner
         window = window[-npd:] + [inner]
         drift = np.max(np.abs(np.array(window) - inner))

@@ -34,7 +34,6 @@ PROOF_STEPS = {
     # the extension identity: the DtN map of the weighted extension is the
     # fractional heat operator
     "dtn_vs_direct": "extension identity: DtN against subordination",
-    "exponential_extension_data": "extension identity: x-independent data",
     # the hypotheses on A
     "CoefficientField.verify_ellipticity": "hypothesis: ellipticity of A",
     "CoefficientField.oscillation_check": "hypothesis: Dini oscillation of A",
