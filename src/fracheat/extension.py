@@ -565,29 +565,29 @@ def trace_poincare_check(v: ScalarField):
 def solve_constant_coeff_dirichlet(U: ScalarField,
                                    shape: tuple | None = None) -> ScalarField:
     """Comparison solve: zero-flux constant-coefficient problem on the
-    subcylinder (-1/2, 3/4) x B_(1/2) x (0, 1/2) with Dirichlet data taken
-    from U on the initial slice, lateral sides, and top."""
+    subcylinder (t0 - 1/2, t0 + 3/4) x B_(1/2)(x0) x (0, 1/2) around U's
+    center (t0, x0), with Dirichlet data taken from U on the initial slice,
+    lateral sides, and top.  Raises ValueError when the subcylinder does
+    not fit inside U's grid."""
     g = U.grid
+    t0 = g.center[0]
+    if g.rho < 0.5 or t0 - 0.5 < g.t_range[0] or t0 + 0.75 > g.t_range[1]:
+        raise ValueError("the comparison cylinder does not fit inside U's grid")
     if shape is None:
         shape = (g.nt, g.nx, g.ny)
     nt2, nx2, ny2 = shape
-    t_range = (-0.5, 0.75)
     sub = ParabolicGrid(g.params, rho=0.5, nt=nt2, nx=nx2, ny=ny2, q=g.q,
-                        center=g.center, t_range=t_range)
+                        center=g.center, t_range=(t0 - 0.5, t0 + 0.75))
 
-    def boundary(t, *coords):
-        # coords arrive as flat columns (t, x..., y)
-        arr = np.column_stack([np.asarray(c, dtype=float).ravel()
-                               for c in (t,) + coords])
-        return g.interp(U.values, arr)
-
-    def initial(*coords):
-        cols = [np.asarray(c, dtype=float).ravel() for c in coords]
-        pts = np.column_stack([np.full_like(cols[0], t_range[0])] + cols)
-        return g.interp(U.values, pts).reshape(coords[0].shape)
+    def from_U(t, *coords):
+        # lateral data arrive as flat columns, initial data as the slice mesh
+        cols = np.broadcast_arrays(t, *coords)
+        pts = np.column_stack([np.asarray(c, dtype=float).ravel() for c in cols])
+        return g.interp(U.values, pts).reshape(cols[0].shape)
 
     return solve_extension(sub, CoefficientField.identity(g.n), f=None, F=None,
-                           lateral_dirichlet=boundary, initial=initial)
+                           lateral_dirichlet=from_U,
+                           initial=lambda *c: from_U(sub.t_nodes[0], *c))
 
 
 def closeness_experiment(U: ScalarField, f=None, F=None,
@@ -596,7 +596,8 @@ def closeness_experiment(U: ScalarField, f=None, F=None,
                          shape: tuple | None = None) -> dict:
     """Distance of U to the zero-flux constant-coefficient comparison
     solution V on the half cylinder: the thick weighted squared distance
-    over Q*_(1/2) and the thin squared trace distance over Q_(1/2).
+    over Q*_(1/2) and the thin squared trace distance over Q_(1/2), both
+    around U's center.
 
     When delta is given the smallness of the data (squared L^2 of f, the
     weighted squared L^2 of F, and the declared coefficient oscillation at
@@ -610,7 +611,7 @@ def closeness_experiment(U: ScalarField, f=None, F=None,
     diff = U_on_sub - V.values
     eps_thick_sq = sub.weighted_norm_sq(diff, center=g.center, radius=0.5)
     eps_thin_sq = float(np.sum(sub.x_cell_measures() * sub.time_integral_sq(
-        sub.trace_at_zero(diff), -0.25, 0.25)))
+        sub.trace_at_zero(diff), g.center[0] - 0.25, g.center[0] + 0.25)))
 
     report = {"eps_weighted_sq": eps_thick_sq, "eps_trace_sq": eps_thin_sq,
               "eps_weighted": math.sqrt(max(eps_thick_sq, 0.0)),
@@ -644,24 +645,21 @@ def regularity_estimates_check(W: ScalarField) -> RegularityReport:
     """Interior estimates for a zero-flux constant-coefficient solution on
     the cylinder of radius r = 0.5: scaled sup bounds of (d_t, D_x, D_x^2)
     by the oscillation on the double cylinder, the max by the weighted L^2
-    norm, and |W_y| <= C ||W|| y."""
+    norm, and |W_y| <= C ||W|| y over the cylinder's y-layers above the
+    first.  Runs at n = 1."""
     grid = W.grid
+    if grid.n != 1:
+        raise NotImplementedError("the regularity estimates run at n = 1")
     r = 0.5
-    half = r / 2.0
+    t0, x0 = grid.center
 
-    def region_mask(rad, ymax):
-        T, Xs = grid.t_nodes, grid.x_centers
-        tmask = np.abs(T - grid.center[0]) <= rad ** 2
-        xmask = [np.abs(X - grid.center[1 + d]) <= rad
-                 for d, X in enumerate(Xs)]
-        ymask = grid.y_centers < ymax
-        m = tmask
-        for xm in xmask:
-            m = np.multiply.outer(m, xm)
-        return np.multiply.outer(m, ymask).astype(bool)
+    def region_mask(rad):
+        return ((np.abs(grid.t_nodes - t0) <= rad ** 2)[:, None, None]
+                & (np.abs(grid.x_centers[0] - x0) <= rad)[:, None]
+                & (grid.y_centers < rad))
 
-    inner = region_mask(half, half)
-    outer = region_mask(r, r)
+    inner = region_mask(r / 2.0)
+    outer = region_mask(r)
     osc = float(np.max(W.values[outer]) - np.min(W.values[outer]))
     scale = float(np.max(np.abs(W.values))) + 1.0
     dt_w = grid.time_derivative(W.values)
@@ -678,17 +676,9 @@ def regularity_estimates_check(W: ScalarField) -> RegularityReport:
     norm = math.sqrt(grid.weighted_norm_sq(W.values, center=grid.center, radius=r))
     C_max = float(np.max(np.abs(W.values[inner]))) / max(norm, 1e-300)
 
-    Wy = grads[-1]
-    full_norm = W.weighted_norm()
-    ratios = []
-    T, Xs = grid.t_nodes, grid.x_centers
-    tmask = np.abs(T - grid.center[0]) <= 0.25
-    xmask = np.abs(Xs[0] - grid.center[1]) <= 0.5
-    for j, y in enumerate(grid.y_centers):
-        if y >= 0.5 or j == 0:
-            continue
-        sup = float(np.max(np.abs(Wy[np.ix_(tmask, xmask, [j])])))
-        ratios.append(sup / (max(full_norm, 1e-300) * y))
-    C_y = float(np.max(ratios)) if ratios else 0.0
+    full_norm = math.sqrt(grid.weighted_norm_sq(W.values))
+    ratio = np.abs(grads[-1][..., 1:]) / (max(full_norm, 1e-300)
+                                          * grid.y_centers[1:])
+    C_y = float(np.max(ratio[outer[..., 1:]], initial=0.0))
     return RegularityReport(C_derivative, C_max, C_y, r)
 

@@ -106,9 +106,9 @@ def _derivative_at(values, cells, axis, coords):
 
 def _grading_exponent(a: float) -> float:
     """Default q of the y-mesh y_j = rho (j / ny)^q: measure-equidistributing,
-    capped so the inter-center resistance spread (1/ny)^(q(1-a)) stays
-    bounded, since cells coupled far more stiffly than their neighbours are
-    numerically identical at float64 (ROADMAP item 2 re-measures the cap)."""
+    with q(1-a) capped at 6.  The cap does not bound the inter-center
+    resistance spread (1/ny)^(q(1-a)): it shrinks as ny grows (ROADMAP
+    item 15 owns the rule)."""
     return min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
 
 
@@ -239,7 +239,7 @@ class ParabolicGrid:
         # top boundary): the harmonic face treatment of the weight.
         # Resistances are floored 16 decades below the largest one; cells
         # coupled more stiffly than that are numerically identical at
-        # float64 (ROADMAP item 2 re-measures the floor).
+        # float64.  The floor binds on no tier-1 or benchmark grid.
         b = 1.0 - a
         yc = self.y_centers
         self.res_y = (yc[1:] ** b - yc[:-1] ** b) / b
@@ -361,21 +361,24 @@ class ParabolicGrid:
 
     def weighted_norm_sq(self, values: np.ndarray, center=None,
                          radius: float | None = None) -> float:
-        """int y^a v^2 dt dX over Q*_radius(center) (whole cylinder when no
-        center/radius given), exact in time on the interpolant of v."""
-        if center is None:
-            center = self.center
-        if radius is None:
-            radius = self.rho
-        window, wx, wy = self.cylinder_weights(center, radius)
+        """int y^a v^2 dt dX over Q*_radius(center), exact in time on the
+        interpolant of v; with neither center nor radius, over every cell
+        and the whole time range (one of them defaults to the grid's)."""
+        if center is None and radius is None:
+            return float(np.sum(self.weighted_cell_measures()
+                                * self.time_integral_sq(values)))
+        window, wx, wy = self.cylinder_weights(
+            self.center if center is None else center,
+            self.rho if radius is None else radius)
         sq = self.time_integral_sq(values, *window)
         return float(np.sum(np.multiply.outer(wx, wy) * sq))
 
     # -- interpolation and boundary trace --
 
     def interp(self, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at pts rows (t, x..., y); clamped to the
-        cell-center hull in space and the node hull in time."""
+        """Multilinear interpolation at pts rows (t, x..., y); beyond the
+        cell-center hull in space and the node hull in time it extrapolates
+        linearly from the edge cells, without warning."""
         from scipy.interpolate import RegularGridInterpolator
         axes = [self.t_nodes] + self.x_centers + [self.y_centers]
         f = RegularGridInterpolator(tuple(axes), values, bounds_error=False,
@@ -428,10 +431,6 @@ class ScalarField:
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
-
-    def weighted_norm(self) -> float:
-        """Weighted L^2 norm over the whole cylinder."""
-        return math.sqrt(self.grid.weighted_norm_sq(self.values))
 
 
 def sample_thin(grid: ParabolicGrid, fn) -> np.ndarray:

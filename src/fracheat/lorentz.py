@@ -19,11 +19,9 @@ from .kernels import _chunked, _gauss_panels, _pow
 __all__ = [
     "SampledFunction",
     "RearrangedProfile",
-    "PotentialSpec",
     "Estimate1Report",
     "cylinder_measure_constant",
     "decreasing_rearrangement",
-    "lorentz_norm",
     "lorentz_norm_forms",
     "gridded_to_sampled",
     "riesz_potential_I2",
@@ -133,7 +131,7 @@ def lorentz_norm_forms(f: SampledFunction, p: float):
     rearrangement form  int_0^inf rho^(1/p) f*(rho) drho / rho  (= p * first)
     """
     if p <= 1.0:
-        raise ValueError("lorentz_norm requires p > 1")
+        raise ValueError("the L(p,1) quasi-norm requires p > 1")
     g = decreasing_rearrangement(f)
     v = np.concatenate([g.plateaus, [0.0]])
     m = g.breakpoints[1:]
@@ -142,31 +140,6 @@ def lorentz_norm_forms(f: SampledFunction, p: float):
                          * (g.breakpoints[1:] ** (1.0 / p)
                             - g.breakpoints[:-1] ** (1.0 / p))))
     return dist, rearr
-
-
-def lorentz_norm(f: SampledFunction, p: float) -> float:
-    """L(p,1) quasi-norm in the canonical distribution-function form."""
-    return lorentz_norm_forms(f, p)[0]
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Center, outer radius, dyadic ratio and order data for the parabolic
-    Riesz-type potential and the dyadic-sum estimate."""
-
-    center: tuple
-    r: float
-    sigma: float
-    s: float
-    n: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError("r must lie in (0, 1)")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-        if not 0.5 < self.s < 1.0:
-            raise ValueError("s must lie in (1/2, 1)")
 
 
 def gridded_to_sampled(thin_grid, values: np.ndarray) -> SampledFunction:
@@ -178,35 +151,39 @@ def gridded_to_sampled(thin_grid, values: np.ndarray) -> SampledFunction:
 _I2_NODES_PER_DECADE = 64   # Gauss nodes per decade of rho
 
 
-def riesz_potential_I2(thin_grid, f_values: np.ndarray,
-                       spec: PotentialSpec) -> float:
-    """int_0^r rho^(2s-2) (mean of f^2 over Q_rho(center))^(1/2) drho.
+def riesz_potential_I2(thin_grid, f_values: np.ndarray, center, r: float,
+                       s: float) -> float:
+    """int_0^r rho^(2s-2) (mean of f^2 over Q_rho(center))^(1/2) drho,
+    for r in (0, 1) and s in (1/2, 1).
 
     Log-spaced Gauss panels, _I2_NODES_PER_DECADE nodes a decade, down to a
     fraction of the cell scale; below that the cylinder average is constant
     in rho and the remaining piece is the closed-form power integral.  The
     cylinder means of all nodes are one array-native cylinder_mean call.
     """
-    if not thin_grid.contains_cylinder(spec.center, spec.r):
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
+    if not 0.5 < s < 1.0:
+        raise ValueError("s must lie in (1/2, 1)")
+    if not thin_grid.contains_cylinder(center, r):
         raise ValueError("potential cylinder exits the sampled domain")
-    s = spec.s
     f_sq = np.asarray(f_values, dtype=float) ** 2
     rho_min = thin_grid.min_radius() / 8.0
     total = 0.0
-    if spec.r <= rho_min:
-        rho_min = spec.r
+    if r <= rho_min:
+        rho_min = r
     else:
-        decades = math.log10(spec.r / rho_min)
+        decades = math.log10(r / rho_min)
         order = 8
         n_panels = max(1, math.ceil(decades * _I2_NODES_PER_DECADE / order))
-        u, wu = _gauss_panels(math.log(rho_min), math.log(spec.r), n_panels, order)
+        u, wu = _gauss_panels(math.log(rho_min), math.log(r), n_panels, order)
         rhos = np.exp(u)
         vals = np.sqrt(np.maximum(
-            thin_grid.cylinder_mean(f_sq, spec.center, rhos), 0.0))
+            thin_grid.cylinder_mean(f_sq, center, rhos), 0.0))
         total += float(np.sum(wu * rhos * rhos ** (2.0 * s - 2.0) * vals))
     # below rho_min the average is frozen at its small-cylinder limit
     tail_amp = math.sqrt(max(
-        thin_grid.cylinder_mean(f_sq, spec.center, rho_min), 0.0))
+        thin_grid.cylinder_mean(f_sq, center, rho_min), 0.0))
     total += tail_amp * rho_min ** (2.0 * s - 1.0) / (2.0 * s - 1.0)
     return total
 
@@ -233,21 +210,24 @@ class Estimate1Report:
     radii_used: int
 
 
-def estimate1_check(thin_grid, f_values: np.ndarray,
-                    spec: PotentialSpec) -> Estimate1Report:
+def estimate1_check(thin_grid, f_values: np.ndarray, center, r: float,
+                    sigma: float, s: float) -> Estimate1Report:
     """Dyadic sum sum_i r_i^(2s-1) (mean_{Q_(r_i)} f^2)^(1/2), r_i = sigma^i r/2,
     against the constant times the Riesz-type potential at radius r.  The sum
     truncates once r_i falls below the grid resolution, and after 201
-    terms; the terms are added in order."""
-    s = spec.s
+    terms; the terms are added in order.  sigma lies in (0, 1), r and s
+    as for riesz_potential_I2."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("sigma must lie in (0, 1)")
+    potential = riesz_potential_I2(thin_grid, f_values, center, r, s)
     f_sq = np.asarray(f_values, dtype=float) ** 2
-    radii = np.cumprod(np.concatenate([[spec.r / 2.0], np.full(200, spec.sigma)]))
+    radii = np.cumprod(np.concatenate([[r / 2.0], np.full(200, sigma)]))
     radii = radii[radii >= thin_grid.min_radius()]
     terms = _pow(radii, 2.0 * s - 1.0) * np.sqrt(np.maximum(
-        thin_grid.cylinder_mean(f_sq, spec.center, radii), 0.0))
+        thin_grid.cylinder_mean(f_sq, center, radii), 0.0))
     lhs = float(np.cumsum(terms)[-1]) if terms.size else 0.0
-    c = estimate1_constant(s, spec.sigma, thin_grid.n)
-    rhs = c * riesz_potential_I2(thin_grid, f_values, spec)
+    c = estimate1_constant(s, sigma, thin_grid.n)
+    rhs = c * potential
     return Estimate1Report(lhs, rhs, c, lhs <= rhs * (1.0 + 1e-9), radii.size)
 
 
@@ -326,8 +306,7 @@ def estimate2_check(thin_grid, f_values: np.ndarray, center, r: float,
     of the unit thin cylinder.  Returns (lhs, rhs, holds), holds to a
     relative 1e-8."""
     n = thin_grid.n
-    spec = PotentialSpec(tuple(center), r, 0.5, s, n)
-    lhs = riesz_potential_I2(thin_grid, f_values, spec)
+    lhs = riesz_potential_I2(thin_grid, f_values, center, r, s)
     g = decreasing_rearrangement(gridded_to_sampled(thin_grid,
                                                     np.asarray(f_values) ** 2))
     C = cylinder_measure_constant(n)

@@ -21,7 +21,6 @@ import numpy as np
 from .kernels import FracParams, _leggauss, _pow
 from .lorentz import (
     _power_integral_table,
-    PotentialSpec,
     RearrangedProfile,
     cylinder_measure_constant,
     estimate1_constant,
@@ -343,9 +342,9 @@ def summability_check(omega_coeff: ModulusOfContinuity, thin_grid,
     s1_data = float(np.sum(np.asarray(omega_coeff(gamma * lam ** (ks / 2.0))) / dt))
     b1 = 2.0 * b1_data + geo_half
     r_est = 2.0 * gamma
-    spec1 = PotentialSpec(thin_grid.center, min(r_est, 0.45), lam, p.s, p.n)
     c1 = estimate1_constant(p.s, lam, p.n)
-    b2 = (c1 * gamma / dt) * riesz_potential_I2(thin_grid, f_values, spec1) \
+    b2 = (c1 * gamma / dt) * riesz_potential_I2(
+        thin_grid, f_values, thin_grid.center, min(r_est, 0.45), p.s) \
         + 1.0 / (1.0 - lam)
     c_sum = b1 * b2 + geo_half
 

@@ -754,6 +754,31 @@ class TestComparisonSolve:
         assert np.max(V.values) <= hi + 1e-9
 
 
+class TestComparisonCylinder:
+    """The comparison cylinder sits at U's center and inside U's grid."""
+
+    @staticmethod
+    def closeness(t0):
+        g = ParabolicGrid(P, nt=16, nx=16, ny=16, center=(t0,))
+        data = lambda t, x: 0.1 * np.cos(2 * x) * (1.0 + t - t0)
+        U = solve_extension(g, CoefficientField.identity(1), f=data,
+                            initial=lambda x, y: 0.0 * x)
+        return closeness_experiment(U, shape=(12, 12, 12))
+
+    def test_shifted_center_gives_the_same_eps(self):
+        ref, shifted = self.closeness(0.0), self.closeness(5.0)
+        assert ref["eps_weighted"] > 1e-3 and ref["eps_trace"] > 1e-3
+        for key in ("eps_weighted", "eps_trace"):
+            assert shifted[key] == pytest.approx(ref[key], rel=1e-9)
+
+    @pytest.mark.parametrize("rho, t_range", [(0.4, None), (1.0, (-1.0, 0.5))])
+    def test_cylinder_outside_the_grid_raises(self, rho, t_range):
+        g = ParabolicGrid(P, rho=rho, nt=8, nx=8, ny=8, t_range=t_range)
+        U = sample_scalar(g, lambda t, x, y: 1.0 + 0.0 * t)
+        with pytest.raises(ValueError, match="comparison cylinder"):
+            solve_constant_coeff_dirichlet(U, shape=(6, 6, 6))
+
+
 class TestCloseness:
     def test_zero_perturbation_linear_exact(self):
         # x-linear fields solve both problems exactly, so the comparison
@@ -833,6 +858,13 @@ class TestRegularityEstimates:
         W = sample_scalar(g, lambda t, x, y: 2.0 * x + 0.0 * t)
         rep = regularity_estimates_check(W)
         assert rep.C_y_derivative < 1e-9
+
+    @pytest.mark.parametrize("nx, ny", [(12, 8), (8, 12)])
+    def test_n2_raises(self, nx, ny):
+        g = ParabolicGrid(FracParams(s=0.75, n=2), nt=6, nx=nx, ny=ny)
+        W = sample_scalar(g, lambda t, x1, x2, y: 10.0 * x2 + y + 0.0 * t)
+        with pytest.raises(NotImplementedError):
+            regularity_estimates_check(W)
 
     def test_refinement_stability_of_y_derivative_ratio(self):
         ratios = []

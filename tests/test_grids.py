@@ -46,6 +46,26 @@ class TestParabolicGrid:
         assert got == pytest.approx(weighted_measure(grid) * 2 * grid.rho ** 2,
                                     rel=1e-12)
 
+    @pytest.mark.parametrize("n, t_range", [(1, (-0.5, 0.75)), (2, None)])
+    def test_weighted_norm_default_is_every_cell_and_time(self, n, t_range):
+        # ones on rho = 1/2: |t_range| (2 rho)^n rho^(1+a)/(1+a) over the
+        # whole time range and every cell, the square's corners at n = 2
+        g = ParabolicGrid(FracParams(s=0.75, n=n), rho=0.5, nt=10, nx=8,
+                          ny=8, t_range=t_range)
+        a = g.params.a
+        length = g.t_range[1] - g.t_range[0]
+        expect = length * 0.5 ** (1 + a) / (1 + a)
+        assert g.weighted_norm_sq(np.ones(g.shape)) == pytest.approx(
+            expect, rel=1e-12)
+
+    def test_interp_extrapolates_linearly(self):
+        # beyond the last x-center (0.875) a linear field is continued, not
+        # clamped: t + 2x + 3y at x = 0.999 is 3.498, clamping gives 3.25
+        g = ParabolicGrid(FracParams(s=0.75), nt=4, nx=8, ny=8)
+        vals = sample_scalar(g, lambda t, x, y: t + 2 * x + 3 * y).values
+        got = g.interp(vals, np.array([[0.0, 0.999, 0.5]]))
+        assert got[0] == pytest.approx(3.498, rel=1e-12)
+
     @pytest.mark.parametrize("r", [0.25, 0.5])
     def test_weighted_norm_time_linear_field(self, grid, r):
         # U = t: int y^a t^2 over Q*_r = (2 r^6 / 3) (2 r) r^(1+a)/(1+a);

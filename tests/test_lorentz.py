@@ -8,10 +8,8 @@ from scipy.integrate import quad
 from fracheat.grids import ThinGrid
 from fracheat.lorentz import (
     SampledFunction,
-    PotentialSpec,
     cylinder_measure_constant,
     decreasing_rearrangement,
-    lorentz_norm,
     lorentz_norm_forms,
     gridded_to_sampled,
     riesz_potential_I2,
@@ -177,19 +175,20 @@ class TestDoubleStar:
 class TestLorentzNorm:
     def test_zero_function(self):
         f = SampledFunction([1.0, 2.0], [0.0, 0.0])
-        assert lorentz_norm(f, 3.0) == 0.0
+        assert lorentz_norm_forms(f, 3.0)[0] == 0.0
 
     def test_indicator_closed_form(self):
         m, h, p = 0.7, 2.5, 3.0
         f = SampledFunction([m, 1.0], [h, 0.0])
-        assert lorentz_norm(f, p) == pytest.approx(h * m ** (1 / p), rel=1e-12)
+        assert lorentz_norm_forms(f, p)[0] == pytest.approx(h * m ** (1 / p),
+                                                            rel=1e-12)
 
     def test_two_step_vs_layer_cake_oracle(self):
         f = SampledFunction([0.5, 1.5, 1.0], [4.0, 1.0, 0.0])
         p = 2.5
         oracle, _ = quad(lambda t: brute_distribution_measure(f, t) ** (1 / p),
                          0.0, 4.0, limit=200, points=[1.0, 4.0])
-        assert lorentz_norm(f, p) == pytest.approx(oracle, rel=1e-10)
+        assert lorentz_norm_forms(f, p)[0] == pytest.approx(oracle, rel=1e-10)
 
     def test_forms_differ_by_factor_p(self):
         rng = np.random.default_rng(3)
@@ -206,8 +205,8 @@ class TestLorentzNorm:
         f = SampledFunction(np.array(meas), np.array(vals))
         p = 3.0
         scaled = SampledFunction(f.measures, alpha * f.values)
-        assert lorentz_norm(scaled, p) == pytest.approx(
-            abs(alpha) * lorentz_norm(f, p), rel=1e-10, abs=1e-12)
+        assert lorentz_norm_forms(scaled, p)[0] == pytest.approx(
+            abs(alpha) * lorentz_norm_forms(f, p)[0], rel=1e-10, abs=1e-12)
 
     def test_nesting_on_truncated_powers(self):
         # Lp+eps finite => L(p,1) finite => Lp finite, seen through the
@@ -220,7 +219,7 @@ class TestLorentzNorm:
         for theta in [0.5 * theta_crit, theta_crit, 2.0 * theta_crit]:
             vals = np.minimum(np.abs(X), 1.0) ** -theta
             f = gridded_to_sampled(tg, vals)
-            norms[theta] = lorentz_norm(f, p)
+            norms[theta] = lorentz_norm_forms(f, p)[0]
         # all finite at desk truncation, ordered by strength of singularity
         assert norms[0.5 * theta_crit] < norms[theta_crit] < norms[2 * theta_crit]
         assert all(np.isfinite(v) for v in norms.values())
@@ -237,37 +236,39 @@ def random_piecewise(tg, rng, scale=1.0):
 
 class TestRieszPotential:
     def test_zero(self, tg):
-        spec = PotentialSpec((0.0, 0.0), 0.4, 0.5, 0.75)
-        assert riesz_potential_I2(tg, np.zeros(tg.shape), spec) == pytest.approx(0.0)
+        assert riesz_potential_I2(tg, np.zeros(tg.shape), (0.0, 0.0), 0.4,
+                                  0.75) == pytest.approx(0.0)
 
     def test_constant_closed_form(self, tg):
         # f = c: I2 = c r^(2s-1) / (2s-1)
         c, r, s = 1.7, 0.4, 0.75
-        spec = PotentialSpec((0.0, 0.0), r, 0.5, s)
-        got = riesz_potential_I2(tg, np.full(tg.shape, c), spec)
+        got = riesz_potential_I2(tg, np.full(tg.shape, c), (0.0, 0.0), r, s)
         assert got == pytest.approx(c * r ** (2 * s - 1) / (2 * s - 1), rel=1e-8)
 
     def test_quadrature_self_convergence(self, tg, monkeypatch):
         import fracheat.lorentz as lorentz
         rng = np.random.default_rng(11)
         f = random_piecewise(tg, rng)
-        spec = PotentialSpec((0.0, 0.0), 0.35, 0.5, 0.6)
         monkeypatch.setattr(lorentz, "_I2_NODES_PER_DECADE", 32)
-        coarse = riesz_potential_I2(tg, f, spec)
+        coarse = riesz_potential_I2(tg, f, (0.0, 0.0), 0.35, 0.6)
         monkeypatch.setattr(lorentz, "_I2_NODES_PER_DECADE", 96)
-        fine = riesz_potential_I2(tg, f, spec)
+        fine = riesz_potential_I2(tg, f, (0.0, 0.0), 0.35, 0.6)
         assert abs(fine - coarse) <= 1e-3 * max(abs(fine), 1e-12)
 
     def test_domain_guard(self, tg):
-        spec = PotentialSpec((0.9, 0.0), 0.5, 0.5, 0.75)
         with pytest.raises(ValueError):
-            riesz_potential_I2(tg, np.ones(tg.shape), spec)
+            riesz_potential_I2(tg, np.ones(tg.shape), (0.9, 0.0), 0.5, 0.75)
+
+    @pytest.mark.parametrize("r, s, bad", [(0.0, 0.75, "r"), (1.0, 0.75, "r"),
+                                           (0.4, 0.5, "s"), (0.4, 1.0, "s")])
+    def test_range_checks(self, tg, r, s, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must"):
+            riesz_potential_I2(tg, np.ones(tg.shape), (0.0, 0.0), r, s)
 
 
 class TestEstimate1:
     def test_zero_function(self, tg):
-        spec = PotentialSpec((0.0, 0.0), 0.4, 0.5, 0.75)
-        rep = estimate1_check(tg, np.zeros(tg.shape), spec)
+        rep = estimate1_check(tg, np.zeros(tg.shape), (0.0, 0.0), 0.4, 0.5, 0.75)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.holds
 
     def test_constant_closed_form_both_sides(self):
@@ -278,7 +279,7 @@ class TestEstimate1:
         rhs_exact = estimate1_constant(s, sigma, n) * r ** p / p
         assert lhs_exact < rhs_exact
         tg = ThinGrid(1, 1.0, 64, 64)
-        rep = estimate1_check(tg, np.ones(tg.shape), PotentialSpec((0.0, 0.0), r, sigma, s))
+        rep = estimate1_check(tg, np.ones(tg.shape), (0.0, 0.0), r, sigma, s)
         assert rep.holds
         assert rep.rhs == pytest.approx(rhs_exact, rel=1e-6)
         # truncated lhs sits below the exact infinite sum
@@ -288,10 +289,17 @@ class TestEstimate1:
         rng = np.random.default_rng(2024)
         for s in [0.6, 0.75, 0.9]:
             for sigma in [0.5, 0.25]:
-                spec = PotentialSpec((0.0, 0.0), 0.45, sigma, s)
                 for _ in range(25):
                     f = random_piecewise(tg, rng)
-                    assert estimate1_check(tg, f, spec).holds
+                    assert estimate1_check(tg, f, (0.0, 0.0), 0.45, sigma,
+                                           s).holds
+
+    @pytest.mark.parametrize("r, sigma, s, bad", [
+        (1.2, 0.5, 0.75, "r"), (0.4, 0.0, 0.75, "sigma"),
+        (0.4, 1.0, 0.75, "sigma"), (0.4, 0.5, 0.45, "s")])
+    def test_range_checks(self, tg, r, sigma, s, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must"):
+            estimate1_check(tg, np.ones(tg.shape), (0.0, 0.0), r, sigma, s)
 
 
 def per_radius_mean_sq(tg, f, center, radius):
@@ -300,32 +308,30 @@ def per_radius_mean_sq(tg, f, center, radius):
     return math.sqrt(max(tg.cylinder_mean(f ** 2, center, float(radius)), 0.0))
 
 
-def per_radius_riesz(tg, f, spec):
+def per_radius_riesz(tg, f, center, r, s):
     """riesz_potential_I2 as it was before the array cylinder means: one
     cylinder_mean call per Gauss node."""
     from fracheat.kernels import _gauss_panels
-    s = spec.s
     rho_min = tg.min_radius() / 8.0
     total = 0.0
-    if spec.r <= rho_min:
-        rho_min = spec.r
+    if r <= rho_min:
+        rho_min = r
     else:
-        n_panels = max(1, int(math.ceil(math.log10(spec.r / rho_min) * 64 / 8)))
-        u, wu = _gauss_panels(math.log(rho_min), math.log(spec.r), n_panels, 8)
+        n_panels = max(1, int(math.ceil(math.log10(r / rho_min) * 64 / 8)))
+        u, wu = _gauss_panels(math.log(rho_min), math.log(r), n_panels, 8)
         rhos = np.exp(u)
-        vals = np.array([per_radius_mean_sq(tg, f, spec.center, r) for r in rhos])
+        vals = np.array([per_radius_mean_sq(tg, f, center, rho) for rho in rhos])
         total += float(np.sum(wu * rhos * rhos ** (2.0 * s - 2.0) * vals))
-    tail_amp = per_radius_mean_sq(tg, f, spec.center, rho_min)
+    tail_amp = per_radius_mean_sq(tg, f, center, rho_min)
     return total + tail_amp * rho_min ** (2.0 * s - 1.0) / (2.0 * s - 1.0)
 
 
-def per_radius_estimate1_lhs(tg, f, spec):
+def per_radius_estimate1_lhs(tg, f, center, r, sigma, s):
     """estimate1_check's dyadic sum as the while loop computed it."""
-    lhs, count, r_i = 0.0, 0, spec.r / 2.0
+    lhs, count, r_i = 0.0, 0, r / 2.0
     while r_i >= tg.min_radius():
-        lhs += r_i ** (2.0 * spec.s - 1.0) * per_radius_mean_sq(
-            tg, f, spec.center, r_i)
-        r_i *= spec.sigma
+        lhs += r_i ** (2.0 * s - 1.0) * per_radius_mean_sq(tg, f, center, r_i)
+        r_i *= sigma
         count += 1
         if count > 200:
             break
@@ -347,8 +353,8 @@ class TestPerRadiusParity:
         f = np.random.default_rng(5).normal(size=grid.shape) + 0.5
         center = (0.02,) + (-0.03,) * grid.n
         for r in (0.9, 0.45, grid.min_radius() / 10.0):
-            spec = PotentialSpec(center, r, 0.5, s, grid.n)
-            assert riesz_potential_I2(grid, f, spec) == per_radius_riesz(grid, f, spec)
+            assert riesz_potential_I2(grid, f, center, r, s) \
+                == per_radius_riesz(grid, f, center, r, s)
 
     # sigma = 0.999 on 16 x 16 reaches the cap of 201 terms; r = 0.3 on
     # the coarse grids has no term at all
@@ -356,11 +362,12 @@ class TestPerRadiusParity:
     @pytest.mark.parametrize("r, sigma", [(0.9, 0.5), (0.9, 0.999), (0.3, 0.25)])
     def test_estimate1(self, grid, r, sigma):
         f = np.random.default_rng(6).normal(size=grid.shape)
-        spec = PotentialSpec((0.0,) * (grid.n + 1), r, sigma, 0.62, grid.n)
-        rep = estimate1_check(grid, f, spec)
-        lhs, count = per_radius_estimate1_lhs(grid, f, spec)
+        center = (0.0,) * (grid.n + 1)
+        rep = estimate1_check(grid, f, center, r, sigma, 0.62)
+        lhs, count = per_radius_estimate1_lhs(grid, f, center, r, sigma, 0.62)
         assert (rep.lhs, rep.radii_used) == (lhs, count)
-        assert rep.rhs == rep.constant_used * per_radius_riesz(grid, f, spec)
+        assert rep.rhs == rep.constant_used * per_radius_riesz(grid, f, center,
+                                                               r, 0.62)
         if grid.nt == 16 and sigma == 0.999:
             assert count == 201
 

@@ -48,7 +48,6 @@ PROOF_STEPS = {
     "marchaud_normalization": "kernel: Marchaud normalization",
     "check_master_bounds": "kernel: two-sided master-equation bounds",
     # potential estimates in L(p,1)
-    "lorentz_norm": "potentials: L(p,1) quasi-norm",
     "lorentz_norm_forms": "potentials: the two forms of the L(p,1) norm",
     "estimate1_check": "potentials: dyadic sum against the potential",
     "hardy_littlewood_check": "potentials: Hardy-Littlewood bound",
@@ -60,7 +59,6 @@ PROOF_STEPS = {
     "ParabolicGrid.interp": HELPER + "solve_constant_coeff_dirichlet",
     "ParabolicGrid.gradient": HELPER + "energy_report",
     "ParabolicGrid.time_derivative": HELPER + "energy_report",
-    "ScalarField.weighted_norm": HELPER + "regularity_estimates_check",
     "heat_kernel": HELPER + "check_master_bounds",
 }
 
