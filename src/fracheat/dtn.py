@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FracParams, QuadratureSpec, dtn_constant, frac_heat_apply
-from .grids import ParabolicGrid, ScalarField, _grading_exponent
+from .grids import ParabolicGrid, ScalarField, _grading_exponent, _y_mesh
 from .extension import CoefficientField, _flapack, solve_extension
 
 __all__ = [
@@ -48,13 +48,15 @@ class DtnExtract:
     fluxes: np.ndarray
 
 
-# at least this many flux intervals enter the fit
+# at least this many flux intervals enter the fit, and at most
 _LAYERS = 4
+_MAX_LAYERS = 12
 # a cell is flagged when the two fits differ by more than this share of
 # its value
 _RESIDUAL_THRESHOLD = 0.05
-# intervals of lower resistance are skipped: there the U differences are
-# float noise on strongly graded meshes
+# intervals of lower resistance, relative to rho^(1-a), are skipped: there
+# the U differences are float noise on strongly graded meshes.  Resistances
+# scale as rho^(1-a), so the skipped intervals do not depend on rho.
 _RESISTANCE_FLOOR = 1e-11
 # the fit stops once eta exceeds this share of rho^(1+a)
 _ETA_WINDOW = 0.45
@@ -66,38 +68,37 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
 
     The flux of an extension solution is analytic in eta = y^(1+a) with the
     first model error only at order eta^(1 + 2/(1+a)), so the limit comes
-    from a quadratic fit in eta.  Intervals are auto-selected: at least
-    `_LAYERS` of them, skipping intervals whose resistance sits below
-    `_RESISTANCE_FLOOR` and stopping once eta exceeds `_ETA_WINDOW`.
+    from a quadratic fit in eta.  The intervals are one contiguous run:
+    from the first whose resistance reaches `_RESISTANCE_FLOOR` rho^(1-a),
+    those with eta within `_ETA_WINDOW` rho^(1+a) (eta increases with the
+    interval), clipped to between `_LAYERS` and `_MAX_LAYERS` of them.
     """
     grid = U.grid
     a = p.a
     yc = grid.y_centers
     eta_all = (1.0 - a) * (yc[1:] ** 2 - yc[:-1] ** 2) \
         / (2.0 * (yc[1:] ** (1.0 - a) - yc[:-1] ** (1.0 - a)))
-    usable = np.nonzero(grid.res_y >= _RESISTANCE_FLOOR)[0]
+    usable = np.nonzero(
+        grid.res_y >= _RESISTANCE_FLOOR * grid.rho ** (1.0 - a))[0]
     if usable.size < _LAYERS:
         raise ValueError("mesh does not resolve enough flux layers")
     j0 = int(usable[0])
-    in_window = [j for j in range(j0, grid.ny - 1)
-                 if eta_all[j] <= _ETA_WINDOW * grid.rho ** (1.0 + a)]
-    picked = in_window if len(in_window) >= _LAYERS \
-        else list(range(j0, min(j0 + _LAYERS, grid.ny - 1)))
-    picked = picked[:max(_LAYERS, min(len(picked), 12))]
-    if len(picked) < 3:
-        raise ValueError("grid does not resolve the requested layers")
-    m = len(picked)
+    in_window = np.count_nonzero(
+        eta_all[j0:] <= _ETA_WINDOW * grid.rho ** (1.0 + a))
+    m = int(np.clip(in_window, _LAYERS, _MAX_LAYERS))
+    picked = slice(j0, j0 + m)
 
-    fluxes = np.stack(
-        [(U.values[..., j + 1] - U.values[..., j]) / grid.res_y[j]
-         for j in picked])
-    etas = eta_all[np.asarray(picked)]
+    # in place: a second temporary of this size added 1 MB to peak memory
+    fluxes = np.diff(U.values[..., j0:j0 + m + 1], axis=-1)
+    fluxes /= grid.res_y[picked]
+    fluxes = np.moveaxis(fluxes, -1, 0)
+    etas = eta_all[picked]
 
     # only the constant terms of the quadratic and the linear fit are used:
     # the first rows of the two pseudo-inverses, applied in one product
     eta = etas / etas[-1]
     rows = [np.linalg.pinv(np.vander(eta, N=k, increasing=True))[0]
-            for k in (min(3, m), 2)]
+            for k in (3, 2)]
     limit_2, limit_1 = np.stack(rows) @ fluxes.reshape(m, -1)
 
     thin_shape = U.values.shape[:-1]
@@ -119,22 +120,17 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
 def steady_profile(p: FracParams, xi: float):
     """Decaying radial profile phi of the steady extension of cos(xi x):
     (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a graded
-    1-d mesh of 4000 cells over (0, 14 / |xi|) with the grading and resistance
-    scheme of the main solver.  Its 1e-16 resistance floor is left out: on
-    this mesh it would bind and move the profile.
+    1-d mesh of 4000 cells over (0, 14 / |xi|), built by `grids._y_mesh`
+    as the main solver's is.
 
     Returns (phi, flux0): a vectorized interpolant and the flux limit
     lim_(y->0) y^a phi'(y)  (negative; -c_s * flux0 ~ xi^(2s))."""
     a = p.a
     n_cells = 4000
     ymax = 14.0 / max(abs(xi), 1e-6)
-    faces = ymax * (np.arange(n_cells + 1) / n_cells) ** _grading_exponent(a)
-    centers = 0.5 * (faces[1:] + faces[:-1])
-    w = np.diff(faces ** (1.0 + a)) / (1.0 + a)
-    b = 1.0 - a
-    res = (centers[1:] ** b - centers[:-1] ** b) / b
-    res_bot = centers[0] ** b / b
-    res_top = (ymax ** b - centers[-1] ** b) / b
+    _, centers, w, res, res_top = _y_mesh(a, ymax, n_cells,
+                                          _grading_exponent(a))
+    res_bot = centers[0] ** (1.0 - a) / (1.0 - a)
 
     # solve for psi = phi - 1 so the bottom flux psi(yc0)/res_bot is free of
     # the catastrophic cancellation a direct phi solve would suffer on

@@ -112,6 +112,22 @@ def _grading_exponent(a: float) -> float:
     return min(2.0 / (1.0 + a), 6.0 / (1.0 - a))
 
 
+def _y_mesh(a: float, rho: float, ny: int, q: float):
+    """Faces and centers of the graded y-mesh y_j = rho (j / ny)^q, its
+    exact weighted cell measures w_y = int y^a dy, and the resistances
+    int y^-a dy between consecutive centers (res_y) and from the last
+    center to the top (res_top): the harmonic face treatment of the weight."""
+    faces = rho * (np.arange(ny + 1) / ny) ** q
+    centers = 0.5 * (faces[1:] + faces[:-1])
+    w_y = np.diff(faces ** (1.0 + a)) / (1.0 + a)
+    if np.any(w_y <= 0):
+        raise ValueError("degenerate y mesh")
+    b = 1.0 - a
+    res_y = (centers[1:] ** b - centers[:-1] ** b) / b
+    res_top = (rho ** b - centers[-1] ** b) / b
+    return faces, centers, w_y, res_y, res_top
+
+
 @dataclass
 class ThinGrid:
     """Cell-based grid over the thin cylinder Q_rho(center)."""
@@ -229,23 +245,8 @@ class ParabolicGrid:
                         for c in self.center[1:]]
         self.x_centers = [0.5 * (f[1:] + f[:-1]) for f in self.x_faces]
         self.dx = 2.0 * self.rho / self.nx
-        self.y_faces = self.rho * (np.arange(self.ny + 1) / self.ny) ** self.q
-        self.y_centers = 0.5 * (self.y_faces[1:] + self.y_faces[:-1])
-        # exact weighted 1-d cell measures int y^a dy
-        self.w_y = np.diff(self.y_faces ** (1.0 + a)) / (1.0 + a)
-        if np.any(self.w_y <= 0):
-            raise ValueError("degenerate y mesh")
-        # resistances int y^-a dy between consecutive centers (and to the
-        # top boundary): the harmonic face treatment of the weight.
-        # Resistances are floored 16 decades below the largest one; cells
-        # coupled more stiffly than that are numerically identical at
-        # float64.  The floor binds on no tier-1 or benchmark grid.
-        b = 1.0 - a
-        yc = self.y_centers
-        self.res_y = (yc[1:] ** b - yc[:-1] ** b) / b
-        self.res_top = (self.rho ** b - yc[-1] ** b) / b
-        floor = float(np.max(self.res_y)) * 1e-16
-        self.res_y = np.maximum(self.res_y, floor)
+        self.y_faces, self.y_centers, self.w_y, self.res_y, self.res_top = \
+            _y_mesh(a, self.rho, self.ny, self.q)
 
     @property
     def n(self) -> int:

@@ -492,17 +492,19 @@ def check_master_bounds(p: FracParams, c1: float, c2: float,
     zs = np.geomspace(zlo, zhi, max(2, int(ndec_z * 24) + 1))
 
     expo = p.n + 2.0 * p.s + beta
+    # heat_kernel reads a scalar distance only at n = 1: sample along x_1
+    points = np.append(zs[:, None], np.zeros((zs.size, p.n - 1)), axis=1)
     lam = math.inf
-    for z in zs:
+    for z, pt in zip(zs, points):
         taus = np.geomspace(c1 * z * z, c2 * z * z, 24)
-        K = cs * taus ** (-p.s - 1.0) * heat_kernel(taus, z, p.n)
+        K = cs * taus ** (-p.s - 1.0) * heat_kernel(taus, pt, p.n)
         lam = min(lam, float(np.min(K * z ** expo)))
 
     Lam = 0.0
     tlo, thi = c1 * zlo * zlo / 100.0, c2 * zhi * zhi * 100.0
     taus_all = np.geomspace(tlo, thi, max(2, int(math.log10(thi / tlo) * 24) + 1))
-    for z in zs:
-        K = cs * taus_all ** (-p.s - 1.0) * heat_kernel(taus_all, z, p.n)
+    for z, pt in zip(zs, points):
+        K = cs * taus_all ** (-p.s - 1.0) * heat_kernel(taus_all, pt, p.n)
         bound = z ** expo + taus_all ** (p.n / beta + 1.0 + 2.0 * p.s / beta)
         Lam = max(Lam, float(np.max(K * bound)))
 

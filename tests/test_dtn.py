@@ -86,6 +86,22 @@ class TestSteadyProfile:
             assert -dtn_constant(s) * flux0 == pytest.approx(
                 xi ** (2 * s), rel=1e-5)
 
+    @pytest.mark.parametrize("s", [0.55, 0.6, 0.75, 0.9, 0.95])
+    def test_matches_bessel_closed_form(self, s):
+        # phi(y) = 2^(1-s) / Gamma(s) (xi y)^s K_s(xi y), read down to
+        # y = 1e-8, far below the shooting oracle's start; the measured sup
+        # error is 1.6e-7, the symbol's 2.2e-7
+        from scipy.special import gamma, kv
+        p = FracParams(s=s)
+        for xi in (0.5, 1.0, 2.5, 4.0):
+            phi, flux0 = steady_profile(p, xi)
+            ys = np.concatenate([np.geomspace(1e-8, 10.0 / xi, 400),
+                                 np.linspace(0.0, 10.0 / xi, 401)[1:]])
+            exact = 2.0 ** (1.0 - s) / gamma(s) * (xi * ys) ** s \
+                * kv(s, xi * ys)
+            assert np.max(np.abs(phi(ys) - exact)) <= 1e-6
+            assert abs(-dtn_constant(s) * flux0 / xi ** (2 * s) - 1.0) <= 1e-6
+
     def test_profile_even_in_xi(self):
         # the profile of cos(xi x) is that of cos(-xi x): the mesh spans
         # (0, 14 / |xi|) for either sign
@@ -222,6 +238,29 @@ class TestExtractDtn:
         i_min = int(np.argmin(trace))
         assert 0 < i_min < g.nx - 1
         assert ext.values[g.nt // 2, i_min] <= 1e-6
+
+    @pytest.mark.parametrize("s", [0.75, 0.9])
+    def test_extraction_independent_of_rho(self, s):
+        # cos(2 x / rho) on the radius-rho grid is the rho = 1 problem
+        # rescaled, and so is every mesh resistance (by rho^(1-a)): the
+        # relative error must not move with rho.  A resistance floor that
+        # does not scale with rho skips more intervals as rho shrinks.
+        p = FracParams(s=s)
+
+        def rel_error(rho):
+            xi = 2.0 / rho
+            g = ParabolicGrid(p, rho=rho, nt=16, nx=32, ny=48)
+            data = cosine_extension_data(p, xi)
+            U = solve_extension(g, CoefficientField.identity(1), f=data["f"],
+                                lateral_dirichlet=data["lateral"],
+                                initial=data["initial"])
+            ext = extract_dtn(U, p)
+            expect = xi ** (2 * s) * np.cos(xi * g.x_centers[0])
+            d = np.abs(ext.values - expect)[~ext.flagged]
+            return np.max(d) / np.max(np.abs(expect))
+
+        assert rel_error(1.0 / 64.0) == pytest.approx(rel_error(1.0),
+                                                      rel=1e-5)
 
     def test_flagging_marks_lateral_boundary(self):
         p = FracParams(s=0.75)

@@ -609,6 +609,19 @@ class TestMasterBounds:
         assert math.isfinite(rep.Lambda_upper)
         assert rep.lambda_lower < rep.Lambda_upper
 
+    def test_heat_case_bounds_at_n2(self):
+        # K z^(n+2s+2) = c_s (4 pi u)^(-n/2) u^(-s-1) e^(-1/(4u)) at
+        # tau = u z^2; at n = 2 it peaks at u = 1/(4(s+2)) and decreases on
+        # [c1, c2] = [1/2, 2], so the sampled minimum sits at u = c2
+        s, c2 = 0.75, 2.0
+        rep = check_master_bounds(FracParams(s=s, n=2), 0.5, c2)
+        closed = subordination_constant(s) / (4.0 * math.pi) \
+            * c2 ** -(s + 2.0) * math.exp(-1.0 / (4.0 * c2))
+        assert closed == pytest.approx(0.0021595, rel=1e-4)
+        assert rep.lambda_lower == pytest.approx(closed, rel=1e-9)
+        assert math.isfinite(rep.Lambda_upper)
+        assert rep.holds
+
     def test_lambda_scale_invariant_under_z_refinement(self):
         p = FracParams(s=0.6)
         a = check_master_bounds(p, 0.5, 2.0, z_range=(0.1, 10.0))
