@@ -21,7 +21,8 @@ import numpy as np
 
 from .kernels import FracParams, QuadratureSpec, dtn_constant, frac_heat_apply
 from .grids import ParabolicGrid, ScalarField, _grading_exponent, _y_mesh
-from .extension import CoefficientField, _flapack, solve_extension
+from .extension import (CoefficientField, _flapack, _two_point,
+                        solve_extension)
 
 __all__ = [
     "DtnExtract",
@@ -121,7 +122,8 @@ def steady_profile(p: FracParams, xi: float):
     """Decaying radial profile phi of the steady extension of cos(xi x):
     (y^a phi')' = xi^2 y^a phi, phi(0) = 1, phi -> 0, solved on a graded
     1-d mesh of 4000 cells over (0, 14 / |xi|), built by `grids._y_mesh`
-    as the main solver's is.
+    as the main solver's is, with the solver's two-point y-operator
+    (`extension._two_point`) plus a Dirichlet face at y = 0.
 
     Returns (phi, flux0): a vectorized interpolant and the flux limit
     lim_(y->0) y^a phi'(y)  (negative; -c_s * flux0 ~ xi^(2s))."""
@@ -134,19 +136,13 @@ def steady_profile(p: FracParams, xi: float):
 
     # solve for psi = phi - 1 so the bottom flux psi(yc0)/res_bot is free of
     # the catastrophic cancellation a direct phi solve would suffer on
-    # strongly graded meshes
-    main = np.zeros(n_cells)
-    lower = np.zeros(n_cells - 1)
-    rhs = np.zeros(n_cells)
+    # strongly graded meshes; psi(0) = 0 and psi(ymax) = -1
+    main, off = _two_point(np.concatenate([[1.0 / res_bot], 1.0 / res,
+                                           [1.0 / res_top]]))
     main += xi * xi * w
-    rhs -= xi * xi * w               # forcing from the constant shift
-    main[:-1] += 1.0 / res
-    main[1:] += 1.0 / res
-    lower -= 1.0 / res
-    main[0] += 1.0 / res_bot         # psi(0) = 0
-    main[-1] += 1.0 / res_top
-    rhs[-1] += -1.0 / res_top        # psi(ymax) = -1
-    *_, psi_c, info = _flapack.dgtsv(lower, main, lower, rhs)
+    rhs = -xi * xi * w               # forcing from the constant shift
+    rhs[-1] -= 1.0 / res_top
+    *_, psi_c, info = _flapack.dgtsv(off, main, off, rhs)
     if info != 0:
         raise RuntimeError(f"tridiagonal profile solve failed (info={info})")
 

@@ -19,9 +19,10 @@ In the axis-separable reference of A, each a_dd is averaged over the other
 axes; it is A itself at n = 1 and whenever a_dd depends on x_d only.  The
 reference is solved by fast diagonalization: one nx x nx eigenbasis per
 x-axis decouples each step into one tridiagonal y-problem per x-eigenmode
-(see `_separable_solver`).  Every step runs conjugate gradients on the true
-step operator, started from and preconditioned by that solve.  Memory is
-linear in the unknowns.  The step operator is applied as a stencil, never
+(see `_separable_solver`); every 1-D two-point operator comes from
+`_two_point`.  Every step runs conjugate gradients on the true step
+operator, started from and preconditioned by that solve.  Memory is linear
+in the unknowns.  The step operator is applied as a stencil, never
 assembled; every step's backward error is checked on it.
 """
 
@@ -133,19 +134,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 
 
-def _eigh(a):
-    """Eigenvalues (ascending) and eigenvectors of the symmetric a, read
-    from its lower triangle: the LAPACK call `scipy.linalg.eigh(a)` makes."""
-    lwork, liwork, info = _flapack.dsyevr_lwork(a.shape[0], lower=1)
-    if info == 0:
-        w, v, _, _, info = _flapack.dsyevr(a, compute_v=1, lower=1,
-                                           lwork=int(lwork),
-                                           liwork=int(liwork))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed (info={info})")
-    return w, v
-
-
 def _lattice_points(axis_arrays):
     mesh = np.meshgrid(*axis_arrays, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -153,6 +141,13 @@ def _lattice_points(axis_arrays):
 
 def _harmonic(a):
     return 2.0 * a[:-1] * a[1:] / (a[:-1] + a[1:])
+
+
+def _two_point(c):
+    """The tridiagonal (main, off) of the 1-D two-point operator whose m + 1
+    face conductances c run along axis 0, both boundary faces included:
+    cell i couples to its neighbours through faces i and i + 1."""
+    return c[:-1] + c[1:], -c[1:-1]
 
 
 def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
@@ -163,17 +158,16 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
     weights[k] (spatial shape, x-major, y fastest) couples each cell to its
     successor along axis k (0 at the last cell), an x face's transmissibility
     times w_y or x_area / res_y, x_area the x-cell measures; diag is L's
-    flat diagonal; factors[d] = (K_d, w_d), the reference's dense 1-D
-    stiffness and cell widths; ky = (main, off), the tridiagonal y-stiffness
-    per unit x-area; dirichlet = (cells, T, face_points) for each Dirichlet
-    face point, lateral patches first.
+    flat diagonal; factors[d] = (main, off, w_d), the reference's
+    tridiagonal 1-D stiffness along axis d and its cell widths; ky = (main,
+    off), the tridiagonal y-stiffness per unit x-area; dirichlet = (cells,
+    T, face_points) for each Dirichlet face point, lateral patches first.
     """
     n, nx, ny, dx = grid.n, grid.nx, grid.ny, grid.dx
     xidx = np.arange(nx ** n).reshape((nx,) * n)
     xc = _lattice_points(grid.x_centers)                # (nx^n, n)
     x_area = grid.x_cell_measures()                     # (nx,)*n
     face = dx ** (n - 1)                                # x-face area
-    widths = [np.diff(f) for f in grid.x_faces]
 
     weights, factors, dirichlet = [], [], []
     kx_diag = np.zeros(x_area.shape)
@@ -196,28 +190,25 @@ def _assemble(grid: ParabolicGrid, coeff: CoefficientField):
         T = np.concatenate([Tb[0], _harmonic(a_cell) * face / dx, Tb[1]])
         t_in = _harmonic(a_cell.reshape(nx, -1).mean(axis=1)) / dx
         t = np.concatenate([tb[0], t_in, tb[1]])
-        kx_diag += np.moveaxis(T[:-1] + T[1:], 0, axis)
-        succ = T[1:].copy()
-        succ[-1] = 0.0                              # the last cell has none
+        kx_main, kx_off = _two_point(T)
+        kx_diag += np.moveaxis(kx_main, 0, axis)
+        succ = np.concatenate([-kx_off, np.zeros_like(T[:1])])  # last: none
         weights.append(np.multiply.outer(np.moveaxis(succ, 0, axis), grid.w_y))
-        factors.append((np.diag(t[:-1] + t[1:]) - np.diag(t[1:-1], 1)
-                        - np.diag(t[1:-1], -1), widths[axis]))
+        factors.append((*_two_point(t), np.diff(grid.x_faces[axis])))
 
-    # y faces: coefficient 1, exact resistances; top face (y = rho) Dirichlet
-    ky_main = np.zeros(ny)
-    ky_main[:-1] += 1.0 / grid.res_y
-    ky_main[1:] += 1.0 / grid.res_y
-    ky_main[-1] += 1.0 / grid.res_top
-    weights.append(np.multiply.outer(x_area, np.append(1.0 / grid.res_y, 0.0)))
+    # y faces: coefficient 1, exact resistances, none at y = 0 (the Neumann
+    # datum enters the right-hand side); top face (y = rho) Dirichlet
+    ky = _two_point(np.concatenate([[0.0], 1.0 / grid.res_y,
+                                    [1.0 / grid.res_top]]))
+    weights.append(np.multiply.outer(x_area, np.append(-ky[1], 0.0)))
     diag = (np.multiply.outer(kx_diag, grid.w_y)
-            + np.multiply.outer(x_area, ky_main)).ravel()
+            + np.multiply.outer(x_area, ky[0])).ravel()
     dirichlet.append((xidx.ravel() * ny + ny - 1,
                       x_area.ravel() / grid.res_top,
                       _lattice_points(list(grid.x_centers)
                                       + [np.array([grid.rho])])))
     dirichlet = tuple(np.concatenate(part) for part in zip(*dirichlet))
-    return (weights, diag, factors, x_area, (ky_main, -1.0 / grid.res_y),
-            dirichlet)
+    return weights, diag, factors, x_area, ky, dirichlet
 
 
 def _step_operator(D, weights):
@@ -240,12 +231,21 @@ def _step_operator(D, weights):
     return stencil(-1.0), stencil(1.0)
 
 
+def _eigenbasis(main, off, w):
+    """(mu, V) with K V = diag(w) V diag(mu) and V^T diag(w) V = I, for the
+    tridiagonal K = (main, off): LAPACK's divide and conquer (dstevd; Gu
+    and Eisenstat 1995) on diag(w)^-1/2 K diag(w)^-1/2."""
+    mu, Q, info = _flapack.dstevd(main / w, off / np.sqrt(w[:-1] * w[1:]))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed (info={info})")
+    return mu, Q / np.sqrt(w)[:, None]
+
+
 def _separable_solver(factors, ky, w_y, dt):
     """Solve (Mx (x) Wy / dt + L) u = b by fast diagonalization in x
     (Lynch, Rice and Thomas 1964), L the separable reference.
 
-    V_d = M_d^-1/2 Q_d, from the eigenpairs (mu_d, Q_d) of
-    M_d^-1/2 K_d M_d^-1/2, takes M_d to I and K_d to diag(mu_d).  So
+    V_d from `_eigenbasis` takes M_d to I and K_d to diag(mu_d).  So
     V = V_0 (x) ... (x) V_(n-1), applied as n mode products, decouples each
     x-eigenmode into the tridiagonal y-problem Ky + (mu_i + 1/dt) Wy, mu the
     outer sum of the mu_d.  Each is symmetric positive definite
@@ -256,16 +256,16 @@ def _separable_solver(factors, ky, w_y, dt):
     x is the direction diagonalized because its mesh is uniform.  On the
     graded y-mesh (resistances spanning about 10 decades at s = 3/4 and
     ny = 128) a y-eigenbasis solve measured a componentwise backward error
-    of 3.5e-9 at ny = 100 and 1.5e-4 at 128^3, against at most 1e-12 for
-    this one.
+    of 3.5e-9 at ny = 100 and 1.5e-4 at 128^3.  This one's starts measured
+    at most 8.4e-14 on the benchmark's n = 1 dual route (128^3, seed 101,
+    first pass); the graded case in `solve_extension` is the worst known.
     """
     V, mu = [], 0.0
-    for K, w in factors:
-        scale = 1.0 / np.sqrt(w)
-        mu_d, Q = _eigh(scale[:, None] * K * scale[None, :])
-        V.append(scale[:, None] * Q)
+    for factor in factors:
+        mu_d, V_d = _eigenbasis(*factor)
+        V.append(V_d)
         mu = np.add.outer(mu, mu_d)
-    nx, nmodes, ny = V[0].shape[0], mu.size, w_y.size
+    nx, nmodes = V[0].shape[0], mu.size
     main = (ky[0] + np.multiply.outer(mu.ravel() + 1.0 / dt, w_y)).ravel()
     off = np.tile(np.append(ky[1], 0.0), nmodes)[:-1]
     d, e, info = _flapack.dpttrf(main, off)
@@ -300,20 +300,23 @@ def _pcg(A, A_abs, b, u, precond):
     error max |b - A u| / (|A| |u| + |b|) is at most `_RTOL`, or
     `_CG_MAXITER` iterations; A and A_abs apply A and |A|.  Returns (u,
     backward error, iterations); a start that already meets `_RTOL` comes
-    back as it is, after 0 iterations, and so does one whose backward
-    error is not finite.  Each pass of CG starts from the true residual
-    b - A u and ends once its recurrence residual r meets `_RTOL` / 2
-    against the pass's starting |A| |u| + |b|, or has shrunk by 1e-6 in
-    the 2-norm; the true residual is then measured again.  The two drift
-    apart by rounding, and on the graded y-mesh the true one stalled near
-    1e-11 while the recurrence went on (recomputing it every iteration
-    instead diverged).  A pass that makes no iteration ends the solve."""
+    back as it is, after 0 iterations.  A backward error that is not
+    finite raises; NaN or +-inf in u or b make it NaN.  Each pass of CG
+    starts from the true residual b - A u and ends once its recurrence
+    residual r meets `_RTOL` / 2 against the pass's starting |A| |u| + |b|,
+    or has shrunk by 1e-6 in the 2-norm; the true residual is then measured
+    again.  The two drift apart by rounding, and on the graded y-mesh the
+    true one stalled near 1e-11 while the recurrence went on (recomputing
+    it every iteration instead diverged).  A pass that makes no iteration
+    ends the solve."""
     its = 0
     while True:
         r = b - A(u)
         den = np.maximum(A_abs(np.abs(u)) + np.abs(b), 1e-300)
         res = float(np.max(np.abs(r) / den))
-        if not res > _RTOL or its >= _CG_MAXITER:
+        if not math.isfinite(res):
+            raise RuntimeError("linear solve produced non-finite values")
+        if res <= _RTOL or its >= _CG_MAXITER:
             return u, res, its
         stop, p, rz, start = 1e-6 * np.linalg.norm(r), 0.0, 1.0, its
         while (its < _CG_MAXITER and np.linalg.norm(r) > stop
@@ -409,7 +412,9 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     reference (Concus and Golub 1973), to a componentwise backward error of
     `_RTOL`.  Where A is its own reference (always at n = 1) the start
     meets it and CG takes no iteration, except on strongly graded y-meshes:
-    at 128^3 and s = 0.79 a start measured 3.8e-9.
+    at 128^3, s = 0.79 and xi = 1.95, the starts measured a median 5.2e-12
+    and at most 3.2e-10 with CG refining each step, and 6.0e-12 and 3.4e-9
+    when every step keeps its start.
 
     The returned field's meta records the worst backward error, the
     per-step mass balance and the CG iterations; a backward error above
@@ -440,8 +445,6 @@ def solve_extension(grid: ParabolicGrid, coeff: CoefficientField, f=None,
     for m in range(grid.nt):
         b = mass / dt * u + rhs_at(m + 1)
         u, res, its = _pcg(A_step, A_abs, b, precond(b), precond)
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError("linear solve produced non-finite values")
         worst_res = max(worst_res, res)
         iterations += its
         out[m + 1] = u

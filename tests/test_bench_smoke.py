@@ -16,7 +16,12 @@ the solve or the data, so they match at the tolerances ROADMAP declares:
 Every other float matches to 1e-12 relative; on the 2-core x86 host the
 file was recorded on, none of them moved between one and two OpenBLAS
 threads.  A change that moves an output on purpose declares the move and
-records the file again.
+records the file again:
+
+    PYTHONPATH=src python tests/test_bench_smoke.py --record
+
+reruns every case of CASES and rewrites first_pass_outputs.json, and
+refuses to write while any case fails a check.
 """
 
 import json
@@ -33,8 +38,8 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
-PINNED = json.loads(
-    (Path(__file__).with_name("first_pass_outputs.json")).read_text())
+PINNED_PATH = Path(__file__).with_name("first_pass_outputs.json")
+PINNED = json.loads(PINNED_PATH.read_text())
 
 # (absolute, relative) tolerance by workload and output key
 EXT_KEYS = ("sup_extension_vs_direct", "l2_extension_vs_direct",
@@ -69,7 +74,7 @@ def run_first_pass(name, seed):
     return [workloads.run_case(wl, case, Tracer(False)) for case in cases]
 
 
-@pytest.mark.parametrize("name, seed", [
+CASES = [
     ("dtn_dual_route", 101),
     ("dtn_dual_route_2d", 101),
     ("dtn_dual_route_2d", 102),
@@ -81,10 +86,32 @@ def run_first_pass(name, seed):
     ("regularity_probe", 102),
     ("regularity_probe", 103),
     ("regularity_probe", 4049),
-])
+]
+
+
+@pytest.mark.parametrize("name, seed", CASES)
 def test_first_pass_passes_every_check(name, seed):
     results = run_first_pass(name, seed)
     for result in results:
         assert result["failed"] == [], result["error"]
     assert_matches([r["outputs"] for r in results], PINNED[f"{name}-{seed}"],
                    TOLERANCE.get(name, {}), f"{name}-{seed}")
+
+
+def record():
+    """Rerun every case and rewrite the pinned outputs, unless one fails."""
+    pinned, failed = {}, []
+    for name, seed in CASES:
+        results = run_first_pass(name, seed)
+        failed += [(name, seed, r["failed"], r["error"]) for r in results
+                   if r["failed"]]
+        pinned[f"{name}-{seed}"] = [r["outputs"] for r in results]
+    if failed:
+        sys.exit(f"not recorded, failed checks: {failed}")
+    PINNED_PATH.write_text(json.dumps(pinned, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: python {sys.argv[0]} --record")
+    record()
