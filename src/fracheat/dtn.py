@@ -37,16 +37,14 @@ __all__ = [
 class DtnExtract:
     """Per-(t, x) weighted normal-derivative limit -c_s lim y^a dU/dy.
 
-    values has the thin shape (nt+1, nx...); residual quantifies the gap
-    between the two highest extrapolation orders; flagged marks cells next
-    to the lateral boundary or with residual above the threshold.
+    values has the thin shape (nt+1, nx...); flagged, of the same shape,
+    marks the cells at the lateral boundary and those where the quadratic
+    and the linear fit in eta differ by more than `_RESIDUAL_THRESHOLD` of
+    the value.
     """
 
     values: np.ndarray
-    residual: np.ndarray
     flagged: np.ndarray
-    etas: np.ndarray
-    fluxes: np.ndarray
 
 
 # at least this many flux intervals enter the fit, and at most
@@ -93,11 +91,10 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
     fluxes = np.diff(U.values[..., j0:j0 + m + 1], axis=-1)
     fluxes /= grid.res_y[picked]
     fluxes = np.moveaxis(fluxes, -1, 0)
-    etas = eta_all[picked]
 
     # only the constant terms of the quadratic and the linear fit are used:
     # the first rows of the two pseudo-inverses, applied in one product
-    eta = etas / etas[-1]
+    eta = eta_all[picked] / eta_all[picked][-1]
     rows = [np.linalg.pinv(np.vander(eta, N=k, increasing=True))[0]
             for k in (3, 2)]
     limit_2, limit_1 = np.stack(rows) @ fluxes.reshape(m, -1)
@@ -110,12 +107,8 @@ def extract_dtn(U: ScalarField, p: FracParams) -> DtnExtract:
     scale_ref = np.maximum(np.abs(values), np.max(np.abs(values)) * 1e-3 + 1e-300)
     flagged = residual * c_s > _RESIDUAL_THRESHOLD * scale_ref
     for axis in range(1, 1 + grid.n):
-        sl = [slice(None)] * len(thin_shape)
-        sl[axis] = 0
-        flagged[tuple(sl)] = True
-        sl[axis] = -1
-        flagged[tuple(sl)] = True
-    return DtnExtract(values, residual, flagged, etas, fluxes)
+        np.moveaxis(flagged, axis, 0)[[0, -1]] = True
+    return DtnExtract(values, flagged)
 
 
 def steady_profile(p: FracParams, xi: float):

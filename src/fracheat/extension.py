@@ -333,13 +333,6 @@ def _pcg(A, A_abs, b, u, precond):
             return u, res, its
 
 
-def _as_thin_array(grid, data):
-    """f-like data (callable (t, x...) or None) to a (nt+1, nx...) array."""
-    if data is None:
-        return np.zeros((grid.nt + 1,) + (grid.nx,) * grid.n)
-    return sample_thin(grid, data)
-
-
 def _as_vector_array(grid, data):
     """F-like data (callable (t, x...) returning n components, or None) to
     (nt+1, nx..., n+1) with vanishing last component."""
@@ -377,7 +370,7 @@ def _step_rhs(grid, x_area, dirichlet, f, F, lateral):
     temporaries of (nt+1) x (face points); at 128^3 they raised the solve's
     peak RSS by about 1.8 MB.
     """
-    bottom = _as_thin_array(grid, f).reshape(grid.nt + 1, -1) * x_area.ravel()
+    bottom = sample_thin(grid, f).reshape(grid.nt + 1, -1) * x_area.ravel()
     div = None if F is None else _face_divergence(
         grid, _as_vector_array(grid, F), x_area)
     cells, T, face_points = dirichlet
@@ -516,7 +509,7 @@ def energy_report(U: ScalarField, f=None, F=None, cutoff=None,
     grad_phi_sq = sum(gp ** 2 for gp in grads_phi)
     dphi2_dt = np.abs(grid.time_derivative(phi ** 2))
 
-    f_arr = _as_thin_array(grid, f)
+    f_arr = sample_thin(grid, f)
     F_arr = _as_vector_array(grid, F)
 
     # einsum, not a threaded BLAS gemv (see time_integral_product)
@@ -619,7 +612,7 @@ def closeness_experiment(U: ScalarField, f=None, F=None,
               "eps_weighted": math.sqrt(max(eps_thick_sq, 0.0)),
               "eps_trace": math.sqrt(max(eps_thin_sq, 0.0))}
     if delta is not None:
-        f_arr = _as_thin_array(g, f)
+        f_arr = sample_thin(g, f)
         F_arr = _as_vector_array(g, F)
         f_sq = float(np.sum(g.x_cell_measures() * g.time_integral_sq(f_arr)))
         F_sq = sum(g.weighted_norm_sq(F_arr[..., d, None] * np.ones(g.shape))
@@ -653,15 +646,13 @@ def regularity_estimates_check(W: ScalarField) -> RegularityReport:
     if grid.n != 1:
         raise NotImplementedError("the regularity estimates run at n = 1")
     r = 0.5
-    t0, x0 = grid.center
 
-    def region_mask(rad):
-        return ((np.abs(grid.t_nodes - t0) <= rad ** 2)[:, None, None]
-                & (np.abs(grid.x_centers[0] - x0) <= rad)[:, None]
-                & (grid.y_centers < rad))
+    def cells_in(rad):
+        t, x, y = grid.in_cylinder(rad, grid.t_nodes, *grid.x_centers,
+                                   grid.y_centers)
+        return t[:, None, None] & x[:, None] & y
 
-    inner = region_mask(r / 2.0)
-    outer = region_mask(r)
+    inner, outer = cells_in(r / 2.0), cells_in(r)
     osc = float(np.max(W.values[outer]) - np.min(W.values[outer]))
     scale = float(np.max(np.abs(W.values))) + 1.0
     dt_w = grid.time_derivative(W.values)

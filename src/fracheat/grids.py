@@ -6,6 +6,10 @@ Geometry conventions: the thin cylinder Q_rho(t0, x0) is the time interval
 cylinder Q*_rho adds y in (0, rho).  For n = 1 the ball is an interval; for
 n = 2 the grid itself is the tensor box (-rho, rho)^2 while cylinder
 averages use Euclidean disks.  Every cylinder overlap below is exact.
+
+Membership is one rule, `ParabolicGrid.in_cylinder`: a point lies in Q*_r
+when |t - t0| <= r^2, |x - x0| <= r (both closed) and 0 < y < r (open); a
+time level or a cell lies in it when its node or center does.
 """
 
 from __future__ import annotations
@@ -128,6 +132,22 @@ def _y_mesh(a: float, rho: float, ny: int, q: float):
     return faces, centers, w_y, res_y, res_top
 
 
+def _thin_lattice(grid, n: int) -> None:
+    """Set what both grids share on (t, x): the center padded to
+    (t0, x0_1, ..., x0_n) with x0 at the origin by default, the default
+    t_range (t0 - rho^2, t0 + rho^2), and nx uniform x-cells per axis over
+    (x0 - rho, x0 + rho) as x_faces, x_centers and their width dx."""
+    if len(grid.center) == 1:
+        grid.center = tuple([grid.center[0]] + [0.0] * n)
+    t0 = grid.center[0]
+    if grid.t_range is None:
+        grid.t_range = (t0 - grid.rho ** 2, t0 + grid.rho ** 2)
+    grid.x_faces = [np.linspace(c - grid.rho, c + grid.rho, grid.nx + 1)
+                    for c in grid.center[1:]]
+    grid.x_centers = [0.5 * (f[1:] + f[:-1]) for f in grid.x_faces]
+    grid.dx = 2.0 * grid.rho / grid.nx
+
+
 @dataclass
 class ThinGrid:
     """Cell-based grid over the thin cylinder Q_rho(center)."""
@@ -140,16 +160,9 @@ class ThinGrid:
     t_range: tuple | None = None
 
     def __post_init__(self):
-        if len(self.center) == 1:
-            self.center = tuple([self.center[0]] + [0.0] * self.n)
-        t0 = self.center[0]
-        if self.t_range is None:
-            self.t_range = (t0 - self.rho ** 2, t0 + self.rho ** 2)
+        _thin_lattice(self, self.n)
         self.t_faces = np.linspace(self.t_range[0], self.t_range[1], self.nt + 1)
-        self.x_faces = [np.linspace(c - self.rho, c + self.rho, self.nx + 1)
-                        for c in self.center[1:]]
         self.t_centers = 0.5 * (self.t_faces[1:] + self.t_faces[:-1])
-        self.x_centers = [0.5 * (f[1:] + f[:-1]) for f in self.x_faces]
 
     @property
     def shape(self):
@@ -164,9 +177,8 @@ class ThinGrid:
 
     def min_radius(self) -> float:
         """Smallest cylinder radius resolvable by at least one full cell."""
-        dx = 2.0 * self.rho / self.nx
         dt = (self.t_faces[-1] - self.t_faces[0]) / self.nt
-        return max(dx, math.sqrt(dt))
+        return max(self.dx, math.sqrt(dt))
 
     def meshgrid(self):
         """Cell-center coordinate arrays broadcastable to `shape`."""
@@ -234,17 +246,9 @@ class ParabolicGrid:
             self.q = _grading_exponent(a)
         if self.q < 1.0:
             raise ValueError("grading exponent q must be >= 1")
-        if len(self.center) == 1:
-            self.center = tuple([self.center[0]] + [0.0] * self.params.n)
-        t0 = self.center[0]
-        if self.t_range is None:
-            self.t_range = (t0 - self.rho ** 2, t0 + self.rho ** 2)
+        _thin_lattice(self, self.params.n)
         self.t_nodes = np.linspace(self.t_range[0], self.t_range[1],
                                    self.nt + 1)
-        self.x_faces = [np.linspace(c - self.rho, c + self.rho, self.nx + 1)
-                        for c in self.center[1:]]
-        self.x_centers = [0.5 * (f[1:] + f[:-1]) for f in self.x_faces]
-        self.dx = 2.0 * self.rho / self.nx
         self.y_faces, self.y_centers, self.w_y, self.res_y, self.res_top = \
             _y_mesh(a, self.rho, self.ny, self.q)
 
@@ -347,7 +351,17 @@ class ParabolicGrid:
         """int v(t)^2 dt: the diagonal case of `time_integral_product`."""
         return self.time_integral_product(values, values, t_lo, t_hi)
 
-    # -- cylinder weights (separable: time x space-ball x y-interval) --
+    # -- cylinders (separable: time x space-ball x y-interval) --
+
+    def in_cylinder(self, radius: float, t, *xy):
+        """The t, x and y tests of Q*_radius around the grid's center (see
+        the module docstring); the n x coordinates broadcast together.  On
+        the grid's axes (the x_centers as an open mesh) they mask cells."""
+        t0, *x0 = self.center
+        *x, y = xy
+        d2 = sum((xi - ci) ** 2 for xi, ci in zip(x, x0))
+        return (np.abs(t - t0) <= radius ** 2, np.sqrt(d2) <= radius,
+                (y > 0.0) & (y < radius))
 
     def cylinder_weights(self, center, radius: float):
         """Separable factors of Q*_radius(center): the time window
@@ -435,9 +449,11 @@ class ScalarField:
 
 
 def sample_thin(grid: ParabolicGrid, fn) -> np.ndarray:
-    """Evaluate fn(t, x...) on the (node-time, x-cell) lattice."""
-    axes = [grid.t_nodes] + grid.x_centers
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.asarray(fn(*mesh), dtype=float) * np.ones((grid.nt + 1,)
-                                                        + (grid.nx,) * grid.n)
+    """Evaluate fn(t, x...) on the (node-time, x-cell) lattice; fn None
+    gives zeros."""
+    shape = (grid.nt + 1,) + (grid.nx,) * grid.n
+    if fn is None:
+        return np.zeros(shape)
+    mesh = np.meshgrid(grid.t_nodes, *grid.x_centers, indexing="ij")
+    return np.asarray(fn(*mesh), dtype=float) * np.ones(shape)
 

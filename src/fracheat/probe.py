@@ -234,13 +234,6 @@ class ModulusProbeReport:
     pair_cases: np.ndarray
 
 
-def _cells_in_half_cylinder(grid: ParabolicGrid):
-    tmask = np.abs(grid.t_nodes - grid.center[0]) <= 0.25
-    xmask = np.abs(grid.x_centers[0] - grid.center[1]) <= 0.5
-    ymask = grid.y_centers < 0.5
-    return (np.nonzero(tmask)[0], np.nonzero(xmask)[0], np.nonzero(ymask)[0])
-
-
 def _snap(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Index of the node of the ascending array nearest each v, a tie going
     to the lower index as in np.argmin(np.abs(nodes - v))."""
@@ -255,7 +248,8 @@ block stay a few hundred KB whatever n_pairs is."""
 
 def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
                            seed: int = 0) -> ModulusProbeReport:
-    """Sample stratified point pairs in the half cylinder and report the
+    """Sample stratified point pairs in the half cylinder Q*_(1/2) around
+    the grid's center (ParabolicGrid.in_cylinder) and report the
     empirical constants sup |grad U(p1) - grad U(p2)| / K(dist), split into
     the interior regime (dist <= y1/4) and the boundary regime, plus the
     time-increment ratio |U(t1,X) - U(t2,X)| / (K(sqrt dt) sqrt dt).
@@ -276,8 +270,8 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
     if grid.n != 1:
         raise NotImplementedError("the pair sampler runs at n = 1")
     rng = np.random.default_rng(seed)
-    ti, xi_, yi = _cells_in_half_cylinder(grid)
     axes = (grid.t_nodes, grid.x_centers[0], grid.y_centers)
+    ti, xi_, yi = (np.nonzero(m)[0] for m in grid.in_cylinder(0.5, *axes))
 
     h_min = min(grid.dx, math.sqrt(grid.dt))
     decades = []
@@ -303,9 +297,7 @@ def gradient_modulus_probe(U: ScalarField, K, n_pairs: int = 10000,
         i2 = tuple(_snap(ax, v) for ax, v in zip(axes, to))
         dist = parabolic_distance(*(tuple(ax[i] for ax, i in zip(axes, ii))
                                     for ii in (i1, i2)))
-        ok = ((np.abs(to[0] - grid.center[0]) <= 0.25)
-              & (np.abs(to[1] - grid.center[1]) <= 0.5)
-              & (to[2] > 0.0) & (to[2] < 0.5)
+        ok = (np.logical_and.reduce(grid.in_cylinder(0.5, *to))
               & (dist >= h_min / 2.0) & (dist <= 0.45))
         keep = np.nonzero(ok)[0][:n_pairs - n_in]
         n_in += keep.size

@@ -21,7 +21,9 @@ records the file again:
     PYTHONPATH=src python tests/test_bench_smoke.py --record
 
 reruns every case of CASES and rewrites first_pass_outputs.json, and
-refuses to write while any case fails a check.
+refuses to write while any case fails a check.  The same command is the
+byte-for-byte check of a refactor that means to move no output: record,
+then `git diff --exit-code tests/first_pass_outputs.json` must pass.
 """
 
 import json

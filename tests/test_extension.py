@@ -11,13 +11,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracheat.kernels import FracParams
-from fracheat.grids import ParabolicGrid
+from fracheat.grids import ParabolicGrid, sample_thin
 from fracheat.dtn import cosine_extension_data
 from fracheat.generators import coefficient_generator
 from fracheat import extension
 from fracheat.extension import (
     _RTOL,
-    _as_thin_array,
     _as_vector_array,
     _assemble,
     _eigenbasis,
@@ -204,7 +203,7 @@ def _reference_march(grid, coeff, f=None, F=None, lateral_dirichlet=None,
     L, mass, dirichlet = _reference_assemble(grid, coeff)
     dt = grid.dt
     lu = spla.splu(sp.csc_matrix(sp.diags(mass / dt) + L))
-    f_arr = _as_thin_array(grid, f)
+    f_arr = sample_thin(grid, f)
     F_arr = _as_vector_array(grid, F)
     g = _wrap_boundary(lateral_dirichlet)
 
@@ -346,13 +345,22 @@ _N2_DATA = dict(
     initial=lambda x1, x2, y: np.cos(x1 - x2) * (1.0 + y))
 
 
+def python_stdout(code, timeout):
+    """Standard output of code run by a fresh interpreter on this src."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(extension.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=timeout).stdout
+
+
 @pytest.fixture(scope="module")
 def non_finite_errors():
     """'<datum> <value>' -> the RuntimeError of a solve whose datum is the
     value on x > 0, for NaN and +-inf in f, initial and lateral_dirichlet.
     One subprocess runs all nine: matmul warns on these data, and pytest
     turns warnings into errors."""
-    code = textwrap.dedent("""
+    out = python_stdout("""
         import numpy as np
         from fracheat.extension import CoefficientField, solve_extension
         from fracheat.grids import ParabolicGrid
@@ -370,11 +378,7 @@ def non_finite_errors():
                     print(datum, value, ": no error")
                 except RuntimeError as exc:
                     print(datum, value, ":", exc)
-        """)
-    env = dict(os.environ, PYTHONPATH=str(
-        Path(extension.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
+        """, timeout=60)
     return dict(line.split(" : ") for line in out.splitlines())
 
 
@@ -402,7 +406,7 @@ class TestSeparableSolve:
         rhs_at = _step_rhs(g, x_area, bc, data["f"], data["F"],
                            data["lateral"])
         _, _, dirichlet = _reference_assemble(g, coeff)
-        f_arr = _as_thin_array(g, data["f"])
+        f_arr = sample_thin(g, data["f"])
         F_arr = _as_vector_array(g, data["F"])
         bc = _wrap_boundary(data["lateral"])
         for level in range(g.nt + 1):
@@ -467,6 +471,21 @@ class TestSeparableSolve:
         u, res, its = _pcg(A_step, A_abs, b, start, precond)
         assert u is start and its == 0 and res <= _RTOL
         np.testing.assert_array_equal(u, kept)
+
+    def test_pass_without_progress_ends_solve(self):
+        # b = 1e-300 gives a backward error of 1 but a residual 2-norm that
+        # underflows to 0, so no CG iteration can start; without the
+        # no-progress exit every pass would repeat this one forever, hence
+        # the subprocess and its timeout
+        out = python_stdout("""
+            import numpy as np
+            from fracheat.extension import _pcg
+            same = lambda v: v
+            u, res, its = _pcg(same, same, np.full(6, 1e-300), np.zeros(6),
+                               same)
+            print(float(np.max(np.abs(u))), res, its)
+            """, timeout=30)
+        assert out.split() == ["0.0", "1.0", "0"]
 
     @pytest.mark.parametrize("n, coeff", [
         (1, CoefficientField.identity(1)), (1, _dini_bump()),

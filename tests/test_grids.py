@@ -335,3 +335,67 @@ class TestFields:
     def test_sample_thin_shape(self, grid):
         f = sample_thin(grid, lambda t, x: np.cos(x) * np.exp(t))
         assert f.shape == (grid.nt + 1, grid.nx)
+
+    def test_sample_thin_of_none_is_zero(self, grid):
+        f = sample_thin(grid, None)
+        assert f.shape == (grid.nt + 1, grid.nx)
+        assert not np.any(f)
+
+    @pytest.mark.parametrize("n, center, t_range", [
+        (1, (0.2,), None), (2, (0.3, 0.1, -0.2), (0.0, 0.5))])
+    def test_thin_and_thick_grids_share_lattice(self, n, center, t_range):
+        tg = ThinGrid(n, 0.7, 6, 10, center=center, t_range=t_range)
+        pg = ParabolicGrid(FracParams(s=0.6, n=n), rho=0.7, nt=6, nx=10,
+                           ny=4, center=center, t_range=t_range)
+        assert len(tg.center) == 1 + n and tg.center[0] == center[0]
+        assert (tg.center, tg.t_range, tg.dx) == (pg.center, pg.t_range, pg.dx)
+        assert tg.t_range == (t_range or (0.2 - 0.7 ** 2, 0.2 + 0.7 ** 2))
+        np.testing.assert_array_equal(tg.t_faces, pg.t_nodes)
+        for a, b in zip(tg.x_faces + tg.x_centers, pg.x_faces + pg.x_centers):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestInCylinder:
+    """Membership of Q*_r: |t - t0| <= r^2 and |x - x0| <= r closed,
+    0 < y < r open."""
+
+    def test_edges(self):
+        g = ParabolicGrid(FracParams(s=0.75), nt=4, nx=4, ny=4)
+        r, out = 0.5, lambda v: np.nextafter(v, 2.0 * v)
+        t = np.array([-0.25, 0.25, out(-0.25), out(0.25)])
+        x = np.array([-0.5, 0.5, out(-0.5), out(0.5)])
+        y = np.array([np.nextafter(0.0, 1.0), np.nextafter(0.5, 0.0), 0.0, 0.5])
+        for got in g.in_cylinder(r, t, x, y):
+            assert got.tolist() == [True, True, False, False]
+        assert [bool(m) for m in g.in_cylinder(r, 0.0, 0.0, -0.1)] \
+            == [True, True, False]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cell_masks_agree_with_point_tests(self, n):
+        # the product of the per-axis cell masks is the point test at every
+        # cell's (node, center) coordinates
+        g = ParabolicGrid(FracParams(s=0.6, n=n), nt=12, nx=10, ny=9,
+                          center=(0.3, -0.2, 0.1)[:1 + n])
+        xs = np.meshgrid(*g.x_centers, indexing="ij", sparse=True)
+        pts = np.meshgrid(g.t_nodes, *g.x_centers, g.y_centers, indexing="ij")
+        for r in (0.2, 0.35, 0.5, 0.8):
+            in_t, in_x, in_y = g.in_cylinder(r, g.t_nodes, *xs, g.y_centers)
+            cells = np.multiply.outer(np.multiply.outer(in_t, in_x), in_y)
+            assert cells.any() and not cells.all()
+            assert np.array_equal(
+                cells, np.logical_and.reduce(g.in_cylinder(r, *pts)))
+
+    def test_ball_is_euclidean_disk_at_n2(self):
+        # the x mask is the disk on the center mesh, in at every cell the
+        # disk covers and out at every cell it misses (_ball_overlap)
+        x0 = (0.1, -0.15)
+        g = ParabolicGrid(FracParams(s=0.6, n=2), nt=2, nx=24, ny=4,
+                          center=(0.0,) + x0)
+        X, Y = np.meshgrid(*g.x_centers, indexing="ij")
+        xs = np.meshgrid(*g.x_centers, indexing="ij", sparse=True)
+        for r in (0.3, 0.55, 0.9):
+            _, in_x, _ = g.in_cylinder(r, 0.0, *xs, 0.1)
+            assert np.array_equal(in_x, np.hypot(X - x0[0], Y - x0[1]) <= r)
+            w = _ball_overlap(g.x_faces, np.array(x0), r)
+            assert in_x[w == g.dx ** 2].all() and not in_x[w == 0.0].any()
+            assert 0 < in_x.sum() < in_x.size

@@ -501,6 +501,45 @@ class TestSummability:
         assert rep.holds
         assert rep.cauchy_tail < 1e-8
 
+    @staticmethod
+    def inv_log_sq_data_bound(c, gamma, cfg):
+        """The gamma-tuning bound omega(g)/dt + int_0^g omega(t)/t dt
+        / ((-log sqrt lam) dt) for omega = c / log(e/r)^2 in closed form:
+        with L = log(e/g) the integral is c / L."""
+        L = 1.0 - math.log(gamma)
+        return (c / (L * L) + c / (L * -math.log(math.sqrt(cfg.lam)))) \
+            / cfg.delta_tilde
+
+    @pytest.mark.parametrize("c, halvings", [(3.0, 3), (10.0, 17)])
+    def test_gamma_tuned_by_halving(self, c, halvings):
+        # the default gamma = 0.05 is halved until the coefficient part's
+        # bound is <= 1; the closed form gives the same number of halvings
+        cfg = ModulusPipelineConfig()
+        tg = ThinGrid(1, 1.0, 16, 16)
+        f = np.cos(2.0 * tg.meshgrid()[1])
+        rep = summability_check(modulus_generator("inv_log_sq", c=c), tg, f,
+                                self.P, cfg)
+        assert rep.tuned_gamma == cfg.gamma * 0.5 ** halvings
+        bounds = [self.inv_log_sq_data_bound(c, cfg.gamma * 0.5 ** k, cfg)
+                  for k in range(halvings + 1)]
+        assert min(bounds[:-1]) > 1.0 >= bounds[-1]
+        # the bound reads 2.0e-5 (c = 3) and 5.5e-5 (c = 10) high through
+        # dini_integral's tail fit, inside TestDiniIntegral's 1.3e-3; the
+        # bounds on both sides of 1 above are 0.5% or more away from 1
+        assert rep.bound_omega1_data_part == pytest.approx(bounds[-1],
+                                                           rel=1e-4)
+        assert rep.holds
+
+    def test_gamma_tuning_gives_up(self):
+        # c = 100: even 60 halvings leave the bound above 1 (about 3.2)
+        cfg = ModulusPipelineConfig()
+        assert self.inv_log_sq_data_bound(100.0, cfg.gamma * 0.5 ** 60,
+                                          cfg) > 1.0
+        tg = ThinGrid(1, 1.0, 16, 16)
+        with pytest.raises(DiniDivergenceError, match="could not tune gamma"):
+            summability_check(modulus_generator("inv_log_sq", c=100.0), tg,
+                              np.cos(2.0 * tg.meshgrid()[1]), self.P, cfg)
+
     def test_non_dini_coefficient_refused(self, tg):
         bad = ModulusOfContinuity(
             lambda r: np.ones_like(np.asarray(r, dtype=float)))

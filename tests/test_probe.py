@@ -508,17 +508,25 @@ def pair_scales(grid):
     return h_min, decades
 
 
+def half_cylinder_cells(grid):
+    """Indices of the time nodes, x-cells and y-cells of Q*_(1/2) around
+    the grid's center at n = 1, from literal comparisons."""
+    t0, x0 = grid.center
+    return (np.nonzero(np.abs(grid.t_nodes - t0) <= 0.25)[0],
+            np.nonzero(np.abs(grid.x_centers[0] - x0) <= 0.5)[0],
+            np.nonzero((grid.y_centers > 0.0) & (grid.y_centers < 0.5))[0])
+
+
 def old_loop_probe(U, K, n_pairs, seed):
     """The sampler as it was before it drew its attempts in blocks: one
     attempt at a time, rng.choice cells, one scalar K call per pair.
     Reference for the distribution of the pairs; returns the pair
     distances, ratios and cases, the time pairs' sqrt(dt) and the three
     empirical constants."""
-    from fracheat.probe import _cells_in_half_cylinder
     grid = U.grid
     rng = np.random.default_rng(seed)
     gx, gy = grid.gradient(U.values)
-    ti, xi_, yi = _cells_in_half_cylinder(grid)
+    ti, xi_, yi = half_cylinder_cells(grid)
     t_nodes, x_c, y_c = grid.t_nodes, grid.x_centers[0], grid.y_centers
     h_min, decades = pair_scales(grid)
     n_dec = max(len(decades), 1)
@@ -573,11 +581,11 @@ def scalar_call_probe(U, K, n_pairs, seed):
     the full-field grid.gradient and one scalar K call per pair.
     Reference for the array-native probe; returns what old_loop_probe
     does."""
-    from fracheat.probe import PAIR_BLOCK, _cells_in_half_cylinder
+    from fracheat.probe import PAIR_BLOCK
     grid = U.grid
     rng = np.random.default_rng(seed)
     gx, gy = grid.gradient(U.values)
-    ti, xi_, yi = _cells_in_half_cylinder(grid)
+    ti, xi_, yi = half_cylinder_cells(grid)
     axes = (grid.t_nodes, grid.x_centers[0], grid.y_centers)
     h_min, decades = pair_scales(grid)
     dists, ratios, cases, rdts = [], [], [], []
